@@ -7,7 +7,6 @@ balanced bisection, divided by that bisection's capacity.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from repro.sim.integrity import IntegrityStats
@@ -60,34 +59,17 @@ def bisection_cut(
 ) -> BisectionCut:
     """Find the minimum balanced bisection and its crossing links.
 
-    Memoized per machine instance: the topology is immutable and every
-    shuffle report on the same machine/subset re-derives the same cut,
-    which on 16 GPUs means re-pricing ``C(16, 8) / 2`` bipartitions.
+    The search is :meth:`MachineTopology.min_bisection`; this adds the
+    reverse-direction capacity and the links straddling the cut.
+    Memoized per machine instance, so every shuffle report on the same
+    machine/subset shares one cut.
     """
     ids = tuple(sorted(gpu_ids if gpu_ids is not None else machine.gpu_ids))
-    if len(ids) < 2:
-        raise ValueError("bisection needs at least two GPUs")
     cache: dict = machine._bisection_cut_cache
     cached = cache.get(ids)
     if cached is not None:
         return cached
-    half = len(ids) // 2
-    best: tuple[float, tuple[int, ...]] | None = None
-    seen: set[frozenset[int]] = set()
-    for side_a in itertools.combinations(ids, half):
-        key = frozenset(side_a)
-        other = frozenset(ids) - key
-        if other in seen:
-            continue
-        seen.add(key)
-        side_b = tuple(sorted(other))
-        capacity = machine._cut_capacity(side_a, side_b)
-        if best is None or capacity < best[0]:
-            best = (capacity, side_a)
-    assert best is not None
-    side_a = best[1]
-    side_b = tuple(sorted(set(ids) - set(side_a)))
-    capacity_ab = machine._cut_capacity(side_a, side_b)
+    capacity_ab, side_a, side_b = machine.min_bisection(ids)
     capacity_ba = machine._cut_capacity(side_b, side_a)
     sides = _assign_node_sides(machine, side_a, side_b)
     crossing_ab: list[int] = []
@@ -250,10 +232,11 @@ class ShuffleReport:
     ) -> float:
         if self.elapsed <= 0 or capacity <= 0:
             return 0.0
+        crossing_ids = set(crossing)
         crossed_bytes = sum(
             stats.bytes_sent
             for link_id, stats in self.link_stats.items()
-            if link_id in set(crossing)
+            if link_id in crossing_ids
         )
         return min(1.0, crossed_bytes / self.elapsed / capacity)
 

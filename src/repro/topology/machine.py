@@ -18,9 +18,15 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.topology.links import LinkSpec, LinkType
 from repro.topology.maxflow import FlowNetwork
 from repro.topology.nodes import Node, gpu
+
+
+#: Bisection candidates lower-bounded per numpy batch (16 GPUs: 6,435).
+_BOUND_CHUNK = 1 << 16
 
 
 class TopologyError(ValueError):
@@ -63,6 +69,7 @@ class MachineTopology:
         object.__setattr__(self, "_nvlink_adjacency_cache", None)
         object.__setattr__(self, "_direct_paths", {})
         object.__setattr__(self, "_cut_capacity_cache", {})
+        object.__setattr__(self, "_min_bisection_cache", {})
         object.__setattr__(self, "_bisection_cut_cache", {})
 
     # ------------------------------------------------------------------
@@ -200,21 +207,111 @@ class MachineTopology:
         the other through the full link graph.  Shared PCIe uplinks and
         the QPI link are therefore counted once, not per GPU pair.
         """
-        ids = tuple(sorted(gpu_ids if gpu_ids is not None else self.gpu_ids))
+        return self.min_bisection(gpu_ids)[0]
+
+    def min_bisection(
+        self, gpu_ids: tuple[int, ...] | None = None
+    ) -> tuple[float, tuple[int, ...], tuple[int, ...]]:
+        """The minimum balanced bipartition: ``(capacity, side_a, side_b)``.
+
+        Candidates are the ``len // 2``-combinations of the sorted ids,
+        in lexicographic order, as ``side_a``; for an even count only
+        those holding the lowest id, so each bipartition appears once.
+        ``capacity`` is the max flow from ``side_a`` to ``side_b``, and
+        among equal minima the earliest candidate wins.
+
+        The search is exact but prices few candidates: it visits them in
+        order of a cheap lower bound (:meth:`_bisection_bounds`) and
+        stops once the bound exceeds the best capacity found.  Results
+        are memoized per instance.
+        """
+        ids = self._bisection_ids(gpu_ids)
+        cache: dict = self._min_bisection_cache
+        cached = cache.get(ids)
+        if cached is None:
+            cached = cache[ids] = self._search_bisection(ids)
+        return cached
+
+    def _bisection_ids(self, gpu_ids: tuple[int, ...] | None) -> tuple[int, ...]:
+        if gpu_ids is None:
+            ids = self.gpu_ids
+        else:
+            ids = tuple(sorted(gpu_ids))
+            unknown = sorted(set(ids) - set(self.gpu_ids))
+            if unknown:
+                raise TopologyError(f"unknown GPU ids {unknown} on {self.name}")
+            duplicates = sorted({a for a, b in zip(ids, ids[1:]) if a == b})
+            if duplicates:
+                raise TopologyError(f"duplicate GPU ids {duplicates}")
         if len(ids) < 2:
-            raise TopologyError("bisection bandwidth needs at least 2 GPUs")
-        half = len(ids) // 2
-        best = float("inf")
-        seen: set[frozenset[int]] = set()
-        for side_a in itertools.combinations(ids, half):
-            key = frozenset(side_a)
-            complement = frozenset(ids) - key
-            if frozenset(complement) in seen:
-                continue
-            seen.add(key)
-            side_b = tuple(sorted(complement))
-            best = min(best, self._cut_capacity(side_a, side_b))
-        return best
+            raise TopologyError("bisection needs at least 2 GPUs")
+        return ids
+
+    def _search_bisection(
+        self, ids: tuple[int, ...]
+    ) -> tuple[float, tuple[int, ...], tuple[int, ...]]:
+        """Bound-ordered exact search over the candidates of :meth:`min_bisection`.
+
+        A candidate whose lower bound exceeds the best capacity cannot
+        beat or tie it, so the visit stops there.  The ``1e-9`` slack
+        keeps float rounding in the bound from pruning a true tie.
+        Candidates are scored a chunk at a time, in enumeration order,
+        to bound memory on large machines; every machine up to 16 GPUs
+        fits in one chunk.
+        """
+        combos = itertools.combinations(range(len(ids)), len(ids) // 2)
+        if len(ids) % 2 == 0:
+            combos = itertools.takewhile(lambda combo: combo[0] == 0, combos)
+        best = (float("inf"), -1, (), ())
+        offset = 0
+        while chunk := list(itertools.islice(combos, _BOUND_CHUNK)):
+            bounds = self._bisection_bounds(ids, np.array(chunk))
+            for index in np.argsort(bounds, kind="stable").tolist():
+                if bounds[index] > best[0] * (1.0 + 1e-9):
+                    break
+                side_a = tuple(ids[i] for i in chunk[index])
+                side_b = tuple(g for g in ids if g not in side_a)
+                capacity = self._cut_capacity(side_a, side_b)
+                if (capacity, offset + index) < best[:2]:
+                    best = (capacity, offset + index, side_a, side_b)
+            offset += len(chunk)
+        capacity, _, side_a, side_b = best
+        return capacity, side_a, side_b
+
+    def _bisection_bounds(
+        self, ids: tuple[int, ...], combos: np.ndarray
+    ) -> np.ndarray:
+        """Feasible-flow lower bounds on the cut capacity of each candidate.
+
+        ``combos`` holds one candidate per row as positions into ``ids``.
+        The flow sums edge-disjoint paths from side A to side B: every
+        direct GPU->GPU link, plus ``min(cap(A->v), cap(v->B))`` through
+        each non-GPU node ``v``.  Each link lies on at most one of these
+        paths, so their sum is a feasible flow and never exceeds the
+        max flow.
+        """
+        position = {gpu(g): i for i, g in enumerate(ids)}
+        relays = {
+            node: j
+            for j, node in enumerate(n for n in self.nodes if not n.is_gpu)
+        }
+        direct = np.zeros((len(ids), len(ids)))
+        into_relay = np.zeros((len(ids), len(relays)))
+        from_relay = np.zeros((len(relays), len(ids)))
+        for link in self.links:
+            src, dst = position.get(link.src), position.get(link.dst)
+            if src is not None and dst is not None:
+                direct[src, dst] += link.bandwidth
+            elif src is not None and link.dst in relays:
+                into_relay[src, relays[link.dst]] += link.bandwidth
+            elif dst is not None and link.src in relays:
+                from_relay[relays[link.src], dst] += link.bandwidth
+        side_a = np.zeros((len(combos), len(ids)))
+        side_a[np.arange(len(combos))[:, None], combos] = 1.0
+        side_b = 1.0 - side_a
+        return ((side_a @ direct) * side_b).sum(axis=1) + np.minimum(
+            side_a @ into_relay, side_b @ from_relay.T
+        ).sum(axis=1)
 
     def _cut_capacity(
         self, side_a: tuple[int, ...], side_b: tuple[int, ...]
@@ -226,9 +323,9 @@ class MachineTopology:
         relay traffic for the configuration being measured.
 
         Results are memoized per instance: the topology is immutable,
-        and the bisection search of a 16-GPU machine prices thousands
-        of bipartitions that recur across every report built on the
-        same machine (perf harness, figures, chaos sweeps).
+        and the bipartitions the bisection search prices recur across
+        every report built on the same machine (the reverse direction of
+        a cut, other GPU subsets, perf harness, figures, chaos sweeps).
         """
         cache: dict = self._cut_capacity_cache
         cache_key = (side_a, side_b)

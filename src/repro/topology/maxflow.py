@@ -2,11 +2,12 @@
 
 Used to compute cut capacities between GPU subsets when deriving the
 bisection bandwidth of a machine configuration.  The graphs involved
-are tiny (tens of nodes), but the bisection search solves *thousands*
-of them — ``C(16, 8) / 2`` candidate bipartitions on a 16-GPU machine —
-so the residual graph lives in flat parallel lists (edge-indexed
-capacities and flows plus per-node adjacency index lists) instead of
-per-edge objects, and the blocking-flow search runs iteratively.
+are tiny (tens of nodes).  The bisection search prunes most candidate
+bipartitions with a lower bound, but still solves a few — and on a
+switched fabric like the DGX-2 thousands — so the residual graph lives
+in flat parallel lists (edge-indexed capacities and flows plus per-node
+adjacency index lists) instead of per-edge objects, and the
+blocking-flow search runs iteratively.
 
 Equivalence to the straightforward object/recursive formulation is
 load-bearing: edges are visited in insertion order, augmenting-path
