@@ -13,8 +13,8 @@ One metric is wall-clock rather than simulation output:
 hot-path performance with the generous 50% band from
 ``regression.METRIC_TOLERANCES`` so shared-CI noise can't flake the
 build while a real slowdown of the simulator still fails it.  The
-committed budgets were recorded under the batch engine
-(``REPRO_ENGINE=batch``), the mode CI gates with.
+committed budgets were recorded under a since-deleted, slower engine
+mode, so they are upper bounds for the one engine left.
 """
 
 import pytest

@@ -593,13 +593,6 @@ def ablation_histogram_partitions(
     return result
 
 
-def engine_ops() -> FigureResult:
-    """Batch-engine kernel micro-benchmarks (see bench/engine_ops.py)."""
-    from repro.bench.engine_ops import engine_ops as _engine_ops
-
-    return _engine_ops()
-
-
 ALL_FIGURES = {
     "fig01": fig01_motivation,
     "fig04": fig04_packet_size,
@@ -614,5 +607,4 @@ ALL_FIGURES = {
     "fig12": fig12_breakdown,
     "fig13": fig13_input_size,
     "fig14": fig14_tpch,
-    "engine-ops": engine_ops,
 }

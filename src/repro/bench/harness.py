@@ -132,15 +132,7 @@ def bench_workload(
 def _disk_cached_workload(
     spec: WorkloadSpec, cache_dir: pathlib.Path
 ) -> JoinWorkload:
-    # The engine descriptor (fast / reference / batch+backend) joins the
-    # key so cache entries never cross kernel modes: a cache shared
-    # between engine-matrix CI legs must attribute any divergence to
-    # the engines themselves, not to one leg reading pickles the other
-    # produced.
-    from repro.sim.engine import engine_descriptor
-
-    tag = engine_descriptor().replace("+", "-")
-    path = cache_dir / f"workload-{config_hash(spec)}-{tag}.pkl"
+    path = cache_dir / f"workload-{config_hash(spec)}.pkl"
     if path.exists():
         try:
             return pickle.loads(path.read_bytes())

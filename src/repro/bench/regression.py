@@ -108,8 +108,7 @@ def _perf_machine(workload: "PerfWorkload"):
 
 #: The gated perf workloads.  ``dgx1-8gpu`` is the historical default;
 #: ``dgx2-16gpu`` exercises the NVSwitch fabric and ``multinode`` the
-#: two-box NIC path, both at 16 GPUs where the batch engine's wide
-#: same-instant cohorts actually occur.
+#: two-box NIC path, both at 16 GPUs.
 PERF_WORKLOADS: dict[str, PerfWorkload] = {
     "dgx1-8gpu": PerfWorkload(name="dgx1-8gpu", topology="dgx1", num_gpus=8),
     "dgx2-16gpu": PerfWorkload(name="dgx2-16gpu", topology="dgx2", num_gpus=16),

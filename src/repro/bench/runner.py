@@ -1,6 +1,6 @@
 """Parallel benchmark orchestrator (``repro bench``).
 
-The 14 figure generators are independent, deterministic simulations, so
+The 13 figure generators are independent, deterministic simulations, so
 regenerating the evaluation is embarrassingly parallel.  This module
 fans the selected figures out over a :mod:`multiprocessing` pool, stamps
 every :class:`~repro.bench.harness.FigureResult` with its wall-clock

@@ -65,7 +65,7 @@ from repro.routing import (
     LatencyPolicy,
 )
 from repro.bench.regression import PERF_WORKLOADS
-from repro.sim import ARBITRATION_MODES, ENGINE_MODES, FlowMatrix, ShuffleSimulator
+from repro.sim import ARBITRATION_MODES, FlowMatrix, ShuffleSimulator
 
 PERF_WORKLOAD_NAMES = tuple(PERF_WORKLOADS)
 from repro.topology import (
@@ -131,13 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--quiet", action="store_true",
         help="shorthand for --log-level warning",
-    )
-    parser.add_argument(
-        "--engine", dest="engine_mode", choices=ENGINE_MODES, default=None,
-        help="event-kernel mode for every simulation in this invocation:"
-        " 'fast' (default), 'batch' (array calendar + vectorized cost"
-        " kernels; backend via $REPRO_ENGINE_BACKEND), or 'reference'"
-        " (bit-exact all-heap kernel); overrides $REPRO_ENGINE",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -723,17 +716,6 @@ def _configure_logging(args) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     _configure_logging(args)
-    # dest is engine_mode, not engine: subcommands (tpch) own --engine
-    # for the *join* engine; the root flag picks the event kernel.
-    if getattr(args, "engine_mode", None) is not None:
-        # Simulations resolve their kernel through engine_factory_for(),
-        # which reads this env var; exporting it also covers worker
-        # processes forked by 'repro bench'.
-        import os
-
-        from repro.sim.engine import ENGINE_MODE_ENV
-
-        os.environ[ENGINE_MODE_ENV] = args.engine_mode
     handler = {
         "topology": _cmd_topology,
         "join": _cmd_join,

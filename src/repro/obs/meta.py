@@ -100,16 +100,9 @@ def run_metadata(
     Only the keys that apply to the run are emitted; ``extra`` keyword
     pairs ride along verbatim (e.g. ``policy="mg-join"``).
     """
-    # Lazy for the same cycle reason as repro_version(); the descriptor
-    # names the event kernel producing the run ("fast", "reference",
-    # "batch+numpy", "batch+numba") so artifacts record which engine
-    # mode — and compiled backend — stamped them.
-    from repro.sim.engine import engine_descriptor
-
     meta: dict = {
         "repro_version": repro_version(),
         "python": platform.python_version(),
-        "engine": engine_descriptor(),
     }
     run_id = current_run_id()
     if run_id is not None:

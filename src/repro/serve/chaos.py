@@ -152,7 +152,6 @@ def run_serve_chaos(
     retry: "RetryPolicy | None" = None,
     recovery: "RecoveryConfig | None" = None,
     retry_budget: int | None = None,
-    engine_factory=None,
     observer: "Observer | None" = None,
     strict: bool = True,
 ) -> ServeChaosReport:
@@ -215,7 +214,6 @@ def run_serve_chaos(
         retry=retry,
         recovery=recovery,
         retry_budget=retry_budget,
-        engine_factory=engine_factory,
         observer=observer,
     )
     serve_report = scheduler.run()

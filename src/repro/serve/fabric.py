@@ -41,7 +41,7 @@ from repro.core.global_partition import execute_distribution, plan_flows
 from repro.core.histogram import build_histograms, max_partitions
 from repro.core.mgjoin import MGJoin, PhaseBreakdown, _single_gpu_assignment
 from repro.routing.base import RoutingContext
-from repro.sim.engine import SimulationError
+from repro.sim.engine import Engine, SimulationError
 from repro.sim.gpusim import GpuNode
 from repro.sim.linksim import (
     ARBITRATION_MODES,
@@ -58,7 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.plan import FaultPlan
     from repro.obs import Observer
     from repro.routing.base import RoutingPolicy
-    from repro.sim.engine import Engine
 
 __all__ = ["ServeFabric", "QuerySession", "BudgetedRecoveryManager"]
 
@@ -126,7 +125,6 @@ class ServeFabric:
         observer: "Observer | None" = None,
         tracer=None,
     ) -> None:
-        from repro.sim.engine import engine_factory_for
         from repro.sim.shuffle import ShuffleConfig
 
         if arbitration is not None and arbitration not in ARBITRATION_MODES:
@@ -138,8 +136,8 @@ class ServeFabric:
         self.config = shuffle_config or ShuffleConfig()
         self.arbitration = arbitration
         self.observer = observer
-        factory = engine_factory if engine_factory is not None else engine_factory_for()
-        self.engine: "Engine" = factory()
+        factory = engine_factory if engine_factory is not None else Engine
+        self.engine: Engine = factory()
         self.board = LinkStateBoard(
             self.engine,
             broadcast_latency=self.config.broadcast_latency,

@@ -12,8 +12,8 @@
   overloaded scheduler sheds load, it never hangs a tenant.
 * **Deterministic ordering** — arrivals are scheduled in sorted
   (arrival, name) order before the engine starts, so same-instant
-  admissions drain in the same sequence on the reference, fast and
-  batch kernels alike.
+  admissions drain in the same sequence on the fast and the reference
+  kernel alike.
 * **Deadlines** — a query that has not completed by
   ``arrival + deadline`` is cancelled cleanly (queued work dropped,
   link/buffer commitments returned, fault scope detached) and reported

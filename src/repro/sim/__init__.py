@@ -9,17 +9,7 @@ runs a flow matrix under a routing policy (:mod:`repro.sim.shuffle`) and
 the analytic GPU kernel cost model (:mod:`repro.sim.compute`).
 """
 
-from repro.sim.batch import BatchEngine
-from repro.sim.engine import (
-    ENGINE_MODES,
-    Engine,
-    Process,
-    SimEvent,
-    SimulationError,
-    engine_descriptor,
-    engine_factory_for,
-    resolve_engine_mode,
-)
+from repro.sim.engine import Engine, Process, SimEvent, SimulationError
 from repro.sim.integrity import IntegrityStats, PacketTamperer, TransportIntegrity
 from repro.sim.resources import RoutingBuffer, Store
 from repro.sim.linksim import (
@@ -36,9 +26,7 @@ from repro.sim.trace import TraceEvent, Tracer
 
 __all__ = [
     "ARBITRATION_MODES",
-    "BatchEngine",
     "CrashCoordinator",
-    "ENGINE_MODES",
     "Engine",
     "FlowMatrix",
     "GpuComputeModel",
@@ -65,7 +53,4 @@ __all__ = [
     "TransportIntegrity",
     "V100",
     "bisection_cut",
-    "engine_descriptor",
-    "engine_factory_for",
-    "resolve_engine_mode",
 ]

@@ -41,57 +41,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 from collections import deque
 from typing import Any, Callable, Generator, Iterable
 
 ProcessGenerator = Generator["SimEvent", Any, Any]
-
-#: Environment variable selecting the default engine mode for runs that
-#: do not pass an explicit ``engine_factory`` (CLI flags set it too).
-ENGINE_MODE_ENV = "REPRO_ENGINE"
-
-#: Recognized engine modes: the all-heap bit-exact reference, the
-#: ready-deque fast path (default), and the array-calendar batch kernel.
-ENGINE_MODES = ("reference", "fast", "batch")
-
-
-def resolve_engine_mode(mode: str | None = None) -> str:
-    """Resolve an engine mode from an explicit name or the environment."""
-    resolved = (mode or os.environ.get(ENGINE_MODE_ENV, "") or "fast").lower()
-    if resolved not in ENGINE_MODES:
-        raise SimulationError(
-            f"unknown engine mode {resolved!r}; expected one of {ENGINE_MODES}"
-        )
-    return resolved
-
-
-def engine_factory_for(mode: str | None = None) -> Callable[[], "Engine"]:
-    """An ``engine_factory`` callable for a mode name (or the env default)."""
-    resolved = resolve_engine_mode(mode)
-    if resolved == "reference":
-        return lambda: Engine(fast=False)
-    if resolved == "fast":
-        return Engine
-    from repro.sim.batch import BatchEngine
-
-    return BatchEngine
-
-
-def engine_descriptor(mode: str | None = None) -> str:
-    """Cache-key / metadata tag for the active engine configuration.
-
-    ``reference`` and ``fast`` are backend-free; ``batch`` carries the
-    resolved kernel backend (``batch+numpy`` / ``batch+numba``) so
-    ledger records and cached artifacts from different backends never
-    collide.
-    """
-    resolved = resolve_engine_mode(mode)
-    if resolved != "batch":
-        return resolved
-    from repro.sim.kernels import backend_name
-
-    return f"batch+{backend_name()}"
 
 
 class SimulationError(RuntimeError):
@@ -181,11 +134,6 @@ class Engine:
             against; both modes execute callbacks in exactly the same
             order.
     """
-
-    #: Capability flag read by the simulation layers: the batch kernel
-    #: (:class:`repro.sim.batch.BatchEngine`) overrides it so linksim /
-    #: gpusim take their vectorized batch paths only under that engine.
-    batch = False
 
     def __init__(self, fast: bool = True) -> None:
         self._now = 0.0
@@ -323,18 +271,6 @@ class Engine:
         demotes the event to a normal one-shot, so misuse degrades to
         correct-but-unpooled behaviour.
         """
-        event = self.pooled_event()
-        self.schedule(delay, event.succeed, value)
-        return event
-
-    def pooled_event(self) -> SimEvent:
-        """An untriggered recyclable event (the :meth:`sleep` pool).
-
-        Callers own the same contract as :meth:`sleep`: the event is
-        reset for reuse the moment its single waiting process resumes,
-        so it must not be retained past the yield.  A second callback
-        demotes it to a normal one-shot.
-        """
         pool = self._event_pool
         if pool:
             event = pool.pop()
@@ -342,6 +278,7 @@ class Engine:
         else:
             event = SimEvent(self)
             event._poolable = True
+        self.schedule(delay, event.succeed, value)
         return event
 
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:

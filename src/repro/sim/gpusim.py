@@ -220,10 +220,6 @@ class GpuNode:
         if coordinator is not None:
             self._active_remaining.append(remaining)
         integrity = self.integrity
-        # Under the batch kernel, whole injection batches are stamped /
-        # cost-priced in single passes; values and ordering stay
-        # identical to the per-packet path (see _commit_route_batched).
-        batched = self.engine.batch
         sequence = 0
         while remaining:
             # Round-robin across destination flows, one batch at a time,
@@ -252,12 +248,10 @@ class GpuNode:
                         route=None,  # assigned below
                         sequence=sequence,
                     )
-                    if integrity is not None and not batched:
+                    if integrity is not None:
                         integrity.stamp(packet)
                     batch.append(packet)
                     sequence += 1
-                if integrity is not None and batched and batch:
-                    integrity.stamp_batch(batch)
                 if remaining[dst] <= 0:
                     del remaining[dst]
                 if not batch:
@@ -320,19 +314,12 @@ class GpuNode:
                     prediction = conformance.predict(
                         self.context, self.gpu_id, route, self.packet_size
                     )
-                if batched and len(batch) > 1:
-                    channels, services = self._route_services(route, batch)
-                else:
-                    channels = services = None
-                for index, packet in enumerate(batch):
+                for packet in batch:
                     packet.route = route
                     packet.created_at = self.engine.now
                     if prediction is not None:
                         conformance.register(packet, prediction)
-                    if services is not None:
-                        self._commit_route_batched(packet, channels, services, index)
-                    else:
-                        self._commit_route(packet)
+                    self._commit_route(packet)
                     self.enqueue(packet)
                     self.stats.injected_packets += 1
                     if coordinator is not None:
@@ -387,48 +374,6 @@ class GpuNode:
             channel.commit(packet.wire_bytes)
             packet.pending_links.append(spec.link_id)
             packet.ideal_latency += channel.service_time(packet.wire_bytes)
-
-    def _route_services(
-        self, route: Route, batch: list[Packet]
-    ) -> tuple[list[LinkChannel], list[list[float]]]:
-        """Price a same-route batch: one vectorized pass per link.
-
-        Returns the route's channels (in route order) and, per channel,
-        the batch's service times.  Everything in the batch shares the
-        route, so the whole T_R/D_R cost evaluation collapses into one
-        :meth:`~repro.sim.linksim.LinkChannel.service_times` array pass
-        per link instead of two scalar evaluations per packet per link.
-        """
-        channels = [
-            self.links[spec.link_id]
-            for spec in self.context.enumerator.cache.links(route)
-        ]
-        sizes = [packet.wire_bytes for packet in batch]
-        return channels, [channel.service_times(sizes) for channel in channels]
-
-    def _commit_route_batched(
-        self,
-        packet: Packet,
-        channels: list[LinkChannel],
-        services: list[list[float]],
-        index: int,
-    ) -> None:
-        """:meth:`_commit_route` with batch-priced service times.
-
-        Commits stay packet-major in route order — board publishes,
-        sampler records and the ``committed_load`` / ``ideal_latency``
-        float additions happen in exactly the per-packet order, just
-        with the division work hoisted into :meth:`_route_services`.
-        """
-        packet.ideal_latency = 0.0
-        packet.pending_links.clear()
-        ideal = 0.0
-        for channel, service in zip(channels, services):
-            cost = service[index]
-            channel.commit_service(cost)
-            packet.pending_links.append(channel.spec.link_id)
-            ideal += cost
-        packet.ideal_latency = ideal
 
     # ------------------------------------------------------------------
     # Outgoing queues + senders

@@ -154,26 +154,6 @@ class TransportIntegrity:
         )
         packet.checksum = payload_checksum(packet.payload_token)
 
-    def stamp_batch(self, packets: "list[Packet]") -> None:
-        """:meth:`stamp` a whole injection batch in one pass.
-
-        uid assignment order (batch order) and the per-packet token /
-        checksum values are identical to stamping one at a time; the
-        counter is written back once instead of per packet.
-        """
-        uid = self._uid_counter
-        for packet in packets:
-            uid += 1
-            packet.uid = uid
-            packet.payload_token = payload_token(
-                packet.flow_src,
-                packet.flow_dst,
-                packet.sequence,
-                packet.payload_bytes,
-            )
-            packet.checksum = payload_checksum(packet.payload_token)
-        self._uid_counter = uid
-
     def restamp(self, packet: "Packet") -> None:
         """Restore pristine payload/checksum for a retransmission.
 

@@ -24,10 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from repro.sim.engine import Engine, SimEvent
 from repro.topology.links import LinkSpec
@@ -92,40 +89,9 @@ class LinkChannel:
     def service_time(self, nbytes: float) -> float:
         return self.spec.latency + nbytes / (self.spec.bandwidth * self.bandwidth_scale)
 
-    def service_times(self, sizes: "list[int]") -> "list[float]":
-        """Service times for a whole batch of transfer sizes at once.
-
-        One vectorized pass over the batch — the T_R/D_R cost terms of
-        every packet on this link evaluated together.  Elementwise
-        ``latency + size / effective_bandwidth`` is IEEE-identical to
-        the scalar :meth:`service_time`, and the result is converted
-        back to native floats so downstream accounting (conformance
-        ledgers, JSON telemetry) never sees a numpy scalar.
-        """
-        sizes_arr = np.asarray(sizes, dtype=np.float64)
-        services = self.spec.latency + sizes_arr / (
-            self.spec.bandwidth * self.bandwidth_scale
-        )
-        return services.tolist()
-
     def commit(self, nbytes: float) -> None:
         """Reserve load for a packet routed over this link."""
         self.committed_load += self.service_time(nbytes)
-        if self.board is not None:
-            self.board.publish(self)
-        if self.sampler is not None:
-            self.sampler.record_queue(self)
-
-    def commit_service(self, service: float) -> None:
-        """:meth:`commit` with the service time already computed.
-
-        The batch injection path prices a whole same-route batch per
-        link via :meth:`service_times`, then commits packet-major with
-        the precomputed scalars — the ``committed_load`` adds, board
-        publishes and sampler records happen in exactly the order the
-        per-packet path produces them.
-        """
-        self.committed_load += service
         if self.board is not None:
             self.board.publish(self)
         if self.sampler is not None:
@@ -194,13 +160,7 @@ class LinkChannel:
             raise ValueError(f"transfer size must be positive, got {nbytes}")
         if self.arbiter is not None and tag is not None:
             return self.arbiter.submit(nbytes, tag)
-        engine = self.engine
-        # Under the batch kernel, completion events are recycled through
-        # the engine's event pool: a transfer event is yielded exactly
-        # once by the DMA-engine process and its value is read before
-        # the resume returns, so the sleep-pool contract holds.  A rare
-        # second consumer demotes the event to a one-shot automatically.
-        event = engine.pooled_event() if engine.batch else SimEvent(engine)
+        event = SimEvent(self.engine)
         if not self.up:
             # Dead port: the DMA engine notices after the launch latency.
             self.transfers_lost += 1
@@ -306,7 +266,7 @@ class LinkArbiter:
         """Queue one tagged transfer; the event triggers at completion."""
         channel = self.channel
         engine = channel.engine
-        event = engine.pooled_event() if engine.batch else SimEvent(engine)
+        event = SimEvent(engine)
         if not channel.up:
             # Dead port: fail fast after the launch latency, exactly
             # like the arbiter-free path.

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.routing.base import RoutingContext, RoutingPolicy
-from repro.sim.engine import Engine, SimulationError, engine_factory_for
+from repro.sim.engine import Engine, SimulationError
 from repro.sim.gpusim import GpuNode, Packet
 from repro.sim.integrity import TransportIntegrity
 from repro.sim.linksim import LinkChannel, LinkStateBoard
@@ -147,14 +147,10 @@ class ShuffleSimulator:
     ) -> None:
         self.machine = machine
         #: Builds the event kernel for each run.  ``None`` (the
-        #: default) resolves the mode from ``REPRO_ENGINE`` — fast,
-        #: batch, or reference — via
-        #: :func:`repro.sim.engine.engine_factory_for`; pass e.g.
+        #: default) is :class:`Engine`; pass e.g.
         #: ``lambda: Engine(fast=False)`` to pin the all-heap
         #: reference kernel (the equivalence tests do exactly that).
-        self.engine_factory = (
-            engine_factory if engine_factory is not None else engine_factory_for()
-        )
+        self.engine_factory = engine_factory if engine_factory is not None else Engine
         self.tracer = tracer
         #: Observability sink (spans/metrics); ``None`` = off.
         self.observer = observer

@@ -6,6 +6,7 @@ import pytest
 
 from repro.bench import harness, run_benchmarks
 from repro.bench.runner import RUN_MANIFEST
+from repro.obs import config_hash
 from repro.workloads import WorkloadSpec, generate_workload
 
 
@@ -67,7 +68,10 @@ def test_disk_cache_round_trips_workloads(tmp_path, monkeypatch):
     spec = _tiny_spec()
     first = harness._disk_cached_workload(spec, tmp_path)
     entries = list(tmp_path.glob("workload-*.pkl"))
-    assert len(entries) == 1
+    # Keyed by the spec alone.
+    assert [entry.name for entry in entries] == [
+        f"workload-{config_hash(spec)}.pkl"
+    ]
 
     # Second call must come from disk: generating again would explode.
     monkeypatch.setattr(

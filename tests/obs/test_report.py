@@ -130,6 +130,7 @@ def test_run_metadata_and_config_hash():
     import repro
 
     assert meta["repro_version"] == repro.__version__
+    assert "engine" not in meta
     assert len(meta["config_hash"]) == 12
     # Stable across key order, sensitive to values.
     assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
