@@ -27,8 +27,8 @@ early in execution", and it also keeps asymmetric configurations (e.g.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -42,7 +42,6 @@ BROADCAST_R = 1
 BROADCAST_S = 2
 
 
-@lru_cache(maxsize=None)
 def pairwise_tuple_cost(
     machine: MachineTopology,
     gpu_ids: tuple[int, ...],
@@ -54,8 +53,19 @@ def pairwise_tuple_cost(
     ``cost[i, j]`` indexes positions in the sorted ``gpu_ids`` tuple.
     The diagonal is zero.  The cost is the tuple size divided by the
     best achievable bottleneck bandwidth over any candidate route.
+
+    Results are memoized on the machine instance, so they die with it,
+    and are returned read-only because every caller shares them.
     """
     ids = tuple(sorted(gpu_ids))
+    cache = machine.__dict__.get("_tuple_cost_cache")
+    if cache is None:
+        cache = {}
+        object.__setattr__(machine, "_tuple_cost_cache", cache)
+    key = (ids, tuple_bytes, max_intermediates)
+    cost = cache.get(key)
+    if cost is not None:
+        return cost
     enumerator = RouteEnumerator(machine, allowed_gpus=ids, max_intermediates=max_intermediates)
     size = len(ids)
     cost = np.zeros((size, size), dtype=np.float64)
@@ -68,6 +78,8 @@ def pairwise_tuple_cost(
                 for route in enumerator.routes(src, dst)
             )
             cost[i, j] = tuple_bytes / best_bw
+    cost.flags.writeable = False
+    cache[key] = cost
     return cost
 
 
@@ -107,11 +119,12 @@ class PartitionAssignment:
 
         Broadcast partitions get -1.
         """
-        owner_map = np.full(self.num_partitions, -1, dtype=np.int64)
-        for partition, owners in enumerate(self.owners):
-            if self.broadcast_side[partition] == NO_BROADCAST:
-                owner_map[partition] = owners[0]
-        return owner_map
+        first_owner = np.fromiter(
+            (owners[0] for owners in self.owners),
+            dtype=np.int64,
+            count=self.num_partitions,
+        )
+        return np.where(self.broadcast_side == NO_BROADCAST, first_owner, -1)
 
 
 #: Downstream processing cost of one tuple on its owner GPU: two HBM
@@ -150,21 +163,33 @@ def assign_partitions(
     broadcast_r_cost = np.where(multi_holder_s, broadcast_r_cost, np.inf)
     broadcast_s_cost = np.where(multi_holder_r, broadcast_s_cost, np.inf)
 
-    best_migrate_cost = migrate_cost.min(axis=0)
     owners: list[tuple[int, ...]] = [()] * num_partitions
-    broadcast_side = np.zeros(num_partitions, dtype=np.int8)
+    broadcast_side = [NO_BROADCAST] * num_partitions
     total_cost = 0.0
-    assigned_load = np.zeros(num_gpus, dtype=np.float64)
+    assigned_load = [0.0] * num_gpus
+    positions = range(num_gpus)
+    single_owner = [(pos,) for pos in positions]
 
     partition_sizes = both.sum(axis=0)
-    for partition in np.argsort(-partition_sizes):
-        p = int(partition)
-        options = (
-            (best_migrate_cost[p], NO_BROADCAST),
-            (broadcast_r_cost[p], BROADCAST_R),
-            (broadcast_s_cost[p], BROADCAST_S),
-        )
-        chosen_cost, chosen_kind = min(options, key=lambda item: item[0])
+    visit_order = np.argsort(-partition_sizes).tolist()
+    # The greedy visits one partition at a time over a handful of GPUs,
+    # where per-call numpy overhead dwarfs the arithmetic: do it in
+    # Python floats, which round exactly like float64 array elements.
+    # Per-owner rows and shared singleton owner tuples keep the loop
+    # from allocating a container per partition (and so from waking
+    # the cyclic garbage collector).
+    migrate_rows = migrate_cost.tolist()
+    migrate_best = migrate_cost.min(axis=0).tolist()
+    broadcast_r_best = broadcast_r_cost.tolist()
+    broadcast_s_best = broadcast_s_cost.tolist()
+    sizes = partition_sizes.astype(np.float64).tolist()
+    for p in visit_order:
+        # First strict minimum: ties go to migrate, then broadcast-R.
+        chosen_cost, chosen_kind = migrate_best[p], NO_BROADCAST
+        if broadcast_r_best[p] < chosen_cost:
+            chosen_cost, chosen_kind = broadcast_r_best[p], BROADCAST_R
+        if broadcast_s_best[p] < chosen_cost:
+            chosen_cost, chosen_kind = broadcast_s_best[p], BROADCAST_S
         if chosen_kind == BROADCAST_R:
             owner_positions = tuple(np.nonzero(s_counts[:, p] > 0)[0].tolist())
             per_owner = r_counts[:, p].sum() + s_counts[:, p] / max(
@@ -180,43 +205,50 @@ def assign_partitions(
             for pos in owner_positions:
                 assigned_load[pos] += float(per_owner[pos])
         else:
+            size = sizes[p]
             owner = _pick_owner(
-                migrate_cost[:, p],
-                assigned_load,
-                float(partition_sizes[p]),
-                process_cost_per_tuple,
+                migrate_rows, p, assigned_load, size, process_cost_per_tuple, positions
             )
-            owner_positions = (owner,)
-            assigned_load[owner] += float(partition_sizes[p])
-            chosen_cost = float(migrate_cost[owner, p])
+            owner_positions = single_owner[owner]
+            assigned_load[owner] += size
+            chosen_cost = migrate_rows[owner][p]
         owners[p] = owner_positions
         broadcast_side[p] = chosen_kind
-        total_cost += float(chosen_cost)
+        total_cost += chosen_cost
 
     return PartitionAssignment(
         gpu_ids=gpu_ids,
         owners=owners,
-        broadcast_side=broadcast_side,
+        broadcast_side=np.array(broadcast_side, dtype=np.int8),
         move_cost=total_cost,
     )
 
 
 def _pick_owner(
-    partition_migrate_cost: np.ndarray,
-    assigned_load: np.ndarray,
+    migrate_rows: list[list[float]],
+    partition: int,
+    load: list[float],
     partition_size: float,
     process_cost_per_tuple: float,
+    positions: Sequence[int],
 ) -> int:
     """Minimize move cost + the owner's accumulated processing cost.
 
     The second term models the owner GPU having to locally partition
     and probe everything already assigned to it, so a marginally
-    cheaper link never justifies overloading one GPU.
+    cheaper link never justifies overloading one GPU.  Only
+    ``positions`` are candidates; among equal totals the earliest in
+    ``positions`` wins.
     """
-    total = partition_migrate_cost + process_cost_per_tuple * (
-        assigned_load + partition_size
-    )
-    return int(np.argmin(total))
+    best = -1
+    best_total = 0.0
+    for pos in positions:
+        total = migrate_rows[pos][partition] + process_cost_per_tuple * (
+            load[pos] + partition_size
+        )
+        if best < 0 or total < best_total:
+            best, best_total = pos, total
+    return best
 
 
 def modulo_assignment(

@@ -38,6 +38,7 @@ from repro.core.assignment import (
     DEFAULT_PROCESS_COST_PER_TUPLE,
     NO_BROADCAST,
     PartitionAssignment,
+    _pick_owner,
     pairwise_tuple_cost,
 )
 from repro.sim.shuffle import FlowMatrix
@@ -126,13 +127,30 @@ def canonical_match_digest(
     so two runs producing the same *set* of matches — regardless of
     which GPU produced which pair, or in what order — get the same
     digest.  This is the byte-identity check between healthy and
-    recovered joins.
+    recovered joins.  The hashed payload is every sorted ``r_id``
+    followed by every sorted ``s_id``, each as ``uint64``.
+
+    Raises ``ValueError`` unless both arrays hold unsigned integers of
+    at most 32 bits (tuple ids are ``uint32``) and have equal lengths:
+    each pair is sorted as one packed 64-bit key.
     """
-    order = np.lexsort((s_ids, r_ids))
-    payload = np.ascontiguousarray(
-        np.stack([r_ids[order], s_ids[order]]).astype(np.uint64)
-    ).tobytes()
-    return hashlib.sha256(payload).hexdigest()
+    for name, ids in (("r_ids", r_ids), ("s_ids", s_ids)):
+        if ids.dtype.kind != "u" or ids.dtype.itemsize > 4:
+            raise ValueError(
+                f"{name} must be unsigned integers of at most 32 bits, "
+                f"got {ids.dtype}"
+            )
+    if len(r_ids) != len(s_ids):
+        raise ValueError(
+            f"r_ids and s_ids differ in length: {len(r_ids)} != {len(s_ids)}"
+        )
+    keys = r_ids.astype(np.uint64) << np.uint64(32)
+    keys |= s_ids
+    keys.sort()
+    digest = hashlib.sha256()
+    digest.update(keys >> np.uint64(32))
+    digest.update(keys & np.uint64(0xFFFFFFFF))
+    return digest.hexdigest()
 
 
 class JoinRecoveryCoordinator:
@@ -242,27 +260,31 @@ class JoinRecoveryCoordinator:
         # Current load of each survivor position: tuples it owns under
         # the (already partially reassigned) assignment, excluding the
         # partitions about to move.
-        load = np.zeros(len(self.gpu_ids), dtype=np.float64)
+        load = [0.0] * len(self.gpu_ids)
         affected_set = set(affected)
-        partition_sizes = self._both.sum(axis=0)
+        partition_sizes = self._both.sum(axis=0).tolist()
         for p, owner_positions in enumerate(self._owners):
             if p in affected_set or not owner_positions:
                 continue
-            share = float(partition_sizes[p]) / len(owner_positions)
+            share = partition_sizes[p] / len(owner_positions)
             for pos in owner_positions:
                 load[pos] += share
-        survivor_idx = np.asarray(survivor_positions, dtype=np.int64)
         # Largest partitions first, like the original optimizer: the
         # load-balance term then spreads the heavy hitters.
         reshuffle_tuples: dict[tuple[int, int], int] = {}
+        migrate_rows = self._migrate_cost.tolist()
         for p in sorted(affected, key=lambda p: -partition_sizes[p]):
-            size = float(partition_sizes[p])
-            total = self._migrate_cost[survivor_idx, p] + (
-                self.process_cost_per_tuple * (load[survivor_idx] + size)
+            size = partition_sizes[p]
+            new_pos = _pick_owner(
+                migrate_rows,
+                p,
+                load,
+                size,
+                self.process_cost_per_tuple,
+                survivor_positions,
             )
-            new_pos = int(survivor_idx[int(np.argmin(total))])
             load[new_pos] += size
-            self._move_cost += float(self._migrate_cost[new_pos, p])
+            self._move_cost += migrate_rows[new_pos][p]
             self._owners[p] = (new_pos,)
             self._broadcast_side[p] = NO_BROADCAST
             self.partitions_reassigned += 1
