@@ -52,7 +52,7 @@ from repro.obs import NULL_OBSERVER, Observer
 from repro.routing.adaptive import AdaptiveArmPolicy
 from repro.routing.base import RoutingPolicy
 from repro.sim.recovery import RecoveryConfig, RetryPolicy
-from repro.sim.shuffle import FlowMatrix, ShuffleSimulator
+from repro.sim.shuffle import FlowMatrix, ShuffleConfig, ShuffleSimulator
 from repro.sim.stats import ShuffleReport
 from repro.topology.machine import MachineTopology
 
@@ -541,6 +541,39 @@ class MGJoin:
             block_bytes=self.config.compression_block_bytes,
         )
 
+    def _shuffle_config(
+        self,
+        flows: FlowMatrix,
+        gpu_ids: tuple[int, ...],
+        global_pass_time: float,
+        compression: CompressionModel,
+    ) -> ShuffleConfig:
+        """The configured shuffle with this join's injection/consume rates."""
+        if not self.overlap_distribution:
+            # Transfer-then-compute: everything is ready when the
+            # transfer starts and nothing competes with it.
+            return replace(
+                self.config.shuffle, injection_rate=None, consume_rate=None
+            )
+        # Injection paced by the producing partition kernel,
+        # consumption paced by the local-partitioning kernel.
+        compute = self.config.compute
+        worst_outgoing = max(
+            (sum(flows.outgoing(g).values()) for g in gpu_ids), default=0
+        )
+        tuples_per_second = (
+            compute.partition_efficiency
+            * compute.spec.memory_bandwidth
+            / (2.0 * self.config.tuple_bytes)
+        )
+        return replace(
+            self.config.shuffle,
+            injection_rate=(
+                worst_outgoing / global_pass_time if global_pass_time > 0 else None
+            ),
+            consume_rate=tuples_per_second * compression.bytes_per_tuple,
+        )
+
     def _simulate_distribution(
         self,
         flows: FlowMatrix,
@@ -550,31 +583,8 @@ class MGJoin:
     ) -> ShuffleReport | None:
         if len(gpu_ids) < 2 or flows.total_bytes == 0:
             return None
-        compute = self.config.compute
-        if self.overlap_distribution:
-            # Injection paced by the producing partition kernel,
-            # consumption paced by the local-partitioning kernel.
-            worst_outgoing = max(
-                (sum(flows.outgoing(g).values()) for g in gpu_ids), default=0
-            )
-            injection_rate = (
-                worst_outgoing / global_pass_time if global_pass_time > 0 else None
-            )
-            tuples_per_second = (
-                compute.partition_efficiency
-                * compute.spec.memory_bandwidth
-                / (2.0 * self.config.tuple_bytes)
-            )
-            consume_rate = tuples_per_second * compression.bytes_per_tuple
-        else:
-            # Transfer-then-compute: everything is ready when the
-            # transfer starts and nothing competes with it.
-            injection_rate = None
-            consume_rate = None
-        shuffle_config = replace(
-            self.config.shuffle,
-            injection_rate=injection_rate,
-            consume_rate=consume_rate,
+        shuffle_config = self._shuffle_config(
+            flows, gpu_ids, global_pass_time, compression
         )
         tracer = None
         if self.observer is not None:

@@ -57,9 +57,9 @@ _AXIS_PARSERS: dict[str, Callable[[str], object]] = {
 }
 
 #: Fault presets the serving layer cannot host (verified transport is a
-#: per-run facility, not a shared-fabric one) — mirror the check in
-#: :meth:`repro.serve.fabric.ServeFabric.bind_faults` so a serve sweep
-#: fails at parse/validate time, not mid-batch.
+#: per-query facility, not a shared-fabric one) — mirror the serving-
+#: context check of :meth:`repro.faults.plan.FaultPlan.validate` so a
+#: serve sweep fails at parse/validate time, not mid-batch.
 _SERVE_UNSUPPORTED_PRESETS = ("payload-corrupt", "packet-dup", "packet-reorder")
 
 

@@ -1,8 +1,10 @@
 """Executes a :class:`FaultPlan` against a running shuffle simulation.
 
-The injector is bound to the live simulation objects by
-:class:`~repro.sim.shuffle.ShuffleSimulator` and schedules one callback
-per fault (plus one per recovery) on the engine clock.  Faults act by:
+The injector is bound to a :class:`~repro.sim.fabric.Fabric` by
+:meth:`~repro.sim.fabric.Fabric.bind_faults`, schedules one callback per
+fault (plus one per recovery) on the engine clock, and fans each fault
+out to the flow groups registered with it
+(:class:`~repro.sim.shuffle.ShuffleGroup`).  Faults act by:
 
 * scaling :attr:`LinkChannel.bandwidth_scale` (degradation),
 * toggling :meth:`LinkChannel.take_down` / :meth:`bring_up` (blackouts
@@ -66,14 +68,14 @@ class FaultInjector:
         self._packet_size = 0
         self._observer: "Observer | None" = None
         self._integrity: "TransportIntegrity | None" = None
-        #: Recovery scopes the faults fan out to.  A classic run has
-        #: exactly one (its nodes/enumerator/coordinator); the serving
-        #: layer registers one per admitted query so a shared-fabric
-        #: fault reaches every affected query's own recovery stack.
+        #: Recovery scopes the faults fan out to, one per flow group:
+        #: a solo run registers one, the serving layer one per admitted
+        #: query, so a shared-fabric fault reaches every affected
+        #: query's own recovery stack.
         self._groups: list[
             tuple[
                 dict[int, "GpuNode"],
-                "RouteEnumerator | None",
+                "RouteEnumerator",
                 "CrashCoordinator | None",
             ]
         ] = []
@@ -90,22 +92,17 @@ class FaultInjector:
         engine: "Engine",
         links: dict[int, "LinkChannel"],
         board: "LinkStateBoard",
-        nodes: dict[int, "GpuNode"],
-        enumerator: "RouteEnumerator | None",
         machine: "MachineTopology",
         packet_size: int,
+        gpu_universe: set[int],
         observer: "Observer | None" = None,
-        coordinator: "CrashCoordinator | None" = None,
-        integrity: "TransportIntegrity | None" = None,
-        gpu_universe: "set[int] | None" = None,
     ) -> None:
-        """Attach to one simulation run and schedule every fault.
+        """Attach to one fabric and schedule every fault.
 
-        ``gpu_universe`` overrides the set of GPUs that count as fault
-        targets: the serving layer passes the union of every admitted
-        query's GPU set (its node groups register later, via
-        :meth:`register_group`), while a classic single-query run
-        defaults to the bound ``nodes``.
+        ``gpu_universe`` is the set of GPUs that count as fault targets
+        (a solo shuffle's GPUs, or the union of every admitted query's
+        GPU set); the flow groups themselves enter through
+        :meth:`register_group`.
         """
         self._engine = engine
         self._links = links
@@ -113,13 +110,8 @@ class FaultInjector:
         self._machine = machine
         self._packet_size = packet_size
         self._observer = observer
-        self._integrity = integrity
         self._groups = []
-        if nodes or enumerator is not None or coordinator is not None:
-            self._groups.append((nodes, enumerator, coordinator))
-        self._gpu_universe = (
-            set(gpu_universe) if gpu_universe is not None else set(nodes)
-        )
+        self._gpu_universe = set(gpu_universe)
         for event in self.plan.events:
             self._validate(event)
             engine.schedule(event.at, self._inject, event)
@@ -128,23 +120,26 @@ class FaultInjector:
         self,
         *,
         nodes: dict[int, "GpuNode"],
-        enumerator: "RouteEnumerator | None" = None,
+        enumerator: "RouteEnumerator",
         coordinator: "CrashCoordinator | None" = None,
+        integrity: "TransportIntegrity | None" = None,
     ) -> None:
-        """Register one more recovery scope (a serving session).
+        """Register one flow group's recovery scope.
 
         Faults injected from now on fan out to this scope too: its
         enumerator learns failed links, its nodes take stragglers and
         its coordinator (if any) is told about crashes of GPUs it owns.
         Damage already on the fabric is replayed into the enumerator
         immediately so late-admitted queries never route over a link
-        that died before they arrived.
+        that died before they arrived.  ``integrity`` is the layer a
+        corruption fault's tamperer reports to.
         """
         for link_id in self.failed_links:
-            if enumerator is not None:
-                enumerator.fail_link(link_id)
-        if enumerator is not None and self.failed_links:
+            enumerator.fail_link(link_id)
+        if self.failed_links:
             enumerator.cache.invalidate()
+        if integrity is not None:
+            self._integrity = integrity
         self._groups.append((nodes, enumerator, coordinator))
 
     def unregister_group(self, nodes: dict[int, "GpuNode"]) -> None:
@@ -199,14 +194,12 @@ class FaultInjector:
         # recomputed from scratch after any fault broadcast, so a
         # faulted run can never evaluate routes against a stale cache.
         for _nodes, enumerator, _coordinator in self._groups:
-            if enumerator is not None:
-                enumerator.cache.invalidate()
+            enumerator.cache.invalidate()
 
     def _fail_link_everywhere(self, link_id: int) -> None:
         self.failed_links.add(link_id)
         for _nodes, enumerator, _coordinator in self._groups:
-            if enumerator is not None:
-                enumerator.fail_link(link_id)
+            enumerator.fail_link(link_id)
 
     def _inject(self, event: FaultEvent) -> None:
         self.faults_injected += 1

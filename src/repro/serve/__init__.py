@@ -5,10 +5,12 @@ This package adds the serving layer on top of the simulated fabric:
 
 * :mod:`repro.serve.requests` — request/outcome structures, request
   files and deterministic synthetic streams;
-* :mod:`repro.serve.fabric` — the shared fabric (one clock, one set of
-  link channels, optional per-link bandwidth arbitration, one fault
-  injector) and the per-query session that keeps routing, recovery and
-  retry budgets isolated per tenant;
+* :mod:`repro.serve.fabric` — the per-query session that runs one
+  :class:`~repro.sim.shuffle.ShuffleGroup` on the shared
+  :class:`~repro.sim.fabric.Fabric` (one clock, one set of link
+  channels, optional per-link bandwidth arbitration, one fault
+  injector), keeping routing, recovery and retry budgets isolated per
+  tenant;
 * :mod:`repro.serve.scheduler` — admission control (bounded in-flight
   queries + bounded queue, structured shed-load rejections), deadlines
   with clean cancellation, and per-tenant SLA telemetry;
@@ -18,7 +20,7 @@ This package adds the serving layer on top of the simulated fabric:
 """
 
 from repro.serve.chaos import ServeChaosReport, run_serve_chaos
-from repro.serve.fabric import BudgetedRecoveryManager, QuerySession, ServeFabric
+from repro.serve.fabric import QuerySession
 from repro.serve.requests import (
     REJECT_REASONS,
     TERMINAL_STATUSES,
@@ -34,17 +36,19 @@ from repro.serve.scheduler import (
     resolve_gpu_ids,
     workload_for,
 )
+from repro.sim.fabric import Fabric
+from repro.sim.recovery import RecoveryManager
 
 __all__ = [
-    "BudgetedRecoveryManager",
+    "Fabric",
     "QueryOutcome",
     "QueryRejected",
     "QueryRequest",
     "QueryScheduler",
     "QuerySession",
     "REJECT_REASONS",
+    "RecoveryManager",
     "ServeChaosReport",
-    "ServeFabric",
     "ServeReport",
     "TERMINAL_STATUSES",
     "load_requests",

@@ -2,7 +2,9 @@
 
 :class:`QueryScheduler` multiplexes a stream of
 :class:`~repro.serve.requests.QueryRequest` onto one
-:class:`~repro.serve.fabric.ServeFabric`.  Its contract:
+:class:`~repro.sim.fabric.Fabric`, one
+:class:`~repro.serve.fabric.QuerySession` per admitted query.  Its
+contract:
 
 * **Bounded concurrency** — at most ``max_in_flight`` queries run at
   once; at most ``queue_depth`` more wait in an arrival-ordered queue.
@@ -41,8 +43,9 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, TYPE_CHECKING
 
 from repro.core.config import MGJoinConfig
-from repro.serve.fabric import QuerySession, ServeFabric
+from repro.serve.fabric import QuerySession
 from repro.serve.requests import QueryOutcome, QueryRejected, QueryRequest
+from repro.sim.fabric import Fabric
 from repro.workloads.generator import WorkloadSpec, generate_workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -251,7 +254,8 @@ class QueryScheduler:
             self._entries[request.name] = _Entry(request, gpu_ids)
         if self.faults is not None:
             # Serve-context plan validation: every fault must land on
-            # hardware some admitted query can reach.
+            # hardware some admitted query can reach, and none may be
+            # corruption-class.
             self.faults.validate(
                 self.machine,
                 queries={
@@ -259,10 +263,10 @@ class QueryScheduler:
                     for name, entry in self._entries.items()
                 },
             )
-        fabric = ServeFabric(
+        fabric = Fabric(
             self.machine,
+            self.config.shuffle,
             engine_factory=self.engine_factory,
-            shuffle_config=self.config.shuffle,
             arbitration=self.arbitration,
             observer=self.observer,
         )

@@ -4,9 +4,11 @@ This package is the time-domain substrate of the reproduction: a small
 process-based discrete-event kernel (:mod:`repro.sim.engine`), link
 channels with FIFO queueing (:mod:`repro.sim.linksim`), GPU sender /
 receiver / relay machinery with DMA-engine limits and credit-managed
-routing buffers (:mod:`repro.sim.gpusim`), the shuffle simulator that
-runs a flow matrix under a routing policy (:mod:`repro.sim.shuffle`) and
-the analytic GPU kernel cost model (:mod:`repro.sim.compute`).
+routing buffers (:mod:`repro.sim.gpusim`), the shared fabric every flow
+group of a run sits on (:mod:`repro.sim.fabric`), the shuffle group and
+simulator that run a flow matrix under a routing policy
+(:mod:`repro.sim.shuffle`) and the analytic GPU kernel cost model
+(:mod:`repro.sim.compute`).
 """
 
 from repro.sim.engine import Engine, Process, SimEvent, SimulationError
@@ -19,8 +21,9 @@ from repro.sim.linksim import (
     LinkStateBoard,
 )
 from repro.sim.compute import GpuComputeModel, GpuSpec, V100
+from repro.sim.fabric import Fabric
 from repro.sim.recovery import CrashCoordinator, RecoveryConfig, RetryPolicy
-from repro.sim.shuffle import FlowMatrix, ShuffleConfig, ShuffleSimulator
+from repro.sim.shuffle import FlowMatrix, ShuffleConfig, ShuffleGroup, ShuffleSimulator
 from repro.sim.stats import LinkStats, RecoveryStats, ShuffleReport, bisection_cut
 from repro.sim.trace import TraceEvent, Tracer
 
@@ -28,6 +31,7 @@ __all__ = [
     "ARBITRATION_MODES",
     "CrashCoordinator",
     "Engine",
+    "Fabric",
     "FlowMatrix",
     "GpuComputeModel",
     "GpuSpec",
@@ -43,6 +47,7 @@ __all__ = [
     "RetryPolicy",
     "RoutingBuffer",
     "ShuffleConfig",
+    "ShuffleGroup",
     "ShuffleReport",
     "ShuffleSimulator",
     "SimEvent",

@@ -94,12 +94,19 @@ class RetryPolicy:
 
 @dataclass
 class RecoveryManager:
-    """Shared recovery state and accounting for one shuffle run.
+    """Shared recovery state and accounting for one flow group.
 
     The per-packet recovery logic lives in :class:`GpuNode` (it needs
     the node's queues and routing context); this object centralizes the
     policy knobs, the serialized host-fallback path and the counters
     that surface in :class:`~repro.sim.stats.ShuffleReport`.
+
+    Every retry and host fallback spends one unit of ``budget``; once
+    it is exhausted ``on_exhausted`` fires (once, on a zero-delay engine
+    event so it never re-enters node coroutines) and the serving layer
+    cancels the query with a structured ``retry-budget-exhausted``
+    failure instead of letting a permanent fault grind it forever.
+    ``budget=None`` (every solo run) is unbounded.
     """
 
     engine: "Engine"
@@ -108,12 +115,19 @@ class RecoveryManager:
     #: Seed of the (lazy) retry-jitter rng; derived from the fault plan
     #: by the shuffle driver so identical runs jitter identically.
     jitter_seed: int = 0
+    budget: int | None = None
+    on_exhausted: Callable[[], None] | None = None
+    #: Serving-layer query id; non-empty = every spent unit is streamed
+    #: as a ``query`` retry event.
+    query: str = ""
 
     #: Recovery counters (copied onto the shuffle report).
     retries: int = 0
     reroutes: int = 0
     fallbacks: int = 0
     packets_recovered: int = 0
+    spent: int = 0
+    tripped: bool = field(default=False, repr=False)
 
     #: The host relay is one staged pipe per destination GPU: fallback
     #: transfers to the same GPU serialize FIFO instead of completing
@@ -173,6 +187,7 @@ class RecoveryManager:
                     reason=reason,
                     rerouted=rerouted,
                 )
+        self._charge()
 
     def record_recovered(self, packet: "Packet") -> None:
         self.packets_recovered += 1
@@ -245,6 +260,30 @@ class RecoveryManager:
                     reason=reason,
                     penalty_seconds=finish - now,
                 )
+        self._charge()
+
+    def _charge(self) -> None:
+        """Spend one unit of the repair budget (a retry or a fallback)."""
+        self.spent += 1
+        if (
+            self.query
+            and self.observer is not None
+            and self.observer.stream is not None
+        ):
+            self.observer.stream.emit(
+                "query",
+                t=self.engine.now,
+                clock="sim",
+                action="retry",
+                query=self.query,
+                spent=self.spent,
+            )
+        if self.tripped or self.budget is None:
+            return
+        if self.spent > self.budget:
+            self.tripped = True
+            if self.on_exhausted is not None:
+                self.engine.schedule(0.0, self.on_exhausted)
 
 
 @dataclass(frozen=True)

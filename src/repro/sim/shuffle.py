@@ -1,24 +1,27 @@
 """End-to-end simulation of the data-distribution step (paper §4).
 
 Given a *flow matrix* — how many (possibly compressed) bytes each GPU
-must send to each other GPU — the :class:`ShuffleSimulator` instantiates
-link channels, per-GPU sender/receiver machinery and a routing policy,
-runs the discrete-event engine to completion and returns a
-:class:`~repro.sim.stats.ShuffleReport` with the timings, per-link
-utilization and bisection statistics the paper's Figures 5-10 report.
+must send to each other GPU — a :class:`ShuffleGroup` wires per-GPU
+sender/receiver machinery and a routing policy onto a shared
+:class:`~repro.sim.fabric.Fabric`.  It is the only place a shuffle is
+wired: the :class:`ShuffleSimulator` runs one group on a fresh fabric
+and returns a :class:`~repro.sim.stats.ShuffleReport` with the timings,
+per-link utilization and bisection statistics the paper's Figures 5-10
+report, while the serving layer runs one group per admitted query on a
+fabric they all share.
 """
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.routing.base import RoutingContext, RoutingPolicy
-from repro.sim.engine import Engine, SimulationError
+from repro.sim.engine import SimulationError
+from repro.sim.fabric import Fabric
 from repro.sim.gpusim import GpuNode, Packet
 from repro.sim.integrity import TransportIntegrity
-from repro.sim.linksim import LinkChannel, LinkStateBoard
 from repro.sim.recovery import (
     CrashCoordinator,
     RecoveryConfig,
@@ -127,6 +130,261 @@ class FlowMatrix:
         return matrix
 
 
+class ShuffleGroup:
+    """One flow group's GPUs wired onto a :class:`Fabric`.
+
+    The group builds everything one shuffle keeps to itself: its relay
+    set, a route enumerator restricted to it, the routing context, the
+    recovery manager (when faults are injected), the integrity layer
+    (when verification is requested or the plan can tamper with
+    packets), the crash coordinator (when a join-level recovery bridge
+    is present too) and one :class:`GpuNode` per relay GPU.  It keeps a
+    running total of delivered bytes, owns the byte-conservation rule
+    and measures the distribution step's elapsed time.
+
+    Building a group spawns its node processes; :meth:`start` registers
+    it with the fabric's fault injector and injects its flows.
+    """
+
+    def __init__(
+        self,
+        fabric: Fabric,
+        gpu_ids: tuple[int, ...],
+        flows: FlowMatrix,
+        policy: RoutingPolicy,
+        *,
+        config: ShuffleConfig | None = None,
+        faults: "FaultPlan | None" = None,
+        retry: RetryPolicy | None = None,
+        recovery_bridge=None,
+        recovery_config: RecoveryConfig | None = None,
+        tag: "int | None" = None,
+        query: str = "",
+        retry_budget: "int | None" = None,
+        on_exhausted: "Callable[[], None] | None" = None,
+    ) -> None:
+        self.fabric = fabric
+        self.gpu_ids = gpu_ids
+        self.flows = flows
+        #: Serving-layer query name ("" for a solo run); prefixes errors.
+        self.query = query
+        #: Called once every owed byte has landed (serving sessions).
+        self.on_complete: "Callable[[], None] | None" = None
+        self.started_at = 0.0
+        self.delivered_bytes = 0
+        self.packets_delivered = 0
+        self.hop_count_total = 0
+        config = config or fabric.config
+        engine = fabric.engine
+        machine = fabric.machine
+        observer = fabric.observer
+        self.relay_ids = (
+            machine.gpu_ids if config.allow_external_relays else gpu_ids
+        )
+        self.enumerator = RouteEnumerator(
+            machine,
+            allowed_gpus=self.relay_ids,
+            max_intermediates=config.max_intermediates,
+        )
+        conformance = observer.conformance if observer is not None else None
+        if conformance is not None and not conformance.policy:
+            conformance.policy = policy.name
+        context = RoutingContext(
+            engine=engine,
+            machine=machine,
+            enumerator=self.enumerator,
+            links=fabric.links,
+            board=fabric.board,
+            num_gpus=len(gpu_ids),
+            observer=observer,
+            sampler=fabric.sampler,
+            conformance=conformance,
+        )
+        self.recovery: RecoveryManager | None = None
+        if faults is not None:
+            self.recovery = RecoveryManager(
+                engine,
+                policy=retry or RetryPolicy(),
+                observer=observer,
+                # Seeded like presets (crc32, not hash()) so identical
+                # chaos runs replay identical retry-jitter schedules.
+                jitter_seed=zlib.crc32(faults.name.encode("utf-8"))
+                ^ faults.seed
+                ^ (tag or 0),
+                budget=retry_budget,
+                on_exhausted=on_exhausted,
+                query=query,
+            )
+        # The integrity layer exists when verification is requested or
+        # the plan can tamper with packets (so the audit sees it);
+        # healthy default runs skip it entirely — zero hot-path cost.
+        plan_tampering = False
+        if faults is not None:
+            from repro.faults.plan import CORRUPTION_KINDS
+
+            plan_tampering = any(
+                event.kind in CORRUPTION_KINDS for event in faults.events
+            )
+        self.integrity: TransportIntegrity | None = None
+        if config.verify_transport or plan_tampering:
+            self.integrity = TransportIntegrity(
+                engine, verify=config.verify_transport, observer=observer
+            )
+        self.coordinator: CrashCoordinator | None = None
+        if self.recovery is not None and recovery_bridge is not None:
+            self.coordinator = CrashCoordinator(
+                engine,
+                recovery_config or RecoveryConfig(),
+                fabric.board,
+                self.enumerator,
+                self.recovery,
+                packet_size=config.packet_size,
+                header_bytes=config.header_bytes,
+                bridge=recovery_bridge,
+                observer=observer,
+                integrity=self.integrity,
+            )
+        self.nodes: dict[int, GpuNode] = {}
+        for gpu_id in self.relay_ids:
+            self.nodes[gpu_id] = GpuNode(
+                engine,
+                gpu_id,
+                machine,
+                fabric.links,
+                policy,
+                context,
+                packet_size=config.packet_size,
+                batch_size=config.batch_size,
+                header_bytes=config.header_bytes,
+                buffer_slots=config.buffer_slots,
+                buffer_sync_latency=config.buffer_sync_latency,
+                dma_engines=config.dma_engines,
+                injection_rate=config.injection_rate,
+                consume_rate=config.consume_rate,
+                on_delivery=self._on_delivery,
+                recovery=self.recovery,
+                coordinator=self.coordinator,
+                integrity=self.integrity,
+                query_tag=tag,
+            )
+        for node in self.nodes.values():
+            node.peers = self.nodes
+        if self.coordinator is not None:
+            self.coordinator.nodes = self.nodes
+            self.coordinator.plan(gpu_ids, flows)
+
+    def start(self) -> None:
+        """Enter the fault injector's fan-out and inject every flow."""
+        self.started_at = self.fabric.engine.now
+        injector = self.fabric.injector
+        if injector is not None:
+            injector.register_group(
+                nodes=self.nodes,
+                enumerator=self.enumerator,
+                coordinator=self.coordinator,
+                integrity=self.integrity,
+            )
+        for gpu_id in self.gpu_ids:
+            outgoing = self.flows.outgoing(gpu_id)
+            if outgoing:
+                self.nodes[gpu_id].start_flows(outgoing)
+
+    def cancel(self) -> None:
+        """Drop every node's outstanding work and leave the injector."""
+        for node in self.nodes.values():
+            node.cancel_remaining()
+        self.stop()
+
+    def stop(self) -> None:
+        """Leave the injector's fan-out: later faults no longer reach us."""
+        self.on_complete = None
+        if self.fabric.injector is not None:
+            self.fabric.injector.unregister_group(self.nodes)
+
+    # ------------------------------------------------------------------
+    # Delivery accounting
+    # ------------------------------------------------------------------
+
+    def _on_delivery(self, packet: Packet) -> None:
+        self.delivered_bytes += packet.payload_bytes
+        self.packets_delivered += 1
+        self.hop_count_total += packet.route.num_hops
+        if self.on_complete is not None and self._all_delivered():
+            self.on_complete()
+
+    @property
+    def crashed(self) -> frozenset[int]:
+        if self.coordinator is None:
+            return frozenset()
+        return self.coordinator.crashed_gpus
+
+    @property
+    def dup_bytes(self) -> int:
+        """Fault-made duplicate bytes delivered with verification off."""
+        return self.integrity.dup_payload_bytes if self.integrity is not None else 0
+
+    def _live_bytes(self, crashed: frozenset[int]) -> int:
+        return sum(
+            node.stats.delivered_bytes
+            for gpu_id, node in self.nodes.items()
+            if gpu_id not in crashed
+        )
+
+    def _all_delivered(self) -> bool:
+        crashed = self.crashed
+        if crashed:
+            return (
+                self._live_bytes(crashed) >= self.coordinator.expected_live_bytes()
+            )
+        return self.delivered_bytes - self.dup_bytes >= self.flows.total_bytes
+
+    def check_conservation(self) -> None:
+        """Raise :class:`SimulationError` unless every owed byte landed once.
+
+        With verification *off*, fault-made duplicate copies are
+        delivered twice on purpose (that is the corruption the audit
+        must catch), so exactly those bytes are excused.  Under crash
+        recovery every *surviving* destination must have received
+        exactly what it was owed — original flows plus re-shuffled
+        partitions.
+        """
+        prefix = f"query {self.query!r}: " if self.query else ""
+        dup_bytes = self.dup_bytes
+        crashed = self.crashed
+        if crashed:
+            live = self._live_bytes(crashed)
+            expected = self.coordinator.expected_live_bytes()
+            if not expected <= live <= expected + dup_bytes:
+                raise SimulationError(
+                    f"{prefix}crash recovery lost data: survivors received "
+                    f"{live} of {expected} expected bytes"
+                )
+        elif self.delivered_bytes - dup_bytes != self.flows.total_bytes:
+            raise SimulationError(
+                f"{prefix}shuffle stalled: delivered {self.delivered_bytes} "
+                f"of {self.flows.total_bytes} bytes (possible buffer deadlock)"
+            )
+
+    @property
+    def elapsed(self) -> float:
+        """Start to last delivery on a surviving GPU.
+
+        The data-distribution step ends when the last packet lands on
+        its destination GPU; draining the consumer (local partitioning)
+        continues overlapped and is reported separately.  Crashed GPUs
+        stop counting: the join resumes on survivors.
+        """
+        crashed = self.crashed
+        return max(
+            (
+                node.stats.last_delivery_time - self.started_at
+                for gpu_id, node in self.nodes.items()
+                if gpu_id not in crashed
+            ),
+            default=0.0,
+        )
+
+
 class ShuffleSimulator:
     """Runs one data-distribution step on a machine under a policy."""
 
@@ -143,14 +401,13 @@ class ShuffleSimulator:
         recovery_bridge=None,
         recovery_config: RecoveryConfig | None = None,
         engine_factory=None,
-        query_tag: "int | None" = None,
     ) -> None:
         self.machine = machine
         #: Builds the event kernel for each run.  ``None`` (the
-        #: default) is :class:`Engine`; pass e.g.
+        #: default) is :class:`~repro.sim.engine.Engine`; pass e.g.
         #: ``lambda: Engine(fast=False)`` to pin the all-heap
         #: reference kernel (the equivalence tests do exactly that).
-        self.engine_factory = engine_factory if engine_factory is not None else Engine
+        self.engine_factory = engine_factory
         self.tracer = tracer
         #: Observability sink (spans/metrics); ``None`` = off.
         self.observer = observer
@@ -159,20 +416,14 @@ class ShuffleSimulator:
         #: Fault plan injected into the run; ``None`` = healthy fabric.
         self.faults = faults
         #: Retry/backoff/fallback knobs (used only when faults are on).
-        self.retry = retry or RetryPolicy()
+        self.retry = retry
         #: Join-level crash-recovery bridge (duck-typed: must expose
         #: ``on_gpu_dead(dead_gpu, survivors) -> FlowMatrix``).  When
         #: present *and* faults are injected, GPU crashes become real
         #: compute losses handled by a :class:`CrashCoordinator`;
         #: without it, crashes keep the legacy link-only semantics.
         self.recovery_bridge = recovery_bridge
-        self.recovery_config = recovery_config or RecoveryConfig()
-        #: The coordinator of the most recent run (telemetry access).
-        self.coordinator: CrashCoordinator | None = None
-        #: Serving-layer query id stamped onto every node this shuffle
-        #: creates (see :class:`~repro.sim.gpusim.GpuNode.query_tag`);
-        #: ``None`` = untagged single-tenant traffic.
-        self.query_tag = query_tag
+        self.recovery_config = recovery_config
         self.gpu_ids = tuple(sorted(gpu_ids if gpu_ids is not None else machine.gpu_ids))
         if len(self.gpu_ids) < 2:
             raise ValueError("a shuffle needs at least two GPUs")
@@ -183,158 +434,46 @@ class ShuffleSimulator:
 
     def run(self, flows: FlowMatrix, policy: RoutingPolicy) -> ShuffleReport:
         """Simulate the shuffle to completion and report."""
-        config = self.config
         foreign = set(flows.gpus) - set(self.gpu_ids)
         if foreign:
             raise ValueError(f"flows reference non-participating GPUs: {foreign}")
-        engine = self.engine_factory()
-        board = LinkStateBoard(
-            engine,
-            broadcast_latency=config.broadcast_latency,
-            threshold=config.broadcast_threshold,
-            quantum=config.broadcast_quantum,
-            observer=self.observer,
-        )
-        links = {
-            spec.link_id: LinkChannel(
-                engine, spec, board, self.tracer, observer=self.observer
-            )
-            for spec in self.machine.links
-        }
-        if self.sampler is not None:
-            self.sampler.bind(engine, links)
-        relay_ids = (
-            self.machine.gpu_ids if config.allow_external_relays else self.gpu_ids
-        )
-        enumerator = RouteEnumerator(
+        fabric = Fabric(
             self.machine,
-            allowed_gpus=relay_ids,
-            max_intermediates=config.max_intermediates,
+            self.config,
+            engine_factory=self.engine_factory,
+            tracer=self.tracer,
+            observer=self.observer,
+            sampler=self.sampler,
         )
-        conformance = (
-            self.observer.conformance if self.observer is not None else None
-        )
-        if conformance is not None and not conformance.policy:
-            conformance.policy = policy.name
-        stream = self.observer.stream if self.observer is not None else None
+        engine = fabric.engine
+        stream = fabric.stream
         if stream is not None:
-            from repro.obs.stream import LinkPump
-
             stream.emit(
                 "run.started",
                 t=engine.now,
                 clock="sim",
                 gpus=len(self.gpu_ids),
-                links=len(links),
+                links=len(fabric.links),
                 policy=policy.name,
                 faulted=self.faults is not None,
             )
-            LinkPump(stream, engine, links)
-        context = RoutingContext(
-            engine=engine,
-            machine=self.machine,
-            enumerator=enumerator,
-            links=links,
-            board=board,
-            num_gpus=len(self.gpu_ids),
-            observer=self.observer,
-            sampler=self.sampler,
-            conformance=conformance,
+        group = ShuffleGroup(
+            fabric,
+            self.gpu_ids,
+            flows,
+            policy,
+            faults=self.faults,
+            retry=self.retry,
+            recovery_bridge=self.recovery_bridge,
+            recovery_config=self.recovery_config,
         )
-        recovery: RecoveryManager | None = None
         if self.faults is not None:
-            import zlib
-
-            recovery = RecoveryManager(
-                engine,
-                policy=self.retry,
-                observer=self.observer,
-                # Seeded like presets (crc32, not hash()) so identical
-                # chaos runs replay identical retry-jitter schedules.
-                jitter_seed=zlib.crc32(self.faults.name.encode("utf-8"))
-                ^ self.faults.seed,
-            )
-        # The integrity layer exists when verification is requested or
-        # the plan can tamper with packets (so the audit sees it);
-        # healthy default runs skip it entirely — zero hot-path cost.
-        integrity: TransportIntegrity | None = None
-        plan_tampering = False
-        if self.faults is not None:
-            from repro.faults.plan import CORRUPTION_KINDS
-
-            plan_tampering = any(
-                event.kind in CORRUPTION_KINDS for event in self.faults.events
-            )
-        if config.verify_transport or plan_tampering:
-            integrity = TransportIntegrity(
-                engine, verify=config.verify_transport, observer=self.observer
-            )
-        coordinator: CrashCoordinator | None = None
-        if recovery is not None and self.recovery_bridge is not None:
-            coordinator = CrashCoordinator(
-                engine,
-                self.recovery_config,
-                board,
-                enumerator,
-                recovery,
-                packet_size=config.packet_size,
-                header_bytes=config.header_bytes,
-                bridge=self.recovery_bridge,
-                observer=self.observer,
-                integrity=integrity,
-            )
-        self.coordinator = coordinator
-        delivered: list[Packet] = []
-        nodes: dict[int, GpuNode] = {}
-        for gpu_id in relay_ids:
-            nodes[gpu_id] = GpuNode(
-                engine,
-                gpu_id,
-                self.machine,
-                links,
-                policy,
-                context,
-                packet_size=config.packet_size,
-                batch_size=config.batch_size,
-                header_bytes=config.header_bytes,
-                buffer_slots=config.buffer_slots,
-                buffer_sync_latency=config.buffer_sync_latency,
-                dma_engines=config.dma_engines,
-                injection_rate=config.injection_rate,
-                consume_rate=config.consume_rate,
-                on_delivery=delivered.append,
-                recovery=recovery,
-                coordinator=coordinator,
-                integrity=integrity,
-                query_tag=self.query_tag,
-            )
-        for node in nodes.values():
-            node.peers = nodes
-        if coordinator is not None:
-            coordinator.nodes = nodes
-            coordinator.plan(self.gpu_ids, flows)
-        injector = None
-        if self.faults is not None:
-            from repro.faults.injector import FaultInjector
-
-            injector = FaultInjector(self.faults)
-            injector.bind(
-                engine=engine,
-                links=links,
-                board=board,
-                nodes=nodes,
-                enumerator=enumerator,
-                machine=self.machine,
-                packet_size=config.packet_size,
-                observer=self.observer,
-                coordinator=coordinator,
-                integrity=integrity,
-            )
-        for gpu_id in self.gpu_ids:
-            outgoing = flows.outgoing(gpu_id)
-            if outgoing:
-                nodes[gpu_id].start_flows(outgoing)
+            fabric.bind_faults(self.faults, set(group.relay_ids))
+        group.start()
         engine.run()
+        conformance = (
+            self.observer.conformance if self.observer is not None else None
+        )
         if stream is not None:
             stream.emit("kernel", t=engine.now, clock="sim", stats=engine.stats)
             if conformance is not None:
@@ -343,21 +482,12 @@ class ShuffleSimulator:
                 )
             stream.emit("run.finished", t=engine.now, clock="sim", elapsed=engine.now)
             stream.flush()
-        if conformance is not None and self.observer is not None:
+        if conformance is not None:
             conformance.export_metrics(self.observer)
-        report = self._build_report(
-            engine,
-            policy,
-            flows,
-            links,
-            nodes,
-            delivered,
-            board,
-            coordinator,
-            integrity,
-        )
-        if injector is not None:
-            report.faults_injected = injector.faults_injected
+        report = self._build_report(fabric, group, policy)
+        if fabric.injector is not None:
+            report.faults_injected = fabric.injector.faults_injected
+        recovery = group.recovery
         if recovery is not None:
             report.packet_retries = recovery.retries
             report.packet_reroutes = recovery.reroutes
@@ -401,59 +531,15 @@ class ShuffleSimulator:
         return report
 
     def _build_report(
-        self,
-        engine: Engine,
-        policy: RoutingPolicy,
-        flows: FlowMatrix,
-        links: dict[int, LinkChannel],
-        nodes: dict[int, GpuNode],
-        delivered: list[Packet],
-        board: LinkStateBoard,
-        coordinator: CrashCoordinator | None = None,
-        integrity: TransportIntegrity | None = None,
+        self, fabric: Fabric, group: ShuffleGroup, policy: RoutingPolicy
     ) -> ShuffleReport:
-        delivered_bytes = sum(node.stats.delivered_bytes for node in nodes.values())
-        # With verification *off*, fault-made duplicate copies are
-        # delivered twice on purpose (that is the corruption the audit
-        # must catch) — excuse exactly those bytes from conservation.
-        # Any residual mismatch is still a hard simulation error.
-        dup_bytes = integrity.dup_payload_bytes if integrity is not None else 0
-        crashed = coordinator.crashed_gpus if coordinator is not None else frozenset()
-        if crashed:
-            # Conservation under crash recovery: every *surviving*
-            # destination must have received exactly the bytes it was
-            # owed — original flows plus re-shuffled partitions.
-            live_delivered = sum(
-                node.stats.delivered_bytes
-                for gpu_id, node in nodes.items()
-                if gpu_id not in crashed
-            )
-            expected = coordinator.expected_live_bytes()
-            if not expected <= live_delivered <= expected + dup_bytes:
-                raise SimulationError(
-                    f"crash recovery lost data: survivors received "
-                    f"{live_delivered} of {expected} expected bytes"
-                )
-        elif delivered_bytes - dup_bytes != flows.total_bytes:
-            raise SimulationError(
-                f"shuffle stalled: delivered {delivered_bytes} of "
-                f"{flows.total_bytes} bytes (possible buffer deadlock)"
-            )
-        # The data-distribution step ends when the last packet lands on
-        # its destination GPU; draining the consumer (local
-        # partitioning) continues overlapped and is reported separately.
-        # Crashed GPUs stop counting: the join resumes on survivors.
-        elapsed = max(
-            (
-                node.stats.last_delivery_time
-                for gpu_id, node in nodes.items()
-                if gpu_id not in crashed
-            ),
-            default=0.0,
-        )
+        group.check_conservation()
+        elapsed = group.elapsed
+        nodes = group.nodes
         consume_finish = max(
             (node.stats.last_consume_time for node in nodes.values()), default=0.0
         )
+        links = fabric.links
         link_stats = {
             link_id: LinkStats(
                 spec=channel.spec,
@@ -469,17 +555,17 @@ class ShuffleSimulator:
             policy_name=policy.name,
             num_gpus=len(self.gpu_ids),
             elapsed=elapsed,
-            payload_bytes=flows.total_bytes,
-            delivered_bytes=delivered_bytes,
+            payload_bytes=group.flows.total_bytes,
+            delivered_bytes=group.delivered_bytes,
             wire_bytes=wire_bytes,
-            packets_delivered=len(delivered),
-            hop_count_total=sum(packet.route.num_hops for packet in delivered),
+            packets_delivered=group.packets_delivered,
+            hop_count_total=group.hop_count_total,
             link_stats=link_stats,
             cut=bisection_cut(self.machine, self.gpu_ids),
             buffer_sync_count=sum(
                 node.buffer_sync_count for node in nodes.values()
             ),
-            board_broadcast_count=board.broadcast_count,
+            board_broadcast_count=fabric.board.broadcast_count,
             sync_time_total=sum(node.stats.sync_time for node in nodes.values()),
             consume_finish_time=consume_finish,
             per_gpu_delivered={
@@ -487,7 +573,9 @@ class ShuffleSimulator:
                 for gpu_id in self.gpu_ids
             },
             recovery=(
-                coordinator.build_stats(elapsed) if crashed else None
+                group.coordinator.build_stats(elapsed) if group.crashed else None
             ),
-            integrity=integrity.build_stats() if integrity is not None else None,
+            integrity=(
+                group.integrity.build_stats() if group.integrity is not None else None
+            ),
         )

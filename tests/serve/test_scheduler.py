@@ -8,10 +8,13 @@ a query can fail must end in a structured outcome, never a hang.
 import pytest
 from helpers import healthy_latency, solo_join
 
+import repro.sim.shuffle as shuffle_module
+from repro.core.config import MGJoinConfig
+from repro.core.mgjoin import MGJoin
 from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.routing import AdaptiveArmPolicy, DirectPolicy
-from repro.serve import QueryRequest, QueryScheduler, synthetic_requests
-from repro.sim import Engine
+from repro.serve import QueryRequest, QueryScheduler, synthetic_requests, workload_for
+from repro.sim import Engine, ShuffleConfig
 
 
 class TestServingIdentity:
@@ -70,6 +73,56 @@ class TestServingIdentity:
                  for o in report.outcomes]
             )
         assert stories[0] == stories[1]
+
+
+class TestVerifiedTransport:
+    """``ShuffleConfig(verify_transport=True)`` reaches served queries."""
+
+    CONFIG = MGJoinConfig(
+        materialize=True, shuffle=ShuffleConfig(verify_transport=True)
+    )
+
+    @pytest.fixture
+    def layers(self, monkeypatch):
+        built = []
+        real = shuffle_module.TransportIntegrity
+
+        def spy(*args, **kwargs):
+            layer = real(*args, **kwargs)
+            built.append(layer)
+            return layer
+
+        monkeypatch.setattr(shuffle_module, "TransportIntegrity", spy)
+        return built
+
+    def test_single_query_matches_verified_solo_join(self, dgx1, layers):
+        request = QueryRequest(name="only", gpus=4, tuples=2048)
+        report = QueryScheduler(
+            dgx1, [request], policy_factory=AdaptiveArmPolicy, config=self.CONFIG
+        ).run()
+        assert len(layers) == 1 and layers[0].verify
+        reference = MGJoin(
+            dgx1, config=self.CONFIG, policy=AdaptiveArmPolicy()
+        ).run(workload_for(dgx1, request))
+        assert len(layers) == 2 and reference.shuffle_report.integrity.verified
+        outcome = report.outcome("only")
+        assert outcome.status == "completed"
+        assert outcome.match_digest == reference.match_digest
+        assert outcome.join_time == reference.total_time
+
+    def test_each_query_owns_its_layer(self, dgx1, layers):
+        requests = synthetic_requests(3, gpus=4, tuples=1024)
+        report = QueryScheduler(
+            dgx1,
+            requests,
+            policy_factory=AdaptiveArmPolicy,
+            config=self.CONFIG,
+            max_in_flight=3,
+        ).run()
+        assert report.completed == 3
+        assert len(layers) == 3
+        assert len({id(layer) for layer in layers}) == 3
+        assert all(layer.verify for layer in layers)
 
 
 class TestAdmissionControl:
