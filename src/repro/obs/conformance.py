@@ -8,8 +8,9 @@ simulator then actually did to the packet.  This probe closes the loop:
 
 * at injection time it re-evaluates the chosen route's ``T_R`` and
   ``D_R`` exactly as the deciding GPU perceived them (own links exact,
-  remote links through the last broadcast — *without* the staleness
-  histogram side effect of ``RoutingContext.queue_delay_seen_by``),
+  remote links through the last broadcast), through the same
+  ``RoutingContext.dynamic_delay`` rule the ARM metric uses — *without*
+  its staleness-histogram side effect,
 * at delivery time it measures the realized latency and records the
   residual ``actual - (T_R + D_R)``,
 * residuals are attributed to the route's *predicted bottleneck link*
@@ -65,25 +66,23 @@ class ConformanceProbe:
     def predict(self, context, src: int, route, packet_bytes: int):
         """Price ``route`` as GPU ``src`` perceives it right now.
 
-        Mirrors :func:`repro.routing.adaptive.arm_value` but reads the
-        board/links directly so instrumenting a run never perturbs the
-        ``board.staleness_seconds`` histogram the decision audit uses.
+        Evaluates the route's record through the same queue-view rule
+        as :func:`repro.routing.adaptive.arm_value`
+        (:meth:`RoutingContext.dynamic_delay`), with the staleness
+        observation switched off so instrumenting a run never perturbs
+        the ``board.staleness_seconds`` histogram the decision audit
+        uses.
         """
-        cache = context.enumerator.cache
-        t_r = cache.transmission_time(route, packet_bytes)
-        d_r = 0.0
+        record = context.enumerator.cache.record(route)
+        t_r = record.transmission_time(packet_bytes)
+        terms: list[float] = []
+        d_r = context.dynamic_delay(record, src, observe=False, terms=terms)
         bottleneck = -1
         worst = -1.0
-        for spec in cache.links(route):
-            if spec.src.is_gpu and spec.src.index == src:
-                queue = context.links[spec.link_id].queue_delay()
-            else:
-                queue = context.board.published_queue_delay(spec.link_id)
-            term = queue + spec.latency
-            d_r += term
+        for (link_id, _, _), term in zip(record.hops, terms):
             if term > worst:
                 worst = term
-                bottleneck = spec.link_id
+                bottleneck = link_id
         return t_r, d_r, bottleneck
 
     def register(self, packet, prediction: tuple[float, float, int]) -> None:

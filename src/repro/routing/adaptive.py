@@ -32,24 +32,16 @@ def arm_value(
     With ``exact=True`` the ground-truth queue delays are used instead
     of the broadcast view (the centralized baseline's privilege).
 
-    The static parts — the link list and ``T_R`` — come from the
-    machine's :class:`repro.topology.routes.RouteCache`; only the
-    dynamic queue terms are walked per decision.  The accumulation
-    order over links is unchanged, so values stay bit-identical to the
-    uncached evaluation.
+    The static parts — the link hops and ``T_R`` — come from the
+    route's :class:`repro.topology.routes.RouteRecord`; only the
+    dynamic queue terms are walked per decision, by
+    :meth:`RoutingContext.dynamic_delay` in route order.
     """
-    cache = context.enumerator.cache
-    links = cache.links(route)
-    transmission = cache.transmission_time(route, packet_bytes)
-    dynamic_delay = 0.0
-    for spec in links:
-        if exact:
-            queue = context.exact_queue_delay(spec)
-        else:
-            queue = context.queue_delay_seen_by(
-                viewer_gpu if viewer_gpu is not None else route.src, spec
-            )
-        dynamic_delay += queue + spec.latency
+    record = context.enumerator.cache.record(route)
+    transmission = record.transmission_time(packet_bytes)
+    dynamic_delay = context.dynamic_delay(
+        record, viewer_gpu if viewer_gpu is not None else route.src, exact=exact
+    )
     return transmission + dynamic_delay
 
 
@@ -123,8 +115,8 @@ class AdaptiveArmPolicy(RoutingPolicy):
         """Emit one ARM decision: the generic auditable instant (all
         candidate routes + estimates) plus the Eq. 2 terms of the
         chosen route."""
-        transmission = context.enumerator.cache.transmission_time(
-            chosen, packet_bytes
+        transmission = context.enumerator.cache.record(chosen).transmission_time(
+            packet_bytes
         )
         arm = next(score for score, route in scored if route is chosen)
         self.emit_decision(

@@ -10,17 +10,21 @@ route at the source GPU to avoid cross-GPU synchronization (§4.2.2).
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.sim.engine import Engine
 from repro.sim.linksim import LinkChannel, LinkStateBoard
-from repro.topology.links import LinkSpec
 from repro.topology.machine import MachineTopology
-from repro.topology.routes import Route, RouteEnumerator, UnroutableError
+from repro.topology.routes import (
+    Route,
+    RouteEnumerator,
+    RouteRecord,
+    UnroutableError,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs import Observer
+    from repro.obs import Histogram, Observer
     from repro.obs.analyze.timeline import LinkTimelineSampler
 
 
@@ -43,26 +47,70 @@ class RoutingContext:
     #: ``None`` = off.  See :mod:`repro.obs.conformance`.
     conformance: "object | None" = None
 
-    def queue_delay_seen_by(self, viewer_gpu: int, spec: LinkSpec) -> float:
-        """Queue delay of ``spec`` as GPU ``viewer_gpu`` perceives it.
+    #: ``board.staleness_seconds`` histogram, fetched on first use.
+    _staleness: "Histogram | None" = field(default=None, init=False, repr=False)
 
-        A GPU knows its own outgoing links exactly; every other link is
-        known only through the last broadcast (§4.2.2).
+    def __post_init__(self) -> None:
+        # The routing metric indexes the board by link id directly.
+        if self.links:
+            self.board.track(max(self.links))
+
+    def dynamic_delay(
+        self,
+        record: RouteRecord,
+        viewer_gpu: int,
+        *,
+        exact: bool = False,
+        observe: bool = True,
+        terms: "list[float] | None" = None,
+    ) -> float:
+        """``D_R`` of Eq. 4 over ``record`` as GPU ``viewer_gpu`` perceives it.
+
+        The one queue-view rule (§4.2.2): a GPU knows its own outgoing
+        links exactly — the channel's :meth:`LinkChannel.queue_delay`
+        expression — and every other link only through the last
+        broadcast plus its broadcast fault penalty.  ``exact=True``
+        reads every link exactly (the centralized baseline's
+        privilege).  With an observer and ``observe`` set, each remote
+        read records how stale the broadcast was.  ``terms``, when
+        given, receives each link's ``queue + latency`` term in route
+        order.
         """
-        if spec.src.is_gpu and spec.src.index == viewer_gpu:
-            return self.links[spec.link_id].queue_delay()
-        published = self.board.published_queue_delay(spec.link_id)
-        if self.observer is not None:
-            # How stale is the broadcast view this decision just used?
-            actual = self.links[spec.link_id].queue_delay()
-            self.observer.metrics.histogram("board.staleness_seconds").observe(
-                abs(actual - published)
-            )
-        return published
-
-    def exact_queue_delay(self, spec: LinkSpec) -> float:
-        """Ground-truth queue delay (used by the centralized baseline)."""
-        return self.links[spec.link_id].queue_delay()
+        now = self.engine.now
+        channels = self.links
+        board = self.board
+        published = board.visible_clear_at
+        penalties = board.visible_penalty
+        staleness = None
+        if observe and not exact and self.observer is not None:
+            staleness = self._staleness
+            if staleness is None:
+                staleness = self._staleness = self.observer.metrics.histogram(
+                    "board.staleness_seconds"
+                )
+        delay = 0.0
+        # ``x if x > 0.0 else 0.0`` is ``max(0.0, x)`` without the
+        # builtin call: the same value, signed zeros included.
+        for link_id, latency, owner in record.hops:
+            if exact or owner == viewer_gpu:
+                channel = channels[link_id]
+                queue = channel._free_at - now
+                queue = (queue if queue > 0.0 else 0.0) + channel.committed_load
+                arbiter = channel.arbiter
+                if arbiter is not None:
+                    queue += arbiter.queued_service
+                queue += channel.fault_penalty
+            else:
+                queue = published[link_id] - now
+                queue = (queue if queue > 0.0 else 0.0) + penalties[link_id]
+                if staleness is not None:
+                    # How stale is the broadcast view this decision used?
+                    actual = channels[link_id].queue_delay()
+                    staleness.observe(abs(actual - queue))
+            if terms is not None:
+                terms.append(queue + latency)
+            delay += queue + latency
+        return delay
 
 
 class RoutingPolicy(abc.ABC):
@@ -155,15 +203,13 @@ class RoutingPolicy(abc.ABC):
     ) -> float:
         """Mean |actual - published| queue delay over the route's
         remote links — how wrong the decider's view was, in seconds."""
-        from repro.topology.routes import physical_links
-
         error = 0.0
         remote = 0
-        for spec in physical_links(context.machine, route):
-            if spec.src.is_gpu and spec.src.index == viewer_gpu:
+        for link_id, _, owner in context.enumerator.cache.record(route).hops:
+            if owner == viewer_gpu:
                 continue
             remote += 1
-            actual = context.links[spec.link_id].queue_delay()
-            published = context.board.published_queue_delay(spec.link_id)
+            actual = context.links[link_id].queue_delay()
+            published = context.board.published_queue_delay(link_id)
             error += abs(actual - published)
         return error / remote if remote else 0.0

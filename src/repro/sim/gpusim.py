@@ -28,7 +28,7 @@ from repro.sim.engine import Engine, SimEvent, SimulationError
 from repro.sim.linksim import LinkChannel
 from repro.sim.resources import RoutingBuffer
 from repro.topology.machine import MachineTopology, TopologyError
-from repro.topology.routes import Route, UnroutableError
+from repro.topology.routes import Route, UnroutableError, route_cache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.routing.base import RoutingContext, RoutingPolicy
@@ -70,10 +70,12 @@ class Packet:
     #: True on a fault-made duplicate copy: it carries no accounting
     #: weight (the original owns the flow's conservation books).
     duplicate: bool = False
-    #: Link ids committed for the current route but not yet submitted
-    #: to the wire; returned (uncommitted) if the packet is lost so the
-    #: adaptive metric stops charging a route the packet abandoned.
-    pending_links: list[int] = field(default_factory=list)
+    #: Link id -> service seconds committed on it for the current route
+    #: but not yet submitted to the wire.  Submission and loss hand
+    #: back exactly the committed amount, so a lost packet stops the
+    #: adaptive metric charging a route it abandoned and a bandwidth
+    #: change in between leaves no phantom load.
+    pending_links: dict[int, float] = field(default_factory=dict)
 
     @property
     def wire_bytes(self) -> int:
@@ -131,6 +133,9 @@ class GpuNode:
         self.links = links
         self.policy = policy
         self.context = context
+        #: Per-route static records, shared by every enumerator on the
+        #: machine.
+        self._route_cache = route_cache(machine)
         self.packet_size = packet_size
         self.batch_size = batch_size
         self.header_bytes = header_bytes
@@ -365,15 +370,18 @@ class GpuNode:
         self._validated_routes.add((route, dst))
 
     def _commit_route(self, packet: Packet) -> None:
-        packet.ideal_latency = 0.0
-        packet.pending_links.clear()
-        # The cached expansion walks hops in route order, so commits and
-        # the ideal-latency accumulation order are unchanged.
-        for spec in self.context.enumerator.cache.links(packet.route):
-            channel = self.links[spec.link_id]
-            channel.commit(packet.wire_bytes)
-            packet.pending_links.append(spec.link_id)
-            packet.ideal_latency += channel.service_time(packet.wire_bytes)
+        # Links are committed in route order, and the ideal latency is
+        # the sum of the very service times the links reserved.
+        wire_bytes = packet.wire_bytes
+        links = self.links
+        pending = packet.pending_links
+        pending.clear()
+        ideal_latency = 0.0
+        for link_id, _, _ in self._route_cache.record(packet.route).hops:
+            service = links[link_id].commit(wire_bytes)
+            pending[link_id] = service
+            ideal_latency += service
+        packet.ideal_latency = ideal_latency
 
     # ------------------------------------------------------------------
     # Outgoing queues + senders
@@ -532,16 +540,14 @@ class GpuNode:
         receiver.on_arrival(packet)
 
     def _fulfill_link(self, packet: Packet, channel: LinkChannel) -> None:
-        channel.fulfill(packet.wire_bytes)
-        try:
-            packet.pending_links.remove(channel.spec.link_id)
-        except ValueError:
-            pass
+        # A link the packet never committed (a fault-made duplicate
+        # forwarded by a relay) releases nothing.
+        channel.fulfill(packet.pending_links.pop(channel.spec.link_id, 0.0))
 
     def _return_commits(self, packet: Packet) -> None:
         """Return committed-but-untraversed link load for a lost packet."""
-        for link_id in list(packet.pending_links):
-            self.links[link_id].fulfill(packet.wire_bytes)
+        for link_id, service in packet.pending_links.items():
+            self.links[link_id].fulfill(service)
         packet.pending_links.clear()
 
     def _discard(self, packet: Packet) -> None:

@@ -294,7 +294,7 @@ class PacketTamperer:
             integrity.note_corrupted(packet)
         elif self.kind == "packet-dup":
             integrity.note_duplicated(packet)
-            clone = replace(packet, held_buffer=None, pending_links=[], duplicate=True)
+            clone = replace(packet, held_buffer=None, pending_links={}, duplicate=True)
             # The copy lands at this hop's receiver slightly behind the
             # original and follows the normal receive/forward path.
             node.engine.schedule(self.dup_delay, receiver.on_arrival, clone)

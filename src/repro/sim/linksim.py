@@ -89,17 +89,27 @@ class LinkChannel:
     def service_time(self, nbytes: float) -> float:
         return self.spec.latency + nbytes / (self.spec.bandwidth * self.bandwidth_scale)
 
-    def commit(self, nbytes: float) -> None:
-        """Reserve load for a packet routed over this link."""
-        self.committed_load += self.service_time(nbytes)
+    def commit(self, nbytes: float) -> float:
+        """Reserve load for a packet routed over this link.
+
+        Returns the service seconds reserved; the caller hands exactly
+        that amount back to :meth:`fulfill`, so a bandwidth change
+        between the two (a degrade that starts or ends while the packet
+        waits) can never leave phantom load behind.
+        """
+        service = self.service_time(nbytes)
+        self.committed_load += service
         if self.board is not None:
             self.board.publish(self)
         if self.sampler is not None:
             self.sampler.record_queue(self)
+        return service
 
-    def fulfill(self, nbytes: float) -> None:
-        """Clear a reservation as the packet is submitted to the wire."""
-        self.committed_load = max(0.0, self.committed_load - self.service_time(nbytes))
+    def fulfill(self, service: float) -> None:
+        """Clear a reservation of ``service`` seconds (as :meth:`commit`
+        returned it) when the packet is submitted to the wire."""
+        remaining = self.committed_load - service
+        self.committed_load = remaining if remaining > 0.0 else 0.0
         if self.sampler is not None:
             self.sampler.record_queue(self)
 
@@ -177,7 +187,8 @@ class LinkChannel:
         accounting and completion scheduling are identical in both.
         """
         now = self.engine.now
-        start = max(now, self._free_at)
+        free_at = self._free_at
+        start = free_at if free_at > now else now
         completion = start + service
         self._free_at = completion
         self.busy_time += service
@@ -344,6 +355,11 @@ class LinkStateBoard:
     mirrors the paper's design where a GPU broadcasts queuing-delay
     changes instead of synchronizing per decision, and
     ``broadcast_count`` measures how chatty that is.
+
+    Per-link state lives in flat lists indexed by link id (grown on
+    demand by :meth:`track`), so a suppressed publish does no dict
+    operation and the routing metric reads a remote link's view with
+    two list indexings.
     """
 
     engine: Engine
@@ -351,55 +367,100 @@ class LinkStateBoard:
     threshold: float = 0.25
     #: Minimum absolute queue-delay change (seconds) worth broadcasting.
     quantum: float = 50e-6
-    _published: dict[int, float] = field(default_factory=dict)
-    _last_broadcast: dict[int, float] = field(default_factory=dict)
+    #: Per link: the clear-at time and the fault penalty remote GPUs
+    #: currently see (read directly by the routing metric), and the
+    #: clear-at time last broadcast.
+    visible_clear_at: list[float] = field(default_factory=list)
+    visible_penalty: list[float] = field(default_factory=list)
+    _last_broadcast: list[float] = field(default_factory=list)
     broadcast_count: int = 0
     #: Metrics sink (broadcast chatter, suppressed updates).
     observer: "Observer | None" = None
     #: Latest broadcast value per link, applied at delivery time so a
     #: change published while an earlier broadcast is still in flight is
     #: coalesced into it rather than lost or later overwritten.
-    _pending: dict[int, float] = field(default_factory=dict)
-    _pending_seq: dict[int, int] = field(default_factory=dict)
-    _delivered_seq: dict[int, int] = field(default_factory=dict)
-    #: Fault penalties (seconds) as broadcast / as remotely visible.
-    _fault_pending: dict[int, float] = field(default_factory=dict)
-    _fault_seq: dict[int, int] = field(default_factory=dict)
-    _fault_delivered_seq: dict[int, int] = field(default_factory=dict)
-    _fault_published: dict[int, float] = field(default_factory=dict)
+    _pending: list[float] = field(default_factory=list)
+    _pending_seq: list[int] = field(default_factory=list)
+    _delivered_seq: list[int] = field(default_factory=list)
+    #: Fault penalties (seconds) as broadcast.
+    _fault_pending: list[float] = field(default_factory=list)
+    _fault_seq: list[int] = field(default_factory=list)
+    _fault_delivered_seq: list[int] = field(default_factory=list)
     #: Heartbeat epochs piggybacked on the broadcast channel: each GPU's
     #: last announced liveness timestamp (crash-recovery detection).
     _heartbeats: dict[int, float] = field(default_factory=dict)
+    #: Observer instruments, fetched from the registry on first use.
+    _suppressed: "Counter | None" = field(default=None, init=False, repr=False)
+    _broadcasts: "Counter | None" = field(default=None, init=False, repr=False)
+
+    def track(self, link_id: int) -> None:
+        """Make room for every link id up to ``link_id``."""
+        missing = link_id + 1 - len(self.visible_clear_at)
+        if missing <= 0:
+            return
+        for values in (
+            self.visible_clear_at,
+            self._last_broadcast,
+            self._pending,
+            self._fault_pending,
+            self.visible_penalty,
+        ):
+            values.extend([0.0] * missing)
+        for counters in (
+            self._pending_seq,
+            self._delivered_seq,
+            self._fault_seq,
+            self._fault_delivered_seq,
+        ):
+            counters.extend([0] * missing)
 
     def publish(self, link: LinkChannel) -> None:
         link_id = link.spec.link_id
         now = self.engine.now
         clear_at = link._free_at + link.committed_load
-        last_clear_at = self._last_broadcast.get(link_id, 0.0)
-        new_delay = max(0.0, clear_at - now)
-        last_delay = max(0.0, last_clear_at - now)
-        change = abs(new_delay - last_delay)
-        if change < max(self.threshold * last_delay, self.quantum):
+        try:
+            last_clear_at = self._last_broadcast[link_id]
+        except IndexError:
+            self.track(link_id)
+            last_clear_at = 0.0
+        # ``x if x > y else y`` is ``max(y, x)`` without the builtin
+        # call: the same value, ties and signed zeros included.
+        new_delay = clear_at - now
+        new_delay = new_delay if new_delay > 0.0 else 0.0
+        last_delay = last_clear_at - now
+        last_delay = last_delay if last_delay > 0.0 else 0.0
+        floor = self.threshold * last_delay
+        quantum = self.quantum
+        if abs(new_delay - last_delay) < (quantum if quantum > floor else floor):
             if self.observer is not None:
-                self.observer.metrics.counter("board.suppressed").inc()
+                if self._suppressed is None:
+                    self._suppressed = self.observer.metrics.counter(
+                        "board.suppressed"
+                    )
+                self._suppressed.inc()
             return
         self._last_broadcast[link_id] = clear_at
-        self.broadcast_count += 1
-        if self.observer is not None:
-            self.observer.metrics.counter("board.broadcasts").inc()
+        self._count_broadcast()
         self._pending[link_id] = clear_at
-        seq = self._pending_seq.get(link_id, 0) + 1
+        seq = self._pending_seq[link_id] + 1
         self._pending_seq[link_id] = seq
         self.engine.schedule(self.broadcast_latency, self._deliver, link_id, seq)
+
+    def _count_broadcast(self) -> None:
+        self.broadcast_count += 1
+        if self.observer is not None:
+            if self._broadcasts is None:
+                self._broadcasts = self.observer.metrics.counter("board.broadcasts")
+            self._broadcasts.inc()
 
     def _deliver(self, link_id: int, seq: int) -> None:
         # Apply the *latest* broadcast value, not the one captured when
         # this delivery was scheduled: overlapping broadcasts coalesce,
         # and a stale in-flight delivery can never roll a newer one back.
-        if seq < self._delivered_seq.get(link_id, 0):
+        if seq < self._delivered_seq[link_id]:
             return
         self._delivered_seq[link_id] = seq
-        self._published[link_id] = self._pending[link_id]
+        self.visible_clear_at[link_id] = self._pending[link_id]
 
     def publish_fault(self, link_id: int, penalty: float) -> None:
         """Broadcast a link-health change to remote GPUs.
@@ -408,19 +469,18 @@ class LinkStateBoard:
         metrics should charge this link (0.0 restores health).  It rides
         the same propagation-delay path as queue-delay broadcasts.
         """
-        self.broadcast_count += 1
-        if self.observer is not None:
-            self.observer.metrics.counter("board.broadcasts").inc()
+        self.track(link_id)
+        self._count_broadcast()
         self._fault_pending[link_id] = penalty
-        seq = self._fault_seq.get(link_id, 0) + 1
+        seq = self._fault_seq[link_id] + 1
         self._fault_seq[link_id] = seq
         self.engine.schedule(self.broadcast_latency, self._deliver_fault, link_id, seq)
 
     def _deliver_fault(self, link_id: int, seq: int) -> None:
-        if seq < self._fault_delivered_seq.get(link_id, 0):
+        if seq < self._fault_delivered_seq[link_id]:
             return
         self._fault_delivered_seq[link_id] = seq
-        self._fault_published[link_id] = self._fault_pending[link_id]
+        self.visible_penalty[link_id] = self._fault_pending[link_id]
 
     def record_heartbeat(self, gpu_id: int, beat_time: float) -> None:
         """Note a GPU's liveness announcement (piggybacked broadcast).
@@ -441,5 +501,6 @@ class LinkStateBoard:
 
     def published_queue_delay(self, link_id: int) -> float:
         """Queue delay of ``link_id`` as currently visible to remote GPUs."""
-        base = max(0.0, self._published.get(link_id, 0.0) - self.engine.now)
-        return base + self._fault_published.get(link_id, 0.0)
+        self.track(link_id)
+        base = max(0.0, self.visible_clear_at[link_id] - self.engine.now)
+        return base + self.visible_penalty[link_id]

@@ -26,6 +26,11 @@ class Route:
 
     gpus: tuple[int, ...]
 
+    #: Static :class:`RouteRecord` of an interned route, set by the
+    #: owning :class:`RouteCache`; not a dataclass field, so equality,
+    #: hashing and ``repr`` see the GPU tuple alone.
+    _record = None
+
     def __post_init__(self) -> None:
         if len(self.gpus) < 2:
             raise ValueError("a route needs at least a source and a destination")
@@ -67,73 +72,131 @@ class Route:
     def __str__(self) -> str:
         return "->".join(str(g) for g in self.gpus)
 
+    def __reduce__(self):
+        # Pickles and copies carry the GPU tuple, never a cache record.
+        return (Route, (self.gpus,))
+
+
+class RouteRecord:
+    """The static half of one route's ARM evaluation, flattened.
+
+    Built once per route by :meth:`RouteCache.record` and reached from
+    an interned :class:`Route` by identity, so the per-packet path
+    (route choice, link commit) never hashes a route:
+
+    * ``links`` — the physical links in traversal order;
+    * ``hops`` — one ``(link_id, latency, owner_gpu)`` triple per link,
+      where ``owner_gpu`` is the GPU whose outgoing port the link is
+      (``-1`` for a non-GPU source) — the only GPU that sees the link's
+      queue exactly (§4.2.2);
+    * ``static_latency`` — the summed link latencies;
+    * ``T_R`` of Eq. 3 per packet size, via :meth:`transmission_time`.
+    """
+
+    __slots__ = (
+        "token",
+        "links",
+        "hops",
+        "static_latency",
+        "_transmission",
+    )
+
+    def __init__(
+        self, token: object, machine: MachineTopology, gpus: tuple[int, ...]
+    ) -> None:
+        #: Identity token of the :class:`RouteCache` that built this.
+        self.token = token
+        expanded: list[LinkSpec] = []
+        for src, dst in zip(gpus[:-1], gpus[1:]):
+            expanded.extend(machine.hop_path(src, dst))
+        self.links = tuple(expanded)
+        self.hops = tuple(
+            (link.link_id, link.latency, link.src.index if link.src.is_gpu else -1)
+            for link in self.links
+        )
+        self.static_latency = sum(link.latency for link in self.links)
+        self._transmission: dict[int, float] = {}
+
+    def transmission_time(self, packet_bytes: int) -> float:
+        """Static ``T_R`` of Eq. 3 for one packet size over the route."""
+        cached = self._transmission.get(packet_bytes)
+        if cached is None:
+            cached = self._transmission[packet_bytes] = packet_bytes / (
+                bottleneck_bandwidth(list(self.links), packet_bytes)
+            )
+        return cached
+
 
 class RouteCache:
-    """Per-machine cache of the static quantities of every route seen.
+    """Per-machine route interning and static per-route records.
 
     Route evaluation (the ARM metric, Eq. 2) splits into a static part —
     the physical link list, the summed link latencies and the
     transmission time ``T_R`` per packet size — and a dynamic part (the
     per-link queue delays).  The static part depends only on the
-    immutable topology, so it is computed once per (route[, packet
-    size]) and looked up afterwards.
+    immutable topology, so it is computed once per route into a
+    :class:`RouteRecord`.
+
+    Every enumerator on one machine builds its routes through
+    :meth:`route`, so they all hand out the *same* :class:`Route`
+    objects, and an interned route carries its record as an attribute:
+    the hot path reaches it by identity instead of hashing the route.
 
     One cache hangs off each :class:`MachineTopology` instance (see
     :func:`route_cache`), so it dies with the machine instead of leaking
     across benchmark sweeps the way a module-level ``lru_cache`` keyed
-    on the machine object would.  :meth:`invalidate` drops everything;
-    it is wired to :meth:`RouteEnumerator.fail_link` and the fault
-    broadcasts so that chaos runs can never serve a stale static view
-    even if link specs ever become mutable.
+    on the machine object would.  :meth:`invalidate` drops every
+    record; it is wired to :meth:`RouteEnumerator.fail_link` and the
+    fault broadcasts so that chaos runs can never serve a stale static
+    view even if link specs ever become mutable.
     """
 
-    __slots__ = ("_machine", "_links", "_static_latency", "_transmission")
+    __slots__ = ("_machine", "_token", "_routes")
 
     def __init__(self, machine: MachineTopology) -> None:
         self._machine = machine
-        self._links: dict[Route, tuple[LinkSpec, ...]] = {}
-        self._static_latency: dict[Route, float] = {}
-        self._transmission: dict[tuple[Route, int], float] = {}
+        #: Identity token stamped on this cache's records; a record
+        #: holds no reference back to the machine, so a route that
+        #: outlives its machine never pins it.
+        self._token = object()
+        self._routes: dict[tuple[int, ...], Route] = {}
 
     @property
     def machine(self) -> MachineTopology:
         return self._machine
 
-    def links(self, route: Route) -> tuple[LinkSpec, ...]:
-        """Physical links traversed by ``route``, in traversal order."""
-        cached = self._links.get(route)
-        if cached is None:
-            expanded: list[LinkSpec] = []
-            for src, dst in route.hops():
-                expanded.extend(self._machine.hop_path(src, dst))
-            cached = self._links[route] = tuple(expanded)
-        return cached
+    def route(self, gpus: tuple[int, ...]) -> Route:
+        """The machine's one :class:`Route` object for ``gpus``."""
+        route = self._routes.get(gpus)
+        if route is None:
+            route = self._routes[gpus] = Route(gpus)
+        return route
 
-    def static_latency(self, route: Route) -> float:
-        """Sum of static link latencies along ``route``, seconds."""
-        cached = self._static_latency.get(route)
-        if cached is None:
-            cached = self._static_latency[route] = sum(
-                link.latency for link in self.links(route)
-            )
-        return cached
+    def record(self, route: Route) -> RouteRecord:
+        """Static record of ``route`` (any route object on this machine).
 
-    def transmission_time(self, route: Route, packet_bytes: int) -> float:
-        """Static ``T_R`` of Eq. 3 for one packet size over ``route``."""
-        key = (route, packet_bytes)
-        cached = self._transmission.get(key)
-        if cached is None:
-            links = self.links(route)
-            cached = self._transmission[key] = packet_bytes / (
-                bottleneck_bandwidth(list(links), packet_bytes)
-            )
-        return cached
+        An interned route carries its record; any other route object
+        shares the record of its interned twin.
+        """
+        record = route._record
+        if record is not None and record.token is self._token:
+            return record
+        interned = self.route(route.gpus)
+        record = interned._record
+        if record is None:
+            record = RouteRecord(self._token, self._machine, interned.gpus)
+            object.__setattr__(interned, "_record", record)
+        return record
 
     def invalidate(self) -> None:
-        """Drop every cached quantity (link failure / fault broadcast)."""
-        self._links.clear()
-        self._static_latency.clear()
-        self._transmission.clear()
+        """Drop every record (link failure / fault broadcast).
+
+        Interned routes stay interned — a route is just its GPU tuple —
+        but lose the record they carry.
+        """
+        for route in self._routes.values():
+            if route._record is not None:
+                object.__setattr__(route, "_record", None)
 
 
 def route_cache(machine: MachineTopology) -> RouteCache:
@@ -147,7 +210,7 @@ def route_cache(machine: MachineTopology) -> RouteCache:
 
 def physical_links(machine: MachineTopology, route: Route) -> tuple[LinkSpec, ...]:
     """Expand a GPU-level route into the physical links it traverses."""
-    return route_cache(machine).links(route)
+    return route_cache(machine).record(route).links
 
 
 def route_min_bandwidth(machine: MachineTopology, route: Route) -> float:
@@ -167,7 +230,7 @@ def route_link_count(machine: MachineTopology, route: Route) -> int:
 
 def route_static_latency(machine: MachineTopology, route: Route) -> float:
     """Sum of static link latencies along the route, seconds."""
-    return route_cache(machine).static_latency(route)
+    return route_cache(machine).record(route).static_latency
 
 
 class RouteEnumerator:
@@ -212,7 +275,6 @@ class RouteEnumerator:
         self._version = 0
         self._memo: dict[tuple[int, int], tuple[Route, ...]] = {}
         self._raw_memo: dict[tuple[int, int], tuple[Route, ...]] = {}
-        self._direct: dict[tuple[int, int], Route] = {}
 
     @property
     def machine(self) -> MachineTopology:
@@ -316,7 +378,8 @@ class RouteEnumerator:
         cached = self._raw_memo.get((src, dst))
         if cached is not None:
             return cached
-        found: list[Route] = [Route((src, dst))]
+        intern = self._cache.route
+        found: list[Route] = [intern((src, dst))]
         allowed = set(self._allowed)
         adjacency = {
             g: [n for n in self._machine.nvlink_neighbors(g) if n in allowed]
@@ -331,7 +394,7 @@ class RouteEnumerator:
                     continue
                 if neighbor == dst:
                     if len(path) > 1:  # direct NVLink route already added
-                        found.append(Route(tuple(path) + (dst,)))
+                        found.append(intern(tuple(path) + (dst,)))
                     continue
                 path.append(neighbor)
                 extend(path)
@@ -344,8 +407,4 @@ class RouteEnumerator:
         return result
 
     def direct_route(self, src: int, dst: int) -> Route:
-        key = (src, dst)
-        cached = self._direct.get(key)
-        if cached is None:
-            cached = self._direct[key] = Route(key)
-        return cached
+        return self._cache.route((src, dst))

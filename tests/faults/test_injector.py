@@ -325,3 +325,52 @@ def test_injector_counts_injections(dgx1):
     ).run(flows, AdaptiveArmPolicy())
     assert report.faults_injected == len(plan)
     assert report.delivered_bytes == flows.total_bytes
+
+
+def test_degrade_window_leaves_no_phantom_committed_load():
+    """Regression: a packet routed while its link sagged and submitted
+    after the restore must hand back exactly the load it committed.
+
+    Clearing the reservation at the restored bandwidth left about one
+    packet's service time of ``committed_load`` behind — above the
+    broadcast quantum — so the routing metric kept charging the link
+    for the rest of the run."""
+    from repro.sim.fabric import Fabric
+    from repro.sim.gpusim import Packet
+    from repro.sim.shuffle import ShuffleGroup
+    from repro.topology import dgx1_topology
+
+    machine = dgx1_topology.__wrapped__()
+    config = small_config()
+    plan = FaultPlan(
+        name="sag",
+        events=(
+            FaultEvent(kind=FaultKind.LINK_DEGRADE, at=0.0, src=0, dst=1,
+                       duration=1e-3, magnitude=0.5),
+        ),
+    )
+    fabric = Fabric(machine, config)
+    fabric.bind_faults(plan, set(machine.gpu_ids))
+    group = ShuffleGroup(
+        fabric, (0, 1), FlowMatrix(), AdaptiveArmPolicy(), faults=plan
+    )
+    group.start()
+    channel = fabric.links[machine.hop_path(0, 1)[0].link_id]
+    fabric.engine.run(until=0.5e-3)
+    assert channel.bandwidth_scale == 0.5
+    packet = Packet(
+        flow_src=0,
+        flow_dst=1,
+        payload_bytes=2 * MB,
+        header_bytes=config.header_bytes,
+        route=group.enumerator.direct_route(0, 1),
+        sequence=0,
+    )
+    node = group.nodes[0]
+    node._commit_route(packet)
+    assert channel.committed_load > 0.0
+    fabric.engine.run(until=2e-3)
+    assert channel.bandwidth_scale == 1.0
+    node._fulfill_link(packet, channel)
+    assert channel.committed_load == 0.0
+    assert not packet.pending_links
