@@ -9,8 +9,6 @@ the reproduction targets, and the benchmark drivers assert them.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.baselines import DPRJJoin, UMJJoin
 from repro.bench.harness import (
     BENCH_REAL_TUPLES,
@@ -21,9 +19,9 @@ from repro.bench.harness import (
 )
 from repro.core import MGJoin, MGJoinConfig
 from repro.core.assignment import assign_partitions
-from repro.core.compression import build_compression_model
+from repro.core.compression import shard_compression_model
 from repro.core.global_partition import plan_flows
-from repro.core.histogram import build_histograms, max_partitions, partition_of
+from repro.core.histogram import build_histograms, max_partitions
 from repro.relational import (
     DPRJQueryEngine,
     MGJoinQueryEngine,
@@ -79,9 +77,9 @@ def _assignment_flows(
     partitions = max_partitions(V100)
     histograms = build_histograms(workload.r, workload.s, partitions)
     assignment = assign_partitions(histograms, machine)
-    shard = workload.r.shard(gpu_ids[0])
-    order = np.argsort(partition_of(shard.keys, partitions), kind="stable")
-    model = build_compression_model(compression, partitions, shard.ids[order])
+    model = shard_compression_model(
+        workload.r.shard(gpu_ids[0]), partitions, compression
+    )
     return plan_flows(histograms, assignment, model, workload.logical_scale)
 
 

@@ -24,6 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.histogram import partition_of
+from repro.core.local_partition import stable_bucket_order
+from repro.core.relation import GpuShard
+
 _BITS_HEADER_BYTES = 1 + 4  # per block: bit width byte + uint32 block min
 _BLOCK_COUNT_BYTES = 4
 
@@ -164,3 +168,25 @@ def build_compression_model(
         key_bits_elided=key_bits,
         id_bytes_per_tuple=id_bytes,
     )
+
+
+def shard_compression_model(
+    shard: GpuShard,
+    num_partitions: int,
+    enabled: bool,
+    block_bytes: int = 8192,
+) -> CompressionModel:
+    """Build the byte model from one shard's ids in partition order.
+
+    Ids travel grouped by global partition, so the codec is measured on
+    the shard's ids stably ordered by partition id.  With compression
+    disabled the sample is never read and is not built.
+    """
+    sample_ids = np.empty(0, dtype=np.uint32)
+    if enabled:
+        partition_bits = (num_partitions - 1).bit_length()
+        order = stable_bucket_order(
+            partition_of(shard.keys, num_partitions), partition_bits
+        )
+        sample_ids = shard.ids[order]
+    return build_compression_model(enabled, num_partitions, sample_ids, block_bytes)

@@ -24,6 +24,7 @@ from repro.core.assignment import (
 )
 from repro.core.compression import CompressionModel
 from repro.core.histogram import HistogramSet, partition_of
+from repro.core.local_partition import stable_bucket_order
 from repro.core.relation import DistributedRelation, GpuShard
 from repro.sim.shuffle import FlowMatrix
 
@@ -94,6 +95,7 @@ def execute_distribution(
 
     broadcast_partitions = np.nonzero(assignment.broadcast_side != NO_BROADCAST)[0]
     broadcast_set = set(int(p) for p in broadcast_partitions)
+    dest_bits = len(gpu_ids).bit_length()
 
     for relation, received, moving_marker in (
         (r, received_r, BROADCAST_R),
@@ -102,13 +104,17 @@ def execute_distribution(
         for src in gpu_ids:
             shard = relation.shard(src)
             pids = partition_of(shard.keys, num_partitions)
-            # Single-owner partitions: scatter by owner GPU.
-            dest_positions = owner_map[pids]
+            # Single-owner partitions: one stable order by owner GPU, then
+            # one contiguous slice per owner.  Destination 0 marks the
+            # broadcast partitions, which are handled below.
+            destinations = owner_map[pids] + 1
+            order = stable_bucket_order(destinations, dest_bits)
+            bounds = np.cumsum(np.bincount(destinations, minlength=len(gpu_ids) + 1))
+            keys, ids = shard.keys[order], shard.ids[order]
             for dst_pos, dst in enumerate(gpu_ids):
-                mask = dest_positions == dst_pos
-                if not np.any(mask):
-                    continue
-                received[dst].append(GpuShard(shard.keys[mask], shard.ids[mask]))
+                start, end = bounds[dst_pos], bounds[dst_pos + 1]
+                if start < end:
+                    received[dst].append(GpuShard(keys[start:end], ids[start:end]))
             # Broadcast partitions: this relation either moves to every
             # owner (if it is the broadcast side) or stays put on the
             # owners (if it is the kept side).

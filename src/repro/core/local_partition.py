@@ -69,6 +69,22 @@ class LocalPartitions:
         return int(np.diff(self.boundaries).max())
 
 
+def stable_bucket_order(ids: np.ndarray, bits: int) -> np.ndarray:
+    """``np.argsort(ids, kind="stable")`` for ids in ``[0, 2**bits)``.
+
+    ``bits`` may be at most 32.  The ids are sorted as ``uint16`` digits,
+    which numpy's stable sort handles with an O(n) radix sort: the low
+    16 bits first, then the high bits through that order.  Each pass is
+    stable, so equal ids keep their input order, and the two passes
+    together order by the full id (least-significant-digit radix sort).
+    """
+    order = np.argsort(ids.astype(np.uint16), kind="stable")
+    if bits <= 16:
+        return order
+    high = (ids >> 16).astype(np.uint16)[order]
+    return order[np.argsort(high, kind="stable")]
+
+
 def refine(shard: GpuShard, global_bits: int, passes: int, fanout: int) -> LocalPartitions:
     """Bucket a shard by ``global_bits + passes*log2(fanout)`` key bits."""
     if fanout & (fanout - 1):
@@ -76,10 +92,15 @@ def refine(shard: GpuShard, global_bits: int, passes: int, fanout: int) -> Local
     bucket_bits = global_bits + passes * int(math.log2(fanout))
     bucket_bits = min(bucket_bits, 32)
     mask = np.uint32((1 << bucket_bits) - 1) if bucket_bits < 32 else np.uint32(0xFFFFFFFF)
-    buckets = (shard.keys & mask).astype(np.int64)
-    order = np.argsort(buckets, kind="stable")
+    buckets = shard.keys & mask
+    order = stable_bucket_order(buckets, bucket_bits)
     sorted_buckets = buckets[order]
-    bucket_ids, starts = np.unique(sorted_buckets, return_index=True)
+    # A bucket starts wherever the sorted id changes (and at row 0).
+    is_start = np.empty(len(sorted_buckets), dtype=bool)
+    is_start[:1] = True
+    np.not_equal(sorted_buckets[1:], sorted_buckets[:-1], out=is_start[1:])
+    starts = np.flatnonzero(is_start)
+    bucket_ids = sorted_buckets[starts].astype(np.int64)
     boundaries = np.append(starts, len(sorted_buckets))
     return LocalPartitions(
         shard=shard,

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.core.assignment import PartitionAssignment, assign_partitions
-from repro.core.compression import CompressionModel, build_compression_model
+from repro.core.compression import CompressionModel, shard_compression_model
 from repro.core.config import MGJoinConfig
 from repro.core.global_partition import (
     DistributedData,
@@ -531,13 +531,10 @@ class MGJoin:
     def _compression_model(
         self, workload: JoinWorkload, num_partitions: int
     ) -> CompressionModel:
-        sample_gpu = workload.gpu_ids[0]
-        shard = workload.r.shard(sample_gpu)
-        order = np.argsort(partition_of(shard.keys, num_partitions), kind="stable")
-        return build_compression_model(
+        return shard_compression_model(
+            workload.r.shard(workload.gpu_ids[0]),
+            num_partitions,
             enabled=self.config.compression,
-            num_partitions=num_partitions,
-            sample_ids=shard.ids[order],
             block_bytes=self.config.compression_block_bytes,
         )
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.local_partition import LocalPartitions
+from repro.core.local_partition import LocalPartitions, stable_bucket_order
 from repro.core.relation import GpuShard
 
 
@@ -108,7 +108,7 @@ def join_shards_hash(
     if not materialize:
         return total
     # Group build-side row ids by key for expansion.
-    build_order = np.argsort(inverse, kind="stable")
+    build_order = stable_bucket_order(inverse, (len(unique_keys) - 1).bit_length())
     group_starts = np.cumsum(counts) - counts
     r_ids = np.repeat(r.ids, per_probe)
     offsets = np.repeat(group_starts[slot], per_probe)
@@ -164,12 +164,15 @@ def probe_partitions(
     result = ProbeResult()
     if r_parts.num_buckets == 0 or s_parts.num_buckets == 0:
         return result.finalize(materialize)
-    shared, r_pos, _ = np.intersect1d(
-        r_parts.bucket_ids, s_parts.bucket_ids, return_indices=True
-    )
-    if len(shared) == 0:
+    # Both bucket-id arrays are sorted and unique: R bucket i is shared
+    # exactly when S holds its id at the insertion slot.
+    s_bucket_ids = s_parts.bucket_ids
+    slot = np.searchsorted(s_bucket_ids, r_parts.bucket_ids)
+    np.minimum(slot, len(s_bucket_ids) - 1, out=slot)
+    r_pos = np.flatnonzero(s_bucket_ids[slot] == r_parts.bucket_ids)
+    if len(r_pos) == 0:
         return result.finalize(materialize)
-    result.buckets_probed = len(shared)
+    result.buckets_probed = len(r_pos)
     r_shard, s_shard = r_parts.shard, s_parts.shard
     # Bucket-grouped views (the order the bucketed loop would visit).
     r_rows = r_parts.order

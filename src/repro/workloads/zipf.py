@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.local_partition import stable_bucket_order
+
 
 def zipf_weights(num_items: int, z: float) -> np.ndarray:
     """Normalized finite-Zipf probabilities for ranks ``1..num_items``.
@@ -33,18 +35,21 @@ def zipf_sample(
     Implements exactly what ``rng.choice(num_items, size, p=weights)``
     does — renormalized CDF, ``size`` uniform draws, right-bisection —
     consuming the identical RNG stream, so samples are bit-for-bit
-    what ``choice`` would return.  The uniforms are bisected in sorted
-    order (then scattered back) because a monotone query sequence
-    walks the CDF cache-coherently; with 64K keys that makes the
-    lookup ~3.5x faster than ``choice``'s as-drawn order.
+    what ``choice`` would return.  The uniforms are bisected in
+    bucket-sorted order (then scattered back) because a near-monotone
+    query sequence walks the CDF cache-coherently; with 64K keys that
+    makes the lookup ~3.5x faster than ``choice``'s as-drawn order.
     """
     if size < 0:
         raise ValueError("size must be non-negative")
-    weights = zipf_weights(num_items, z)
-    cdf = weights.cumsum()
+    # Keep only the CDF: the weights would otherwise sit beside the
+    # draws and the sort's scratch at the peak of a large sample.
+    cdf = zipf_weights(num_items, z).cumsum()
     cdf /= cdf[-1]
     uniforms = rng.random(size)
-    order = np.argsort(uniforms, kind="stable")
+    # Any visit order gives the same ranks; bucketing the uniforms by
+    # their top 16 bits is monotone enough for the walk and O(n).
+    order = stable_bucket_order((uniforms * 65536).astype(np.uint16), 16)
     ranks = np.empty(size, dtype=np.int64)
     ranks[order] = cdf.searchsorted(uniforms[order], side="right")
     return ranks

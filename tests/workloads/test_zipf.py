@@ -72,3 +72,16 @@ class TestPartitionCounts:
             zipf_partition_counts(8, 999, 0.7),
             zipf_partition_counts(8, 999, 0.7),
         )
+
+
+@pytest.mark.parametrize("z", [0.25, 0.5, 1.0, 1.5])
+@pytest.mark.parametrize("size", [1, 1000, 2**16 + 3])
+@pytest.mark.parametrize("num_items", [7, 1 << 16])
+def test_matches_rng_choice(z, size, num_items):
+    """Same draws as ``Generator.choice`` from a same-seeded generator."""
+    sample = zipf_sample(num_items, size, z, np.random.default_rng(size))
+    expected = np.random.default_rng(size).choice(
+        num_items, size, p=zipf_weights(num_items, z)
+    )
+    assert sample.dtype == expected.dtype
+    assert np.array_equal(sample, expected)
