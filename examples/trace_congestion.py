@@ -2,10 +2,11 @@
 """Congestion forensics: watch routing policies fight over links.
 
 Runs the same 8-GPU distribution step under direct and adaptive routing
-with tracing enabled, then prints a terminal Gantt chart of the busiest
-links.  Under direct routing the QPI link is a wall of '#' while NVLink
-links sit idle; the adaptive policy's chart is short and uniformly
-dense — the Figure 8 story, visualized.
+with a link timeline sampler attached, then prints a terminal link×time
+utilization heatmap of the busiest links.  Under direct routing the QPI
+link is a wall of saturated cells while NVLink links sit idle; the
+adaptive policy's map is short and uniformly dense — the Figure 8
+story, visualized.
 
 Usage::
 
@@ -19,7 +20,7 @@ from repro import (
     ShuffleSimulator,
     dgx1_topology,
 )
-from repro.sim import Tracer
+from repro.obs.analyze import LinkTimelineSampler, ascii_heatmap
 
 
 def main() -> None:
@@ -28,14 +29,14 @@ def main() -> None:
     flows = FlowMatrix.all_to_all(gpu_ids, 512 * 1024 * 1024)
 
     for policy in (DirectPolicy(), AdaptiveArmPolicy()):
-        tracer = Tracer()
-        report = ShuffleSimulator(machine, gpu_ids, tracer=tracer).run(
+        sampler = LinkTimelineSampler()
+        report = ShuffleSimulator(machine, gpu_ids, sampler=sampler).run(
             flows, policy
         )
         print(f"=== {policy.name}: {report.elapsed * 1e3:.1f} ms, "
               f"{report.throughput / 1e9:.0f} GB/s, "
               f"{report.bisection_utilization * 100:.0f}% bisection ===")
-        print(tracer.ascii_gantt(width=64, top=10))
+        print(ascii_heatmap(sampler.timeline(num_buckets=64), top=10))
 
 
 if __name__ == "__main__":

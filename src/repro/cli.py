@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--gantt", action="store_true",
-        help="print the terminal Gantt chart of the busiest links",
+        help="print the link×time utilization heatmap of the busiest links",
     )
 
     analyze = commands.add_parser(
@@ -891,18 +891,19 @@ def _cmd_shuffle(args) -> int:
 def _cmd_trace(args) -> int:
     """One fully-observed shuffle: every exporter exercised."""
     from repro.obs import Observer
-    from repro.sim.trace import Tracer
+    from repro.obs.analyze import LinkTimelineSampler, ascii_heatmap
 
     machine = MACHINES[args.machine]()
     gpu_ids = _select_gpus(machine, args.gpus)
     flows = FlowMatrix.all_to_all(gpu_ids, args.bytes_per_flow)
     policy = POLICIES[args.policy]()
     observer = Observer()
+    sampler = LinkTimelineSampler() if args.gantt else None
     # Route the per-link trace into the same span store so the Chrome
     # export shows each link's transfers as its own timeline lane.
-    tracer = Tracer(spans=observer.spans)
     report = ShuffleSimulator(
-        machine, gpu_ids, tracer=tracer, observer=observer
+        machine, gpu_ids, tracer=observer.spans, observer=observer,
+        sampler=sampler,
     ).run(flows, policy)
     print(f"policy   : {report.policy_name}")
     print(f"payload  : {report.payload_bytes / 1e9:.2f} GB")
@@ -913,11 +914,11 @@ def _cmd_trace(args) -> int:
         f" (a->b {report.bisection_utilization_ab * 100:.1f}%"
         f" / b->a {report.bisection_utilization_ba * 100:.1f}%)"
     )
-    if tracer.dropped_events:
-        print(f"WARNING  : {tracer.dropped_events} trace events dropped")
-    if args.gantt:
+    if observer.spans.dropped:
+        print(f"WARNING  : {observer.spans.dropped} trace events dropped")
+    if sampler is not None:
         print()
-        print(tracer.ascii_gantt(), end="")
+        print(ascii_heatmap(sampler.timeline()), end="")
     from repro.obs import run_metadata
 
     metadata = run_metadata(

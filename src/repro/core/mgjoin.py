@@ -583,12 +583,8 @@ class MGJoin:
         shuffle_config = self._shuffle_config(
             flows, gpu_ids, global_pass_time, compression
         )
-        tracer = None
-        if self.observer is not None:
-            # Per-link transfer lanes merge into the pipeline trace.
-            from repro.sim.trace import Tracer
-
-            tracer = Tracer(spans=self.observer.spans)
+        # Per-link transfer lanes merge into the pipeline trace.
+        tracer = self.observer.spans if self.observer is not None else None
         simulator = ShuffleSimulator(
             self.machine, gpu_ids, shuffle_config, tracer=tracer,
             observer=self.observer, sampler=self.sampler, faults=self.faults,

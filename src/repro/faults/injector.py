@@ -8,7 +8,8 @@ out to the flow groups registered with it
 
 * scaling :attr:`LinkChannel.bandwidth_scale` (degradation),
 * toggling :meth:`LinkChannel.take_down` / :meth:`bring_up` (blackouts
-  and permanent failures — in-flight transfers are lost),
+  and permanent failures — in-flight transfers are lost; each real
+  transition is streamed as ``link.down`` / ``link.up``),
 * invalidating routes via :meth:`RouteEnumerator.fail_link` (permanent
   failures and GPU crashes),
 * slowing a GPU's injection/consumption rates (stragglers),
@@ -217,18 +218,10 @@ class FaultInjector:
                 self._board.publish_fault(channel.spec.link_id, penalty)
         elif kind is FaultKind.LINK_BLACKOUT:
             for channel in self._link_pair(event):
-                channel.take_down()
-                channel.fault_penalty = LINK_DOWN_PENALTY
-                self._board.publish_fault(
-                    channel.spec.link_id, LINK_DOWN_PENALTY
-                )
+                self._take_down(channel)
         elif kind is FaultKind.LINK_FAIL:
             for channel in self._link_pair(event):
-                channel.take_down()
-                channel.fault_penalty = LINK_DOWN_PENALTY
-                self._board.publish_fault(
-                    channel.spec.link_id, LINK_DOWN_PENALTY
-                )
+                self._take_down(channel)
                 self._fail_link_everywhere(channel.spec.link_id)
         elif kind is FaultKind.GPU_STRAGGLER:
             for nodes, _enumerator, _coordinator in self._groups:
@@ -237,11 +230,7 @@ class FaultInjector:
         elif kind is FaultKind.GPU_CRASH:
             self.crashed_gpus.add(event.gpu)
             for channel in self._gpu_channels(event.gpu):
-                channel.take_down()
-                channel.fault_penalty = LINK_DOWN_PENALTY
-                self._board.publish_fault(
-                    channel.spec.link_id, LINK_DOWN_PENALTY
-                )
+                self._take_down(channel)
                 self._fail_link_everywhere(channel.spec.link_id)
             for nodes, _enumerator, coordinator in self._groups:
                 # Join-level recovery: the crash is a real compute loss
@@ -268,7 +257,8 @@ class FaultInjector:
                 self._board.publish_fault(channel.spec.link_id, 0.0)
         elif kind is FaultKind.LINK_BLACKOUT:
             for channel in self._link_pair(event):
-                channel.bring_up()
+                if channel.bring_up():
+                    self._emit_link("link.up", channel)
                 channel.fault_penalty = 0.0
                 self._board.publish_fault(channel.spec.link_id, 0.0)
         elif kind is FaultKind.GPU_STRAGGLER:
@@ -336,6 +326,26 @@ class FaultInjector:
         ):
             attrs["magnitude"] = event.magnitude
         return attrs
+
+    def _take_down(self, channel: "LinkChannel") -> None:
+        """Take one link down and broadcast its down penalty."""
+        if channel.take_down():
+            self._emit_link("link.down", channel)
+        channel.fault_penalty = LINK_DOWN_PENALTY
+        self._board.publish_fault(channel.spec.link_id, LINK_DOWN_PENALTY)
+
+    def _emit_link(self, name: str, channel: "LinkChannel") -> None:
+        """Stream one link health transition (``link.down``/``link.up``)."""
+        observer = self._observer
+        if observer is None or observer.stream is None:
+            return
+        observer.stream.emit(
+            name,
+            t=self._engine.now,
+            clock="sim",
+            link=channel.spec.link_id,
+            label=str(channel.spec),
+        )
 
     def _emit(self, name: str, event: FaultEvent) -> None:
         observer = self._observer

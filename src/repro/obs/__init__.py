@@ -4,7 +4,7 @@ One :class:`Observer` bundles the two measurement surfaces of a run —
 a :class:`~repro.obs.spans.SpanTracer` (where time goes) and a
 :class:`~repro.obs.metrics.MetricsRegistry` (how much of what moved) —
 and is threaded through the join orchestrator, the shuffle simulator,
-the link channels and the routing policies::
+the fabric and the routing policies::
 
     from repro import MGJoin, Observer, dgx1_topology
     from repro.obs.export import write_chrome_trace
@@ -76,7 +76,10 @@ class Observer:
       predicted ``T_R``/``D_R``.
 
     Both default to ``None`` and every hook guards on that, so a run
-    without them pays nothing.
+    without them pays nothing.  The simulator reports link and packet
+    activity to the probe through the fabric's recorder tuple
+    (:class:`~repro.sim.fabric.Fabric`); per-link and board metrics are
+    written once per run by :meth:`~repro.sim.fabric.Fabric.export_metrics`.
     """
 
     enabled = True

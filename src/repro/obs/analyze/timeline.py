@@ -179,8 +179,6 @@ class LinkTimelineSampler:
         self._queue_delays = {}
         self.deliveries = []
         self.probe_count = 0
-        for channel in links.values():
-            channel.sampler = self
         if self.sample_interval is not None:
             engine.every(self.sample_interval, self._probe)
 

@@ -89,6 +89,12 @@ class ConformanceProbe:
         """Arm the probe for one injected packet."""
         self._pending[id(packet)] = prediction
 
+    def record_queue(self, channel) -> None:
+        """Link queue changes carry no prediction to close (no-op)."""
+
+    def record_transfer(self, channel, submit, start, end, nbytes) -> None:
+        """Link transfers carry no prediction to close (no-op)."""
+
     def record_delivery(self, packet, now: float) -> None:
         """Close the loop for a delivered packet (no-op if unregistered)."""
         entry = self._pending.pop(id(packet), None)

@@ -25,7 +25,6 @@ from repro.topology.routes import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Histogram, Observer
-    from repro.obs.analyze.timeline import LinkTimelineSampler
 
 
 @dataclass
@@ -41,8 +40,10 @@ class RoutingContext:
     #: Observability sink for route decisions and state staleness;
     #: ``None`` = off (policies must guard on it).
     observer: "Observer | None" = None
-    #: Time-resolved link/flow sampler; ``None`` = off.
-    sampler: "LinkTimelineSampler | None" = None
+    #: Link and packet activity recorders (the fabric's
+    #: :attr:`~repro.sim.fabric.Fabric.recorders`); each delivered
+    #: packet is reported to every one of them.
+    recorders: tuple = ()
     #: Cost-model conformance probe (predicted T_R/D_R vs actuals);
     #: ``None`` = off.  See :mod:`repro.obs.conformance`.
     conformance: "object | None" = None

@@ -283,6 +283,7 @@ class QueryScheduler:
         for request in self.requests:
             fabric.engine.schedule(request.arrival, self._arrive, request)
         fabric.engine.run()
+        fabric.export_metrics()
         for request in self.requests:
             entry = self._entries[request.name]
             if entry.outcome is not None:

@@ -25,7 +25,6 @@ from repro.sim.fabric import Fabric
 from repro.sim.recovery import CrashCoordinator, RecoveryConfig, RetryPolicy
 from repro.sim.shuffle import FlowMatrix, ShuffleConfig, ShuffleGroup, ShuffleSimulator
 from repro.sim.stats import LinkStats, RecoveryStats, ShuffleReport, bisection_cut
-from repro.sim.trace import TraceEvent, Tracer
 
 __all__ = [
     "ARBITRATION_MODES",
@@ -53,8 +52,6 @@ __all__ = [
     "SimEvent",
     "SimulationError",
     "Store",
-    "TraceEvent",
-    "Tracer",
     "TransportIntegrity",
     "V100",
     "bisection_cut",

@@ -3,10 +3,10 @@
 A :class:`Fabric` owns what cannot be split between concurrent flow
 groups: the event kernel, the queue-delay :class:`LinkStateBoard`, the
 link channels (optionally wrapped in per-link :class:`LinkArbiter`
-instances), the telemetry :class:`~repro.obs.stream.LinkPump` and the
-fault injector.  A solo shuffle puts one
-:class:`~repro.sim.shuffle.ShuffleGroup` on it; the serving layer puts
-one per admitted query.
+instances), the telemetry :class:`~repro.obs.stream.LinkPump`, the
+fault injector and the run's link-activity recorders.  A solo shuffle
+puts one :class:`~repro.sim.shuffle.ShuffleGroup` on it; the serving
+layer puts one per admitted query.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from repro.sim.linksim import (
     ARBITRATION_MODES,
     LinkArbiter,
     LinkChannel,
+    LinkLanes,
     LinkStateBoard,
 )
 
@@ -25,6 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
     from repro.faults.plan import FaultPlan
     from repro.obs import Observer
+    from repro.obs.spans import SpanTracer
     from repro.sim.shuffle import ShuffleConfig
     from repro.topology.machine import MachineTopology
 
@@ -32,7 +34,14 @@ __all__ = ["Fabric"]
 
 
 class Fabric:
-    """Everything concurrent flow groups share: clock, links, board, faults."""
+    """Everything concurrent flow groups share: clock, links, board, faults.
+
+    ``tracer`` is a span store that receives one ``"transfer"`` span per
+    link transfer (:class:`~repro.sim.linksim.LinkLanes`); ``sampler``
+    is a :class:`~repro.obs.analyze.LinkTimelineSampler`.  With the
+    observer's conformance probe they form :attr:`recorders`, the one
+    tuple every link channel and every GPU reports activity to.
+    """
 
     def __init__(
         self,
@@ -41,7 +50,7 @@ class Fabric:
         *,
         engine_factory=None,
         arbitration: str | None = None,
-        tracer=None,
+        tracer: "SpanTracer | None" = None,
         observer: "Observer | None" = None,
         sampler=None,
     ) -> None:
@@ -55,8 +64,6 @@ class Fabric:
         self.machine = machine
         self.config = config or ShuffleConfig()
         self.observer = observer
-        #: Link-timeline sampler (repro.obs.analyze); ``None`` = off.
-        self.sampler = sampler
         factory = engine_factory if engine_factory is not None else Engine
         self.engine: Engine = factory()
         self.board = LinkStateBoard(
@@ -64,11 +71,18 @@ class Fabric:
             broadcast_latency=self.config.broadcast_latency,
             threshold=self.config.broadcast_threshold,
             quantum=self.config.broadcast_quantum,
-            observer=observer,
+        )
+        lanes = LinkLanes(tracer) if tracer is not None else None
+        conformance = observer.conformance if observer is not None else None
+        #: Link and packet activity recorders, in call order.
+        self.recorders: tuple = tuple(
+            recorder
+            for recorder in (sampler, lanes, conformance)
+            if recorder is not None
         )
         self.links: dict[int, LinkChannel] = {
             spec.link_id: LinkChannel(
-                self.engine, spec, self.board, tracer, observer=observer
+                self.engine, spec, self.board, self.recorders
             )
             for spec in machine.links
         }
@@ -103,6 +117,29 @@ class Fabric:
             observer=self.observer,
             gpu_universe=gpu_universe,
         )
+
+    def export_metrics(self) -> None:
+        """Write the run's link and board totals to the observer's metrics.
+
+        ``link.bytes`` and ``link.transfers`` per link that carried at
+        least one transfer; ``board.broadcasts`` and ``board.suppressed``
+        when non-zero.  Called once, when the engine has drained.
+        """
+        if self.observer is None:
+            return
+        metrics = self.observer.metrics
+        for channel in self.links.values():
+            if channel.transfers:
+                label = str(channel.spec)
+                metrics.counter("link.bytes", link=label).inc(channel.bytes_sent)
+                metrics.counter("link.transfers", link=label).inc(
+                    channel.transfers
+                )
+        board = self.board
+        if board.broadcast_count:
+            metrics.counter("board.broadcasts").inc(board.broadcast_count)
+        if board.suppressed_count:
+            metrics.counter("board.suppressed").inc(board.suppressed_count)
 
     def set_priority(self, tag: int, priority: int) -> None:
         """Record one query's arbitration priority on every shared link."""

@@ -816,10 +816,8 @@ class GpuNode:
             observer.metrics.histogram("shuffle.flow_latency_seconds").observe(
                 self.engine.now - packet.created_at
             )
-        if self.context.sampler is not None:
-            self.context.sampler.record_delivery(packet, self.engine.now)
-        if self.context.conformance is not None:
-            self.context.conformance.record_delivery(packet, self.engine.now)
+        for recorder in self.context.recorders:
+            recorder.record_delivery(packet, self.engine.now)
         slot = packet.held_buffer
         if self.consume_rate is None:
             if slot is not None:

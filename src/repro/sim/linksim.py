@@ -18,6 +18,15 @@ and brought back up.  Health changes are visible immediately to the
 owning GPU through :meth:`LinkChannel.queue_delay` and to everybody
 else through :meth:`LinkStateBoard.publish_fault`, which rides the same
 propagation-delay broadcast path as queue-delay changes.
+
+Instrumentation: a channel reports link activity to its
+:attr:`LinkChannel.recorders` -- a tuple of objects with
+``record_queue(channel)``, ``record_transfer(channel, submit, start,
+end, nbytes)`` and ``record_delivery(packet, now)`` -- that the
+:class:`~repro.sim.fabric.Fabric` fills.  :class:`LinkLanes` is the
+recorder behind per-link trace lanes.  Totals the channel and the board
+already keep (bytes, transfers, broadcasts) are exported to metrics
+once per run by :meth:`~repro.sim.fabric.Fabric.export_metrics`.
 """
 
 from __future__ import annotations
@@ -30,9 +39,7 @@ from repro.sim.engine import Engine, SimEvent
 from repro.topology.links import LinkSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs import Counter, Observer
-    from repro.obs.analyze.timeline import LinkTimelineSampler
-    from repro.sim.trace import Tracer
+    from repro.obs.spans import SpanTracer
 
 
 @dataclass
@@ -42,11 +49,9 @@ class LinkChannel:
     engine: Engine
     spec: LinkSpec
     board: "LinkStateBoard | None" = None
-    tracer: "Tracer | None" = None
-    #: Metrics sink (bytes / transfers per link); ``None`` = off.
-    observer: "Observer | None" = None
-    #: Time-resolved busy/queue sampler; ``None`` = off.
-    sampler: "LinkTimelineSampler | None" = None
+    #: Link-activity recorders, told of every queue change and every
+    #: booked transfer (see the module docstring); empty = off.
+    recorders: tuple = ()
     _free_at: float = 0.0
     #: Accumulated busy (service) time, for utilization accounting.
     busy_time: float = 0.0
@@ -57,10 +62,6 @@ class LinkChannel:
     #: queues.  Included in the queue delay so the adaptive metric sees
     #: congestion building up before the wire does.
     committed_load: float = 0.0
-    #: Per-link metric instruments, created lazily on first transfer so
-    #: the label is rendered once, not per packet.
-    _bytes_counter: "Counter | None" = None
-    _transfer_counter: "Counter | None" = None
     #: Fault state (driven by :class:`repro.faults.FaultInjector`).
     #: ``bandwidth_scale`` < 1 models a degraded link; ``up=False`` a
     #: blackout or permanent failure; ``fault_penalty`` is the extra
@@ -101,8 +102,8 @@ class LinkChannel:
         self.committed_load += service
         if self.board is not None:
             self.board.publish(self)
-        if self.sampler is not None:
-            self.sampler.record_queue(self)
+        for recorder in self.recorders:
+            recorder.record_queue(self)
         return service
 
     def fulfill(self, service: float) -> None:
@@ -110,8 +111,8 @@ class LinkChannel:
         returned it) when the packet is submitted to the wire."""
         remaining = self.committed_load - service
         self.committed_load = remaining if remaining > 0.0 else 0.0
-        if self.sampler is not None:
-            self.sampler.record_queue(self)
+        for recorder in self.recorders:
+            recorder.record_queue(self)
 
     def queue_delay(self) -> float:
         """Time a packet routed over this link *now* would wait.
@@ -126,33 +127,28 @@ class LinkChannel:
             backlog += self.arbiter.queued_service
         return backlog + self.fault_penalty
 
-    def take_down(self) -> None:
-        """Start an outage: lose in-flight transfers, refuse new ones."""
-        if self.up:
-            self.up = False
-            self._outage_epoch += 1
-            if self.observer is not None and self.observer.stream is not None:
-                self.observer.stream.emit(
-                    "link.down",
-                    t=self.engine.now,
-                    clock="sim",
-                    link=self.spec.link_id,
-                    label=str(self.spec),
-                )
+    def take_down(self) -> bool:
+        """Start an outage: lose in-flight transfers, refuse new ones.
 
-    def bring_up(self) -> None:
-        """End an outage; whatever queued during it was lost, not saved."""
+        Returns whether the link was up, i.e. whether this call started
+        an outage.
+        """
+        if not self.up:
+            return False
+        self.up = False
+        self._outage_epoch += 1
+        return True
+
+    def bring_up(self) -> bool:
+        """End an outage; whatever queued during it was lost, not saved.
+
+        Returns whether the link was down, i.e. whether this call ended
+        an outage.
+        """
         was_down = not self.up
         self.up = True
         self._free_at = min(self._free_at, self.engine.now)
-        if was_down and self.observer is not None and self.observer.stream is not None:
-            self.observer.stream.emit(
-                "link.up",
-                t=self.engine.now,
-                clock="sim",
-                link=self.spec.link_id,
-                label=str(self.spec),
-            )
+        return was_down
 
     def transmit(self, nbytes: int, tag: "object | None" = None) -> SimEvent:
         """Enqueue a transfer; the event triggers at completion.
@@ -196,26 +192,8 @@ class LinkChannel:
         self.transfers += 1
         if self.board is not None:
             self.board.publish(self)
-        if self.sampler is not None:
-            self.sampler.record_transfer(self, now, start, completion, nbytes)
-        if self.tracer is not None:
-            self.tracer.record(
-                time=start,
-                duration=service,
-                kind="transfer",
-                subject=str(self.spec),
-                nbytes=nbytes,
-            )
-        if self.observer is not None:
-            if self._bytes_counter is None:
-                label = str(self.spec)
-                metrics = self.observer.metrics
-                self._bytes_counter = metrics.counter("link.bytes", link=label)
-                self._transfer_counter = metrics.counter(
-                    "link.transfers", link=label
-                )
-            self._bytes_counter.inc(nbytes)
-            self._transfer_counter.inc()
+        for recorder in self.recorders:
+            recorder.record_transfer(self, now, start, completion, nbytes)
         self.engine.schedule(
             completion - now, self._finish_transfer, event, self._outage_epoch
         )
@@ -225,6 +203,40 @@ class LinkChannel:
         if not delivered:
             self.transfers_lost += 1
         event.succeed(delivered)
+
+
+class LinkLanes:
+    """Recorder that writes each link transfer as a span on its link's lane.
+
+    Every booked transfer becomes one simulated-clock ``"transfer"``
+    span from wire start to wire end, on a track named after the link
+    and tagged ``category="link"``, so a Chrome-trace export shows one
+    timeline lane per link.  The span store's record cap bounds memory.
+    """
+
+    def __init__(self, spans: "SpanTracer") -> None:
+        self.spans = spans
+        #: link id -> lane label, rendered once per link.
+        self._labels: dict[int, str] = {}
+
+    def record_queue(self, channel: LinkChannel) -> None:
+        pass
+
+    def record_transfer(
+        self, channel: LinkChannel, submit: float, start: float, end: float,
+        nbytes: int,
+    ) -> None:
+        spec = channel.spec
+        label = self._labels.get(spec.link_id)
+        if label is None:
+            label = self._labels[spec.link_id] = str(spec)
+        self.spans.add_span(
+            "transfer", start, end, track=label, category="link",
+            bytes=nbytes, detail="",
+        )
+
+    def record_delivery(self, packet, now: float) -> None:
+        pass
 
 
 ARBITRATION_MODES = ("fair", "priority")
@@ -374,8 +386,8 @@ class LinkStateBoard:
     visible_penalty: list[float] = field(default_factory=list)
     _last_broadcast: list[float] = field(default_factory=list)
     broadcast_count: int = 0
-    #: Metrics sink (broadcast chatter, suppressed updates).
-    observer: "Observer | None" = None
+    #: Publishes that changed too little to broadcast.
+    suppressed_count: int = 0
     #: Latest broadcast value per link, applied at delivery time so a
     #: change published while an earlier broadcast is still in flight is
     #: coalesced into it rather than lost or later overwritten.
@@ -389,9 +401,6 @@ class LinkStateBoard:
     #: Heartbeat epochs piggybacked on the broadcast channel: each GPU's
     #: last announced liveness timestamp (crash-recovery detection).
     _heartbeats: dict[int, float] = field(default_factory=dict)
-    #: Observer instruments, fetched from the registry on first use.
-    _suppressed: "Counter | None" = field(default=None, init=False, repr=False)
-    _broadcasts: "Counter | None" = field(default=None, init=False, repr=False)
 
     def track(self, link_id: int) -> None:
         """Make room for every link id up to ``link_id``."""
@@ -432,26 +441,14 @@ class LinkStateBoard:
         floor = self.threshold * last_delay
         quantum = self.quantum
         if abs(new_delay - last_delay) < (quantum if quantum > floor else floor):
-            if self.observer is not None:
-                if self._suppressed is None:
-                    self._suppressed = self.observer.metrics.counter(
-                        "board.suppressed"
-                    )
-                self._suppressed.inc()
+            self.suppressed_count += 1
             return
         self._last_broadcast[link_id] = clear_at
-        self._count_broadcast()
+        self.broadcast_count += 1
         self._pending[link_id] = clear_at
         seq = self._pending_seq[link_id] + 1
         self._pending_seq[link_id] = seq
         self.engine.schedule(self.broadcast_latency, self._deliver, link_id, seq)
-
-    def _count_broadcast(self) -> None:
-        self.broadcast_count += 1
-        if self.observer is not None:
-            if self._broadcasts is None:
-                self._broadcasts = self.observer.metrics.counter("board.broadcasts")
-            self._broadcasts.inc()
 
     def _deliver(self, link_id: int, seq: int) -> None:
         # Apply the *latest* broadcast value, not the one captured when
@@ -470,7 +467,7 @@ class LinkStateBoard:
         the same propagation-delay path as queue-delay broadcasts.
         """
         self.track(link_id)
-        self._count_broadcast()
+        self.broadcast_count += 1
         self._fault_pending[link_id] = penalty
         seq = self._fault_seq[link_id] + 1
         self._fault_seq[link_id] = seq

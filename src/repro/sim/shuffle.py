@@ -197,7 +197,7 @@ class ShuffleGroup:
             board=fabric.board,
             num_gpus=len(gpu_ids),
             observer=observer,
-            sampler=fabric.sampler,
+            recorders=fabric.recorders,
             conformance=conformance,
         )
         self.recovery: RecoveryManager | None = None
@@ -408,6 +408,8 @@ class ShuffleSimulator:
         #: ``lambda: Engine(fast=False)`` to pin the all-heap
         #: reference kernel (the equivalence tests do exactly that).
         self.engine_factory = engine_factory
+        #: Span store that receives one ``"transfer"`` span per link
+        #: transfer (per-link trace lanes); ``None`` = off.
         self.tracer = tracer
         #: Observability sink (spans/metrics); ``None`` = off.
         self.observer = observer
@@ -471,6 +473,7 @@ class ShuffleSimulator:
             fabric.bind_faults(self.faults, set(group.relay_ids))
         group.start()
         engine.run()
+        fabric.export_metrics()
         conformance = (
             self.observer.conformance if self.observer is not None else None
         )

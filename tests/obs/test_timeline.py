@@ -5,7 +5,7 @@ import pytest
 from repro.obs.analyze import LinkTimelineSampler
 from repro.obs.analyze.timeline import TransferSample
 from repro.routing import DirectPolicy
-from repro.sim import FlowMatrix, ShuffleSimulator
+from repro.sim import Fabric, FlowMatrix, ShuffleSimulator
 
 MB = 1024 * 1024
 
@@ -22,7 +22,6 @@ class _StubChannel:
     def __init__(self, link_id, delay=0.0):
         self.spec = _StubSpec(link_id)
         self.delay = delay
-        self.sampler = None
 
     def queue_delay(self):
         return self.delay
@@ -54,10 +53,16 @@ def test_rejects_nonpositive_interval():
         LinkTimelineSampler(sample_interval=0.0)
 
 
-def test_bind_attaches_and_schedules_probe():
-    sampler, engine, channel = _bound_sampler(interval=1e-4)
-    assert channel.sampler is sampler
-    assert engine.scheduled and engine.scheduled[0][0] == 1e-4
+def test_bind_attaches_and_schedules_probe(dgx1):
+    sampler = LinkTimelineSampler(sample_interval=1e-4)
+    fabric = Fabric(dgx1, sampler=sampler)
+    assert fabric.links
+    assert all(sampler in channel.recorders for channel in fabric.links.values())
+    assert sampler.engine is fabric.engine
+    fabric.engine.schedule(5.5e-4, lambda: None)
+    fabric.engine.run()
+    # Five ticks before the last real event, one after it ends the chain.
+    assert sampler.probe_count == 6
 
 
 def test_bind_without_interval_schedules_nothing():

@@ -1,0 +1,335 @@
+"""Every view of link activity tells the same story.
+
+Link lanes (spans), per-link metrics, ``LinkStats``, the timeline
+sampler, the NDJSON stream and the conformance probe all see link and
+packet activity through one recorder seam.  The cross-view test checks
+that they agree with each other on one fully instrumented join; the
+golden tests pin each view's exact content on five observed runs, so a
+refactor of the seam cannot change what any view reports.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from helpers import make_workload
+from repro.core.mgjoin import MGJoin
+from repro.faults import FaultEvent, FaultKind, FaultPlan
+from repro.faults.chaos import run_chaos
+from repro.obs import Observer
+from repro.obs.analyze import LinkTimelineSampler
+from repro.obs.analyze.report import ascii_heatmap, heatmap_csv
+from repro.obs.conformance import ConformanceProbe
+from repro.obs.stream import TelemetryStream
+from repro.routing import AdaptiveArmPolicy
+from repro.serve import QueryScheduler, synthetic_requests
+from repro.sim import FlowMatrix, ShuffleSimulator
+
+MB = 1024 * 1024
+
+
+class ObservedRun:
+    """One run's observer, optional sampler and collected stream events."""
+
+    def __init__(self, *, sampler=False, stream=False, conformance=False):
+        self.observer = Observer()
+        self.sampler = LinkTimelineSampler() if sampler else None
+        self.events: list[dict] = []
+        if stream:
+            self.observer.stream = TelemetryStream(None)
+            self.observer.stream.subscribe(self.events.append)
+        if conformance:
+            self.observer.conformance = ConformanceProbe()
+        self.result = None
+
+    def lanes(self) -> list:
+        return [
+            (
+                span.span_id,
+                span.name,
+                span.start,
+                span.end,
+                span.track,
+                span.clock,
+                span.parent_id,
+                span.attrs,
+            )
+            for span in self.observer.spans.spans
+            if span.category == "link"
+        ]
+
+    def stream_events(self) -> list[dict]:
+        """Stream events with their wall-clock timestamps dropped."""
+        return [
+            {key: value for key, value in event.items() if key != "t"}
+            if event["clock"] == "wall"
+            else event
+            for event in self.events
+        ]
+
+    def digests(self) -> dict[str, str]:
+        views = {
+            "metrics": self.observer.metrics.to_json(),
+            "lanes": json.dumps(self.lanes()),
+            "stream": json.dumps(self.stream_events(), sort_keys=True),
+        }
+        if self.sampler is not None:
+            timeline = self.sampler.timeline()
+            views["heatmap"] = ascii_heatmap(timeline) + heatmap_csv(timeline)
+        return {
+            name: hashlib.sha256(text.encode("utf-8")).hexdigest()
+            for name, text in views.items()
+        }
+
+
+def join_workload(**kwargs):
+    return make_workload(num_gpus=8, real=4096, logical=1 << 25, **kwargs)
+
+
+def sampled_join(machine) -> ObservedRun:
+    """Observed, sampled, streamed, conformance-probed join."""
+    run = ObservedRun(sampler=True, stream=True, conformance=True)
+    run.result = MGJoin(
+        machine, observer=run.observer, sampler=run.sampler
+    ).run(join_workload())
+    return run
+
+
+def plain_join(machine) -> ObservedRun:
+    run = ObservedRun()
+    run.result = MGJoin(machine, observer=run.observer).run(
+        join_workload(key_zipf=1.0, seed=7)
+    )
+    return run
+
+
+def blackout_chaos(machine) -> ObservedRun:
+    run = ObservedRun(stream=True)
+    run.result = run_chaos(
+        machine, join_workload(), "link-blackout", observer=run.observer
+    )
+    return run
+
+
+def skewed_shuffle(machine) -> ObservedRun:
+    run = ObservedRun(sampler=True, conformance=True)
+    gpu_ids = tuple(machine.gpu_ids)[:8]
+    flows = FlowMatrix()
+    for src in gpu_ids:
+        for dst in gpu_ids:
+            if src != dst:
+                flows.add(src, dst, 24 * MB if dst == gpu_ids[0] else 4 * MB)
+    run.result = ShuffleSimulator(
+        machine, gpu_ids, observer=run.observer, sampler=run.sampler
+    ).run(flows, AdaptiveArmPolicy())
+    return run
+
+
+def served_queries(machine) -> ObservedRun:
+    run = ObservedRun(stream=True)
+    run.result = QueryScheduler(
+        machine,
+        synthetic_requests(4, gpus=4, tuples=1024),
+        policy_factory=AdaptiveArmPolicy,
+        max_in_flight=2,
+        arbitration="fair",
+        observer=run.observer,
+    ).run()
+    return run
+
+
+RUNS = {
+    "sampled-join": sampled_join,
+    "plain-join": plain_join,
+    "blackout-chaos": blackout_chaos,
+    "skewed-shuffle": skewed_shuffle,
+    "served-queries": served_queries,
+}
+
+#: sha256 of each view, recorded before link activity moved onto the
+#: recorder seam.  A mismatch means a view's content changed.
+GOLDEN: dict[str, dict[str, str]] = {
+    "sampled-join": {
+        "metrics": (
+            "eea3662f02823b6ba70432fa6a83b1e5"
+            "1ad1c67c140f83f954be383c0598bbb4"
+        ),
+        "lanes": (
+            "405ad3f609180c426586a51683475690"
+            "4a0330948aac5d5c46e1bf8853bd082a"
+        ),
+        "stream": (
+            "db1c5719cfea12361f819a4c63862ea1"
+            "9d5ff992743983e0c931fa53768f8efd"
+        ),
+        "heatmap": (
+            "3d70b9151475fe69bb08749331ccad10"
+            "c88a88e385e1c8c16efa225c33fb7ca1"
+        ),
+    },
+    "plain-join": {
+        "metrics": (
+            "0727e261afeacc151da6e271aa23a594"
+            "c28593cbeecad491fa7475b240ff0ed2"
+        ),
+        "lanes": (
+            "ce9ac896c829f78bd9e4a885fa2ec97a"
+            "c631a31cc4231a9d4042987d78dc09fc"
+        ),
+        "stream": (
+            "4f53cda18c2baa0c0354bb5f9a3ecbe5"
+            "ed12ab4d8e11ba873c2f11161202b945"
+        ),
+    },
+    "blackout-chaos": {
+        "metrics": (
+            "e62e9162329ec3b539adc7a8a8dafa3b"
+            "ef2c089851f4d60c5bc3077e2b863e79"
+        ),
+        "lanes": (
+            "9bf2acee513df954eb94f1a7aca858a0"
+            "66567f28bf0b9b7207833d05a1195397"
+        ),
+        "stream": (
+            "2d358f22d7ea602c030aa5f918dfe1d8"
+            "9eec5e02211e599442576f65b6cf82aa"
+        ),
+    },
+    "skewed-shuffle": {
+        "metrics": (
+            "82f6b8dc9085d3381e3ad91b7f94419d"
+            "f891e37e8ea3009c1418617d41cd9b5a"
+        ),
+        "lanes": (
+            "4f53cda18c2baa0c0354bb5f9a3ecbe5"
+            "ed12ab4d8e11ba873c2f11161202b945"
+        ),
+        "stream": (
+            "4f53cda18c2baa0c0354bb5f9a3ecbe5"
+            "ed12ab4d8e11ba873c2f11161202b945"
+        ),
+        "heatmap": (
+            "29c976b8c9a0f2cb4b9f4f8d5503c45e"
+            "c6987979bdec9274fbd9b63db2139f42"
+        ),
+    },
+    "served-queries": {
+        "metrics": (
+            "86ae3beb0c6895c0a54a38888d042bf1"
+            "b886309d775cc6a827f87df29c425c3b"
+        ),
+        "lanes": (
+            "4f53cda18c2baa0c0354bb5f9a3ecbe5"
+            "ed12ab4d8e11ba873c2f11161202b945"
+        ),
+        "stream": (
+            "66a267602b1c4ca792721b0539f67160"
+            "5845092b50b47253473b76042b5c483c"
+        ),
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def observed(dgx1):
+    """Each run of :data:`RUNS`, simulated once on first use."""
+    cache: dict[str, ObservedRun] = {}
+
+    def get(name: str) -> ObservedRun:
+        if name not in cache:
+            cache[name] = RUNS[name](dgx1)
+        return cache[name]
+
+    return get
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_views_match_golden(observed, name):
+    assert observed(name).digests() == GOLDEN[name]
+
+
+def test_link_views_agree(observed):
+    run = observed("sampled-join")
+    report = run.result.shuffle_report
+    metrics = run.observer.metrics
+    sampler = run.sampler
+    lane_bytes: dict[str, int] = {}
+    lane_count: dict[str, int] = {}
+    lane_busy: dict[str, float] = {}
+    for span in run.observer.spans.find("transfer", category="link"):
+        lane_bytes[span.track] = lane_bytes.get(span.track, 0) + span.attrs["bytes"]
+        lane_count[span.track] = lane_count.get(span.track, 0) + 1
+        lane_busy[span.track] = lane_busy.get(span.track, 0.0) + span.duration
+    assert sum(lane_bytes.values()) == report.wire_bytes > 0
+    horizon = max(span.end for span in run.observer.spans.find(category="link"))
+    assert horizon == pytest.approx(report.elapsed, rel=0.05)
+    active = set()
+    for stats in report.link_stats.values():
+        label = str(stats.spec)
+        samples = sampler.transfers.get(stats.spec.link_id, ())
+        sampled_bytes = sum(sample.nbytes for sample in samples)
+        assert (
+            lane_bytes.get(label, 0)
+            == metrics.value("link.bytes", link=label)
+            == stats.bytes_sent
+            == sampled_bytes
+        ), label
+        assert (
+            lane_count.get(label, 0)
+            == metrics.value("link.transfers", link=label)
+            == stats.transfers
+            == len(samples)
+        ), label
+        assert lane_busy.get(label, 0.0) == pytest.approx(stats.busy_time)
+        if stats.transfers:
+            active.add(label)
+    assert set(lane_bytes) == active
+    assert metrics.value("board.broadcasts") == metrics.value(
+        "shuffle.board_broadcasts"
+    ) > 0
+    assert metrics.value("board.suppressed") > 0
+    deliveries = metrics.histogram("shuffle.flow_latency_seconds").count
+    assert len(sampler.deliveries) == deliveries > 0
+    assert run.observer.conformance.count == deliveries
+
+
+def test_link_events_fire_only_on_transitions(dgx1):
+    """Overlapping blackouts on one link pair: the inner blackout finds
+    the links already down and its late restore finds them already up,
+    so each direction reports exactly one ``link.down`` and one
+    ``link.up``."""
+    gpu_ids = (0, 1, 2, 3)
+    flows = FlowMatrix.all_to_all(gpu_ids, 8 * MB)
+    healthy = ShuffleSimulator(dgx1, gpu_ids).run(flows, AdaptiveArmPolicy())
+    horizon = healthy.elapsed
+    plan = FaultPlan(
+        name="nested-blackouts",
+        events=(
+            FaultEvent(
+                kind=FaultKind.LINK_BLACKOUT, at=0.1 * horizon, src=0, dst=1,
+                duration=0.2 * horizon,
+            ),
+            FaultEvent(
+                kind=FaultKind.LINK_BLACKOUT, at=0.15 * horizon, src=0, dst=1,
+                duration=0.5 * horizon,
+            ),
+        ),
+    )
+    run = ObservedRun(stream=True)
+    ShuffleSimulator(
+        dgx1, gpu_ids, observer=run.observer, faults=plan
+    ).run(flows, AdaptiveArmPolicy())
+    transitions = [
+        (event["type"], event["link"], event["t"])
+        for event in run.events
+        if event["type"] in ("link.down", "link.up")
+    ]
+    downs = [t for t in transitions if t[0] == "link.down"]
+    ups = [t for t in transitions if t[0] == "link.up"]
+    assert len(downs) == len(ups) == 2
+    assert {link for _, link, _ in downs} == {link for _, link, _ in ups}
+    assert all(t == pytest.approx(0.1 * horizon) for _, _, t in downs)
+    assert all(t == pytest.approx(0.3 * horizon) for _, _, t in ups)
