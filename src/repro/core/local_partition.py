@@ -14,8 +14,8 @@ what the cost model charges for.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,33 +26,66 @@ def passes_needed(partition_tuples: int, fanout: int, target_tuples: int) -> int
     """Local passes required to shrink one partition below target.
 
     ``partition_tuples`` should be the *smaller* co-partition side: the
-    probe only needs one side resident in shared memory.
+    probe only needs one side resident in shared memory.  Each pass
+    divides the partition by the fan-out (uniform radix), so the answer
+    is the smallest ``k`` with ``target_tuples * fanout**k >=
+    partition_tuples``, found in exact integer arithmetic.
     """
     if fanout < 2:
         raise ValueError("fanout must be >= 2")
     if target_tuples < 1:
         raise ValueError("target_tuples must be positive")
-    if partition_tuples <= target_tuples:
-        return 0
-    # Each pass divides the partition by the fan-out (uniform radix).
-    ratio = partition_tuples / target_tuples
-    return max(1, math.ceil(math.log(ratio, fanout)))
+    passes, capacity = 0, target_tuples
+    while capacity < partition_tuples:
+        capacity *= fanout
+        passes += 1
+    return passes
+
+
+def bucket_mask(bucket_bits: int) -> np.uint32:
+    """The low-``bucket_bits`` key mask: a tuple's bucket is ``key & mask``."""
+    return np.uint32((1 << bucket_bits) - 1)
+
+
+def run_bounds(sorted_values: np.ndarray) -> np.ndarray:
+    """Start of every run of equal values in a sorted array, then the array's length.
+
+    ``bounds[i]:bounds[i+1]`` slices run ``i``; ``np.diff(bounds)`` are
+    the run lengths.
+    """
+    is_start = np.empty(len(sorted_values), dtype=bool)
+    is_start[:1] = True
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=is_start[1:])
+    return np.append(np.flatnonzero(is_start), len(sorted_values))
 
 
 @dataclass
 class LocalPartitions:
     """The refined co-partition buckets of one GPU.
 
-    ``bucket_of`` maps each tuple to its final bucket id; ``order``
-    groups tuples bucket-by-bucket (``boundaries[i]:boundaries[i+1]``
-    slices bucket ``bucket_ids[i]`` out of the reordered arrays).
+    ``bucket_ids`` are the shard's distinct bucket ids in ascending
+    order; bucket ``bucket_ids[i]`` holds ``boundaries[i+1] -
+    boundaries[i]`` tuples.  ``order`` groups tuples bucket-by-bucket
+    (``boundaries[i]:boundaries[i+1]`` slices bucket ``i`` out of the
+    reordered arrays) and keeps input order inside a bucket.  It costs
+    up to two radix passes, so it is built on first read: the count-only
+    probe never reads it.
+
+    A tuple's bucket is ``key & mask`` on both join sides, so equal keys
+    always share a bucket.  Matching per bucket therefore gives the same
+    pairs as matching on the key alone, which is what lets the probe
+    skip the buckets (:func:`repro.core.probe.probe_partitions`).
     """
 
     shard: GpuShard
     bucket_bits: int
-    order: np.ndarray
     bucket_ids: np.ndarray
     boundaries: np.ndarray
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        buckets = self.shard.keys & bucket_mask(self.bucket_bits)
+        return stable_bucket_order(buckets, self.bucket_bits)
 
     @property
     def num_buckets(self) -> int:
@@ -86,27 +119,21 @@ def stable_bucket_order(ids: np.ndarray, bits: int) -> np.ndarray:
 
 
 def refine(shard: GpuShard, global_bits: int, passes: int, fanout: int) -> LocalPartitions:
-    """Bucket a shard by ``global_bits + passes*log2(fanout)`` key bits."""
-    if fanout & (fanout - 1):
+    """Bucket a shard by ``global_bits + passes*log2(fanout)`` key bits.
+
+    The bucket ids and sizes come from one value sort of ``key & mask``,
+    whose values equal ``buckets[order]``; the permutation itself waits
+    for :attr:`LocalPartitions.order`.
+    """
+    if fanout < 1 or fanout & (fanout - 1):
         raise ValueError("fanout must be a power of two")
-    bucket_bits = global_bits + passes * int(math.log2(fanout))
-    bucket_bits = min(bucket_bits, 32)
-    mask = np.uint32((1 << bucket_bits) - 1) if bucket_bits < 32 else np.uint32(0xFFFFFFFF)
-    buckets = shard.keys & mask
-    order = stable_bucket_order(buckets, bucket_bits)
-    sorted_buckets = buckets[order]
-    # A bucket starts wherever the sorted id changes (and at row 0).
-    is_start = np.empty(len(sorted_buckets), dtype=bool)
-    is_start[:1] = True
-    np.not_equal(sorted_buckets[1:], sorted_buckets[:-1], out=is_start[1:])
-    starts = np.flatnonzero(is_start)
-    bucket_ids = sorted_buckets[starts].astype(np.int64)
-    boundaries = np.append(starts, len(sorted_buckets))
+    bucket_bits = min(global_bits + passes * (int(fanout).bit_length() - 1), 32)
+    sorted_buckets = np.sort(shard.keys & bucket_mask(bucket_bits))
+    boundaries = run_bounds(sorted_buckets)
     return LocalPartitions(
         shard=shard,
         bucket_bits=bucket_bits,
-        order=order,
-        bucket_ids=bucket_ids,
+        bucket_ids=sorted_buckets[boundaries[:-1]].astype(np.int64),
         boundaries=boundaries,
     )
 

@@ -3,8 +3,9 @@
 Once co-partitions are small, the paper joins each pair with a simple
 nested-loop (or shared-memory hash) kernel — the two perform alike at
 these sizes, so MG-Join uses the nested loop.  Functionally we need the
-*exact* equi-join result, which a sort + binary-search implementation
-delivers with full duplicate handling.
+*exact* equi-join result with full duplicate handling: the per-bucket
+kernels below deliver it with sort + binary search, and the whole-shard
+:func:`probe_partitions` with sorted runs of equal keys.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.local_partition import LocalPartitions, stable_bucket_order
+from repro.core.local_partition import LocalPartitions, run_bounds, stable_bucket_order
 from repro.core.relation import GpuShard
 
 
@@ -126,6 +127,21 @@ PROBE_METHODS = {
 }
 
 
+def _shared(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(i, j)`` with ``a[i] == b[j]``, for sorted unique arrays.
+
+    One stable argsort of ``a`` then ``b``: timsort finds the two sorted
+    runs and merges them in linear time.  Stability puts ``a``'s copy of
+    a shared value right before ``b``'s, so every equal neighbouring pair
+    is an ``(a, b)`` pair in that order.
+    """
+    merged = np.concatenate((a, b))
+    order = np.argsort(merged, kind="stable")
+    ranked = merged[order]
+    pair = np.flatnonzero(ranked[1:] == ranked[:-1])
+    return order[pair], order[pair + 1] - len(a)
+
+
 def probe_partitions(
     r_parts: LocalPartitions,
     s_parts: LocalPartitions,
@@ -139,16 +155,28 @@ def probe_partitions(
     counts feed the ``probe.matches_per_copartition`` histogram — the
     skew forensics view of the probe phase.
 
-    The join runs as *one* whole-shard sorted pass instead of a Python
-    loop over co-partition buckets: both sides are already grouped by
-    bucket, so one stable ``lexsort`` of the build side by
-    ``(bucket, key)`` followed by a single ``searchsorted`` over packed
-    ``bucket:key`` probes reproduces the per-bucket kernels exactly —
-    match counts, histogram observations (bucket order), row-id output
-    order, everything.  Both probe methods compute identical output (a
-    run of equal keys is a hash group), which
-    ``tests/core/test_probe_vectorized.py`` pins against the bucketed
-    reference loop kept below.
+    The join runs as *one* whole-shard pass over sorted runs of equal
+    keys instead of a Python loop over co-partition buckets.  Equal keys
+    always share a bucket (see :class:`LocalPartitions`), so matching on
+    the key alone finds exactly the per-bucket pairs:
+
+    * Count only: sort both sides' key values, take the run heads and
+      lengths, find the runs both sides hold with one linear merge, and
+      sum ``r_len * s_len``.  No tuple-level argsort and no
+      ``LocalPartitions.order``.
+    * Materialized or observed: each R tuple, visited in R's bucket
+      order, takes the length and start of its key's run in S's rows
+      stably sorted by key.  Inside one bucket those S rows keep input
+      order, as the bucketed loop visits them.  Run values reach the
+      tuples by a scatter through R's key order, which one radix pass
+      over the high key bits derives from its bucket order; there is
+      no binary search.
+
+    Either way the output equals :func:`probe_partitions_bucketed`:
+    match counts, ``buckets_probed``, histogram observations (bucket
+    order) and the materialized row-id order.  Both probe methods
+    compute identical output (a run of equal keys is a hash group).
+    ``tests/core/test_probe_vectorized.py`` pins all of it.
     """
     if r_parts.bucket_bits != s_parts.bucket_bits:
         raise ValueError("co-partitions were refined to different depths")
@@ -162,54 +190,53 @@ def probe_partitions(
         else None
     )
     result = ProbeResult()
-    if r_parts.num_buckets == 0 or s_parts.num_buckets == 0:
-        return result.finalize(materialize)
-    # Both bucket-id arrays are sorted and unique: R bucket i is shared
-    # exactly when S holds its id at the insertion slot.
-    s_bucket_ids = s_parts.bucket_ids
-    slot = np.searchsorted(s_bucket_ids, r_parts.bucket_ids)
-    np.minimum(slot, len(s_bucket_ids) - 1, out=slot)
-    r_pos = np.flatnonzero(s_bucket_ids[slot] == r_parts.bucket_ids)
+    r_pos, _ = _shared(r_parts.bucket_ids, s_parts.bucket_ids)
+    result.buckets_probed = len(r_pos)
     if len(r_pos) == 0:
         return result.finalize(materialize)
-    result.buckets_probed = len(r_pos)
     r_shard, s_shard = r_parts.shard, s_parts.shard
-    # Bucket-grouped views (the order the bucketed loop would visit).
-    r_rows = r_parts.order
-    s_rows = s_parts.order
-    r_buckets = np.repeat(r_parts.bucket_ids, np.diff(r_parts.boundaries))
-    s_buckets = np.repeat(s_parts.bucket_ids, np.diff(s_parts.boundaries))
-    # Pack (bucket, key) into one sortable uint64 probe key.  Bucket ids
-    # and keys are both < 2**32, so the packing is collision-free.
-    r_combo = (r_buckets.astype(np.uint64) << np.uint64(32)) | r_shard.keys[
-        r_rows
-    ].astype(np.uint64)
-    s_combo = (s_buckets.astype(np.uint64) << np.uint64(32)) | s_shard.keys[
-        s_rows
-    ].astype(np.uint64)
-    # Stable sort by (bucket, key): ties keep bucket-grouped order, i.e.
-    # exactly the per-bucket stable argsort the kernels perform.
-    s_order = np.lexsort((s_shard.keys[s_rows], s_buckets))
-    s_combo_sorted = s_combo[s_order]
-    left = np.searchsorted(s_combo_sorted, r_combo, side="left")
-    right = np.searchsorted(s_combo_sorted, r_combo, side="right")
-    counts = right - left
+    per_tuple = materialize or match_histogram is not None
+    if per_tuple:
+        # One more radix pass, over the high key bits, continues R's
+        # bucket order into key order with ties in input order: bucket
+        # position by_high[p] holds the row at key position p.
+        r_rows = r_parts.order
+        r_keys = r_shard.keys[r_rows]
+        bits = r_parts.bucket_bits
+        by_high = stable_bucket_order(r_keys >> np.uint32(bits), 32 - bits)
+        s_by_key = stable_bucket_order(s_shard.keys, 32)
+        r_keys, s_keys = r_keys[by_high], s_shard.keys[s_by_key]
+    else:
+        r_keys, s_keys = np.sort(r_shard.keys), np.sort(s_shard.keys)
+    r_bounds, s_bounds = run_bounds(r_keys), run_bounds(s_keys)
+    r_run, s_run = _shared(r_keys[r_bounds[:-1]], s_keys[s_bounds[:-1]])
+    r_lens, s_lens = np.diff(r_bounds), np.diff(s_bounds)
+    if not per_tuple:
+        result.matches = int((r_lens[r_run] * s_lens[s_run]).sum())
+        return result.finalize(materialize)
+    # Per R run: the matching S run's length and start (none: length 0).
+    run_count = np.zeros(len(r_lens), dtype=np.int64)
+    run_count[r_run] = s_lens[s_run]
+    run_start = np.zeros(len(r_lens), dtype=np.int64)
+    run_start[r_run] = s_bounds[s_run]
+    # Each R row's run, in bucket order.
+    run = np.empty(len(r_keys), dtype=np.int64)
+    run[by_high] = np.repeat(np.arange(len(r_lens)), r_lens)
+    counts = run_count[run]
     result.matches = int(counts.sum())
     if match_histogram is not None:
         per_bucket = np.add.reduceat(counts, r_parts.boundaries[:-1])
         for pos in r_pos:
             match_histogram.observe(int(per_bucket[pos]))
-    if materialize:
-        total = result.matches
-        result.r_ids = np.repeat(r_shard.ids[r_rows], counts)
-        offsets = np.repeat(left, counts)
-        within = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        result.s_ids = s_shard.ids[s_rows][s_order[offsets + within]]
-        result._chunks = []
-        return result
-    return result.finalize(materialize)
+    if not materialize:
+        return result.finalize(materialize)
+    # Output slot k of R tuple t reads S position left[t] + (k - first[t]).
+    left = run_start[run]
+    first = np.cumsum(counts) - counts
+    s_pos = np.arange(result.matches, dtype=np.int64) + np.repeat(left - first, counts)
+    result.r_ids = np.repeat(r_shard.ids[r_rows], counts)
+    result.s_ids = s_shard.ids[s_by_key[s_pos]]
+    return result
 
 
 def probe_partitions_bucketed(

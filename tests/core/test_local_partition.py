@@ -35,6 +35,24 @@ class TestPassesNeeded:
     def test_boundary_exact(self):
         assert passes_needed(256_000, fanout=256, target_tuples=1000) == 1
 
+    @pytest.mark.parametrize(
+        "size, fanout, target, expected",
+        [
+            # Exact powers, where a float logarithm rounds up past k.
+            (2_097_152, 8, 1, 7),  # 8**7
+            (6_442_450_944, 8, 3072, 7),  # 3072 * 8**7
+            (2_097_153, 8, 1, 8),
+            (64**7, 64, 1, 7),
+            (64**7 * 3072, 64, 3072, 7),
+            (128**5, 128, 1, 5),
+            (128**5 * 3072, 128, 3072, 5),
+            (128**5 + 1, 128, 1, 6),
+            (512**3 * 3072, 512, 3072, 3),
+        ],
+    )
+    def test_exact_powers(self, size, fanout, target, expected):
+        assert passes_needed(size, fanout, target) == expected
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             passes_needed(10, fanout=1, target_tuples=1)

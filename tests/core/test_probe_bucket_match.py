@@ -1,12 +1,12 @@
 """Shared-bucket matching in ``probe_partitions`` across bucket-id layouts.
 
-The probe finds the co-partitions both sides hold with one
-``searchsorted`` of R's sorted bucket ids into S's, clamped to S's last
-slot, plus an equality mask.  These tests pin ``buckets_probed``, match
-counts, histogram observations and materialized output against the
-bucketed reference loop when the two id sets are disjoint, partly
-overlapping, nested, or when R has ids beyond S's maximum (the clamped
-slot) and the mirror case.
+The probe finds the co-partitions both sides hold with one linear merge
+of the two sorted bucket-id arrays: a stable argsort of their
+concatenation, where each equal neighbouring pair is an (R, S) pair.
+These tests pin ``buckets_probed``, match counts, histogram observations
+and materialized output against the bucketed reference loop when the
+two id sets are disjoint, partly overlapping, nested, or when R has ids
+beyond S's maximum and the mirror case.
 """
 
 from __future__ import annotations

@@ -82,7 +82,7 @@ def test_refine_partitions_cover_exactly(keys, passes):
 
 @given(
     st.integers(1, 10**9),
-    st.sampled_from([2, 16, 256, 1024]),
+    st.sampled_from([2, 8, 16, 64, 128, 256, 512, 1024]),
     st.integers(1, 10**6),
 )
 @settings(max_examples=80, deadline=None)
