@@ -19,11 +19,9 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.core.assignment import PartitionAssignment, modulo_assignment
-from repro.core.compression import CompressionModel
 from repro.core.config import MGJoinConfig
 from repro.core.histogram import HistogramSet
-from repro.core.mgjoin import MGJoin
-from repro.sim.shuffle import FlowMatrix
+from repro.core.mgjoin import JoinPlan, MGJoin
 from repro.sim.stats import ShuffleReport
 from repro.topology.machine import MachineTopology
 
@@ -49,13 +47,7 @@ class UMJJoin(MGJoin):
     def _make_assignment(self, histograms: HistogramSet) -> PartitionAssignment:
         return modulo_assignment(histograms)
 
-    def _simulate_distribution(
-        self,
-        flows: FlowMatrix,
-        gpu_ids: tuple[int, ...],
-        global_pass_time: float,
-        compression: CompressionModel,
-    ) -> ShuffleReport | None:
+    def _simulate_distribution(self, plan: JoinPlan) -> ShuffleReport | None:
         """Replace the routed shuffle with page-fault servicing time.
 
         Every byte that would have been a flow is instead pulled on
@@ -63,9 +55,10 @@ class UMJJoin(MGJoin):
         exposed "distribution" cost.
         """
         compute = self.config.compute
-        num_gpus = len(gpu_ids)
+        flows = plan.flows
+        num_gpus = len(plan.gpu_ids)
         worst = 0.0
-        for gpu_id in gpu_ids:
+        for gpu_id in plan.gpu_ids:
             pulled = sum(
                 nbytes for (_, dst), nbytes in flows.flows.items() if dst == gpu_id
             )

@@ -52,46 +52,16 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from typing import Callable
 
 from repro.baselines import DPRJJoin, UMJJoin
 from repro.core import MGJoin
-from repro.routing import (
-    AdaptiveArmPolicy,
-    BandwidthPolicy,
-    CentralizedPolicy,
-    DirectPolicy,
-    HopCountPolicy,
-    LatencyPolicy,
-)
+from repro.routing import POLICIES
 from repro.bench.regression import PERF_WORKLOADS
 from repro.sim import ARBITRATION_MODES, FlowMatrix, ShuffleSimulator
 
 PERF_WORKLOAD_NAMES = tuple(PERF_WORKLOADS)
-from repro.topology import (
-    dgx1_topology,
-    dgx2_topology,
-    dgx_station_topology,
-    multi_node_dgx1,
-)
+from repro.topology import MACHINES, dgx1_topology
 from repro.workloads import WorkloadSpec, generate_workload
-
-MACHINES: dict[str, Callable] = {
-    "dgx1": dgx1_topology,
-    "dgx2": dgx2_topology,
-    "dgx-station": dgx_station_topology,
-    "dgx1x2": lambda: multi_node_dgx1(2),
-    "dgx1x4": lambda: multi_node_dgx1(4),
-}
-
-POLICIES: dict[str, Callable] = {
-    "adaptive": AdaptiveArmPolicy,
-    "direct": DirectPolicy,
-    "bandwidth": BandwidthPolicy,
-    "hop-count": HopCountPolicy,
-    "latency": LatencyPolicy,
-    "centralized": CentralizedPolicy,
-}
 
 ALGORITHMS = {"mg-join": MGJoin, "dprj": DPRJJoin, "umj": UMJJoin}
 
@@ -1266,7 +1236,7 @@ def _cmd_chaos(args) -> int:
         import json
         import pathlib
 
-        recovery_report = report.faulted.recovery
+        rec = report.faulted.recovery
         payload = {
             "plan": report.plan.to_dict(),
             "correct": report.correct,
@@ -1283,32 +1253,7 @@ def _cmd_chaos(args) -> int:
             ),
             "retry": asdict(effective_retry),
             "recovery": asdict(effective_recovery),
-            "recovery_telemetry": (
-                {
-                    "dead_gpus": list(recovery_report.dead_gpus),
-                    "survivors": list(recovery_report.survivors),
-                    "detection_latency_seconds": (
-                        recovery_report.max_detection_latency
-                    ),
-                    "partitions_reassigned": (
-                        recovery_report.partitions_reassigned
-                    ),
-                    "reshuffled_bytes": recovery_report.reshuffled_bytes,
-                    "host_resent_bytes": recovery_report.host_resent_bytes,
-                    "checkpoint_restored_bytes": (
-                        recovery_report.checkpoint_restored_bytes
-                    ),
-                    "bytes_discarded": recovery_report.bytes_discarded,
-                    "recovery_elapsed_seconds": (
-                        recovery_report.recovery_elapsed
-                    ),
-                    "recovery_time_share": (
-                        recovery_report.recovery_time_share
-                    ),
-                }
-                if recovery_report is not None
-                else None
-            ),
+            "recovery_telemetry": rec.to_dict() if rec is not None else None,
             "run": dict(metadata),
         }
         if alert_engine is not None:

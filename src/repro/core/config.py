@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.histogram import max_partitions
 from repro.sim.compute import GpuComputeModel
 from repro.sim.shuffle import ShuffleConfig
 
@@ -49,6 +50,13 @@ class MGJoinConfig:
     @property
     def tuple_bytes(self) -> int:
         return self.key_bytes + self.id_bytes
+
+    @property
+    def global_partitions(self) -> int:
+        """The global partition count: ``num_partitions`` or Eq. 1's P_max."""
+        return self.num_partitions or max_partitions(
+            self.compute.spec, self.histogram_entry_bytes, self.thread_blocks_per_sm
+        )
 
     def __post_init__(self) -> None:
         if self.num_partitions is not None and self.num_partitions < 1:

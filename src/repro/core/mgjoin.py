@@ -6,9 +6,10 @@ workload's numpy shards while accounting costs at the workload's
 logical scale:
 
 * kernel times come from :class:`repro.sim.compute.GpuComputeModel`,
-* the data-distribution step is simulated packet-by-packet by
-  :class:`repro.sim.shuffle.ShuffleSimulator` under the configured
-  routing policy (adaptive multi-hop by default).
+* the data-distribution step is simulated packet-by-packet under the
+  configured routing policy (adaptive multi-hop by default): by
+  :class:`repro.sim.shuffle.ShuffleSimulator` for a solo join, or on a
+  fabric shared with other queries for a served one.
 
 Overlap model: the global-partitioning kernel *produces* packets (it
 paces injection), the local-partitioning kernel *consumes* them as they
@@ -33,12 +34,7 @@ from repro.core.global_partition import (
     execute_distribution,
     plan_flows,
 )
-from repro.core.histogram import (
-    HistogramSet,
-    build_histograms,
-    max_partitions,
-    partition_of,
-)
+from repro.core.histogram import HistogramSet, build_histograms, partition_of
 from repro.core.local_partition import plan_local_passes, refine
 from repro.core.probe import probe_partitions
 from repro.core.recovery import (
@@ -47,7 +43,7 @@ from repro.core.recovery import (
     canonical_match_digest,
     ensure_recoverable,
 )
-from repro.core.relation import GpuShard, JoinWorkload
+from repro.core.relation import JoinWorkload
 from repro.obs import NULL_OBSERVER, Observer
 from repro.routing.adaptive import AdaptiveArmPolicy
 from repro.routing.base import RoutingPolicy
@@ -107,6 +103,32 @@ class PhaseBreakdown:
         }
 
 
+@dataclass(frozen=True)
+class JoinPlan:
+    """What :meth:`MGJoin.prepare` settles before the distribution step.
+
+    The step itself moves ``flows`` under ``shuffle_config``; then
+    :meth:`MGJoin.finish` takes the plan back.
+    """
+
+    workload: JoinWorkload
+    num_partitions: int
+    histograms: HistogramSet
+    histogram_time: float
+    assignment: PartitionAssignment
+    compression: CompressionModel
+    #: Join-level crash recovery; ``None`` unless the fault plan can
+    #: kill a GPU of this workload.
+    bridge: JoinRecoveryCoordinator | None
+    global_pass_time: float
+    flows: FlowMatrix
+    shuffle_config: ShuffleConfig
+
+    @property
+    def gpu_ids(self) -> tuple[int, ...]:
+        return self.workload.gpu_ids
+
+
 @dataclass
 class JoinResult:
     """Everything one join run produced and measured."""
@@ -163,6 +185,14 @@ class JoinResult:
 class MGJoin:
     """Public entry point: MG-Join on one machine.
 
+    :meth:`run` is :meth:`prepare` (histograms, assignment, flows),
+    the simulated data-distribution step, then :meth:`finish` (local
+    partitioning, probe, phase composition).  A served query
+    (:class:`repro.serve.fabric.QuerySession`) calls the same two steps
+    around its share of a fabric shared with other queries, so the
+    solo and the served join are one pipeline.  The baselines override
+    the ``_make_assignment`` and ``_simulate_distribution`` hooks.
+
     Example::
 
         machine = dgx1_topology()
@@ -200,114 +230,150 @@ class MGJoin:
         #: data-distribution step; ``None`` = healthy fabric.
         self.faults = faults
         #: Retry/backoff/host-fallback knobs for faulted shuffles;
-        #: ``None`` = :class:`~repro.sim.recovery.RetryPolicy` defaults.
+        #: ``None`` = the fault plan's ``retry:`` section over
+        #: :class:`~repro.sim.recovery.RetryPolicy` defaults.
         self.retry = retry
         #: Heartbeat/checkpoint knobs for join-level crash recovery;
         #: ``None`` = :class:`~repro.sim.recovery.RecoveryConfig` defaults.
         self.recovery = recovery
-        #: The per-run join recovery coordinator (set by :meth:`run`
-        #: when the fault plan contains a GPU crash).
-        self._recovery_bridge: JoinRecoveryCoordinator | None = None
+
+    @property
+    def _observer(self) -> Observer:
+        return self.observer if self.observer is not None else NULL_OBSERVER
 
     # ------------------------------------------------------------------
 
     def run(self, workload: JoinWorkload) -> JoinResult:
         """Execute the join and return results plus cost accounting."""
+        obs = self._observer
+        with obs.span(
+            "join",
+            algorithm=self.algorithm,
+            gpus=len(workload.gpu_ids),
+            logical_tuples=workload.logical_tuples,
+            partitions=self.config.global_partitions,
+        ):
+            plan = self.prepare(workload)
+            flows = plan.flows
+            # Phase 2b: the global partitioning pass paces the
+            # simulated distribution.
+            with obs.span("global_partition"):
+                with obs.span(
+                    "shuffle", flows=len(flows.flows), payload_bytes=flows.total_bytes
+                ):
+                    shuffle_report = self._simulate_distribution(plan)
+            distribution_time = shuffle_report.elapsed if shuffle_report else 0.0
+            return self.finish(plan, distribution_time, shuffle_report)
+
+    def prepare(self, workload: JoinWorkload) -> JoinPlan:
+        """Phases 1 and 2a: everything the distribution step needs.
+
+        Builds the histograms, the partition assignment and the
+        compression model, arms join-level crash recovery when the
+        fault plan can kill a GPU, and derives the flows and the
+        kernel-paced shuffle configuration from them.
+        """
         config = self.config
         gpu_ids = workload.gpu_ids
         unknown = set(gpu_ids) - set(self.machine.gpu_ids)
         if unknown:
             raise ValueError(f"workload references unknown GPUs: {sorted(unknown)}")
-        obs = self.observer if self.observer is not None else NULL_OBSERVER
+        obs = self._observer
         compute = config.compute
         scale = workload.logical_scale
-        num_partitions = config.num_partitions or max_partitions(
-            compute.spec, config.histogram_entry_bytes, config.thread_blocks_per_sm
-        )
+        num_partitions = config.global_partitions
 
-        with obs.span(
-            "join",
-            algorithm=self.algorithm,
-            gpus=len(gpu_ids),
-            logical_tuples=workload.logical_tuples,
-            partitions=num_partitions,
-        ):
-            # Phase 1: histograms (real counts; times at logical scale).
-            with obs.span("histogram"):
-                histograms = build_histograms(workload.r, workload.s, num_partitions)
-                histogram_time = max(
-                    compute.histogram_time(
-                        workload.logical_tuples_on(g), key_bytes=config.key_bytes
-                    )
-                    for g in gpu_ids
+        # Phase 1: histograms (real counts; times at logical scale).
+        with obs.span("histogram"):
+            histograms = build_histograms(workload.r, workload.s, num_partitions)
+            histogram_time = max(
+                compute.histogram_time(
+                    workload.logical_tuples_on(g), key_bytes=config.key_bytes
                 )
-
-            # Phase 2a: partition assignment (overlapped with the
-            # partition kernel per the paper, so it adds no
-            # critical-path time).
-            with obs.span("assignment"):
-                if len(gpu_ids) > 1:
-                    assignment = self._make_assignment(histograms)
-                else:
-                    assignment = _single_gpu_assignment(histograms)
-                compression = self._compression_model(workload, num_partitions)
-            # Selective broadcast is the skew handler: count activations.
-            obs.counter("assign.broadcast_partitions").inc(assignment.num_broadcast)
-
-            # Join-level crash recovery: armed only when the fault plan
-            # can kill a GPU.  The replicated histograms let the bridge
-            # recompute survivor-only ownership mid-shuffle.
-            self._recovery_bridge = self._make_recovery_bridge(
-                histograms, assignment, compression, gpu_ids, scale
+                for g in gpu_ids
             )
 
-            # Phase 2b: global partitioning pass + simulated distribution.
-            with obs.span("global_partition"):
-                global_pass_time = max(
-                    compute.partition_time(
-                        workload.logical_tuples_on(g), config.tuple_bytes, passes=1
-                    )
-                    for g in gpu_ids
-                )
-                flows = plan_flows(histograms, assignment, compression, scale)
-                with obs.span(
-                    "shuffle", flows=len(flows.flows), payload_bytes=flows.total_bytes
-                ):
-                    shuffle_report = self._simulate_distribution(
-                        flows, gpu_ids, global_pass_time, compression
-                    )
-                distribution_time = shuffle_report.elapsed if shuffle_report else 0.0
-                bridge = self._recovery_bridge
-                dead = set(bridge.dead_gpus) if bridge is not None else set()
-                if dead:
-                    # GPUs died during the shuffle: the functional pass
-                    # re-reads the original (host-resident) relations
-                    # against the survivor-only assignment, so the
-                    # result stays exact without a full restart.
-                    assignment = bridge.final_assignment
-                data = execute_distribution(
-                    workload.r, workload.s, histograms, assignment
-                )
+        # Phase 2a: partition assignment (overlapped with the partition
+        # kernel per the paper, so it adds no critical-path time).
+        with obs.span("assignment"):
+            if len(gpu_ids) > 1:
+                assignment = self._make_assignment(histograms)
+            else:
+                assignment = _single_gpu_assignment(histograms)
+            compression = self._compression_model(workload, num_partitions)
+        # Selective broadcast is the skew handler: count activations.
+        obs.counter("assign.broadcast_partitions").inc(assignment.num_broadcast)
 
-            # Crashed GPUs contribute zero compute after their crash:
-            # the local partition and probe phases run on survivors only.
-            live_ids = tuple(g for g in gpu_ids if g not in dead)
+        global_pass_time = max(
+            compute.partition_time(
+                workload.logical_tuples_on(g), config.tuple_bytes, passes=1
+            )
+            for g in gpu_ids
+        )
+        flows = plan_flows(histograms, assignment, compression, scale)
+        return JoinPlan(
+            workload=workload,
+            num_partitions=num_partitions,
+            histograms=histograms,
+            histogram_time=histogram_time,
+            assignment=assignment,
+            compression=compression,
+            # The replicated histograms let the bridge recompute
+            # survivor-only ownership mid-shuffle.
+            bridge=self._make_recovery_bridge(
+                histograms, assignment, compression, gpu_ids, scale
+            ),
+            global_pass_time=global_pass_time,
+            flows=flows,
+            shuffle_config=self._shuffle_config(
+                flows, gpu_ids, global_pass_time, compression
+            ),
+        )
 
-            # Phase 3: local partitioning (overlapped with arrival).
-            with obs.span("local_partition"):
-                local_passes, local_pass_time, local_total_time = self._plan_local(
-                    data, live_ids, num_partitions, scale
-                )
-            if local_passes > 1:
-                obs.counter("local.extra_passes").inc(local_passes - 1)
+    def finish(
+        self,
+        plan: JoinPlan,
+        distribution_time: float,
+        shuffle_report: ShuffleReport | None = None,
+    ) -> JoinResult:
+        """Phases 3 and 4 once ``plan``'s distribution step took
+        ``distribution_time`` seconds, and the phase composition.
 
-            # Phase 4: probe (real join, exact result).
-            with obs.span("probe"):
-                matches, per_gpu_matches, probe_time, match_digest = self._probe(
-                    data, live_ids, num_partitions, local_passes, scale
-                )
-            for gpu_id in sorted(dead):
-                per_gpu_matches[gpu_id] = 0
+        The functional pass runs against the final assignment: if GPUs
+        died during the shuffle it re-reads the original (host-resident)
+        relations against the survivor-only assignment, so the result
+        stays exact without a full restart.
+        """
+        obs = self._observer
+        workload = plan.workload
+        gpu_ids = plan.gpu_ids
+        scale = workload.logical_scale
+        bridge = plan.bridge
+        dead = set(bridge.dead_gpus) if bridge is not None else set()
+        assignment = bridge.final_assignment if dead else plan.assignment
+        # Crashed GPUs contribute zero compute after their crash: the
+        # local partition and probe phases run on survivors only.
+        live_ids = tuple(g for g in gpu_ids if g not in dead)
+
+        # Phase 3: local partitioning (overlapped with arrival) of the
+        # data each GPU received.
+        with obs.span("local_partition"):
+            data = execute_distribution(
+                workload.r, workload.s, plan.histograms, assignment
+            )
+            local_passes, _pass_time, local_total_time = self._plan_local(
+                data, live_ids, plan.num_partitions, scale
+            )
+        if local_passes > 1:
+            obs.counter("local.extra_passes").inc(local_passes - 1)
+
+        # Phase 4: probe (real join, exact result).
+        with obs.span("probe"):
+            matches, per_gpu_matches, probe_time, match_digest = self._probe(
+                data, live_ids, plan.num_partitions, local_passes, scale
+            )
+        for gpu_id in sorted(dead):
+            per_gpu_matches[gpu_id] = 0
 
         # Compose the pipeline.  The partitioning passes of one GPU are
         # all HBM-bandwidth bound, so they serialize with each other.
@@ -316,40 +382,37 @@ class MGJoin:
         # consumed by the local pass as they arrive — but the traffic
         # crossing HBM taxes the kernels.  Without overlap (DPRJ), the
         # transfer is fully exposed between the passes.
-        compute_chain = global_pass_time + local_total_time
+        compute_chain = plan.global_pass_time + local_total_time
         if self.overlap_distribution:
-            hbm_tax = self._hbm_communication_tax(flows, gpu_ids)
+            hbm_tax = self._hbm_communication_tax(plan.flows, gpu_ids)
             phase23 = max(compute_chain + hbm_tax, distribution_time)
             exposed = phase23 - compute_chain
         else:
             exposed = distribution_time
         breakdown = PhaseBreakdown(
-            histogram=histogram_time,
+            histogram=plan.histogram_time,
             partition_compute=compute_chain,
             distribution_exposed=exposed,
             probe=probe_time,
         )
+        sim_recovery = shuffle_report.recovery if shuffle_report is not None else None
         recovery_report = None
         if dead:
-            recovery_report = bridge.build_report(
-                shuffle_report.recovery if shuffle_report is not None else None,
-                distribution_time,
-            )
+            recovery_report = bridge.build_report(sim_recovery, distribution_time)
         if self.observer is not None:
             self._emit_simulated_timeline(
                 self.observer,
                 breakdown,
-                global_pass_time,
+                plan.global_pass_time,
                 distribution_time,
                 gpu_ids=gpu_ids,
                 crashed_at=(
-                    dict(shuffle_report.recovery.crashed_at)
-                    if dead
-                    and shuffle_report is not None
-                    and shuffle_report.recovery is not None
+                    dict(sim_recovery.crashed_at)
+                    if dead and sim_recovery is not None
                     else None
                 ),
             )
+        compute = self.config.compute
         return JoinResult(
             algorithm=self.algorithm,
             num_gpus=len(gpu_ids),
@@ -359,7 +422,7 @@ class MGJoin:
             matches_real=matches,
             logical_scale=scale,
             shuffle_report=shuffle_report,
-            compression_ratio=compression.ratio,
+            compression_ratio=plan.compression.ratio,
             assignment_broadcasts=assignment.num_broadcast,
             local_passes=local_passes,
             gpu_clock_hz=compute.spec.clock_hz,
@@ -571,27 +634,18 @@ class MGJoin:
             consume_rate=tuples_per_second * compression.bytes_per_tuple,
         )
 
-    def _simulate_distribution(
-        self,
-        flows: FlowMatrix,
-        gpu_ids: tuple[int, ...],
-        global_pass_time: float,
-        compression: CompressionModel,
-    ) -> ShuffleReport | None:
-        if len(gpu_ids) < 2 or flows.total_bytes == 0:
+    def _simulate_distribution(self, plan: JoinPlan) -> ShuffleReport | None:
+        if len(plan.gpu_ids) < 2 or plan.flows.total_bytes == 0:
             return None
-        shuffle_config = self._shuffle_config(
-            flows, gpu_ids, global_pass_time, compression
-        )
         # Per-link transfer lanes merge into the pipeline trace.
         tracer = self.observer.spans if self.observer is not None else None
         simulator = ShuffleSimulator(
-            self.machine, gpu_ids, shuffle_config, tracer=tracer,
+            self.machine, plan.gpu_ids, plan.shuffle_config, tracer=tracer,
             observer=self.observer, sampler=self.sampler, faults=self.faults,
-            retry=self.retry, recovery_bridge=self._recovery_bridge,
+            retry=self.retry, recovery_bridge=plan.bridge,
             recovery_config=self.recovery,
         )
-        return simulator.run(flows, self.policy)
+        return simulator.run(plan.flows, self.policy)
 
     def _hbm_communication_tax(
         self, flows: FlowMatrix, gpu_ids: tuple[int, ...]

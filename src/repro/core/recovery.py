@@ -77,6 +77,22 @@ class RecoveryReport:
     def max_detection_latency(self) -> float:
         return max(self.detection_latency.values(), default=0.0)
 
+    def to_dict(self) -> dict:
+        """JSON-ready telemetry: a chaos report's ``recovery_telemetry``
+        and a sweep record's ``telemetry["recovery"]``."""
+        return {
+            "dead_gpus": list(self.dead_gpus),
+            "survivors": list(self.survivors),
+            "detection_latency_seconds": self.max_detection_latency,
+            "partitions_reassigned": self.partitions_reassigned,
+            "reshuffled_bytes": self.reshuffled_bytes,
+            "host_resent_bytes": self.host_resent_bytes,
+            "checkpoint_restored_bytes": self.checkpoint_restored_bytes,
+            "bytes_discarded": self.bytes_discarded,
+            "recovery_elapsed_seconds": self.recovery_elapsed,
+            "recovery_time_share": self.recovery_time_share,
+        }
+
     def summary_lines(self) -> list[str]:
         dead = ", ".join(f"gpu{g}" for g in self.dead_gpus)
         return [

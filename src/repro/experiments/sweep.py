@@ -37,6 +37,8 @@ from repro.experiments.store import ResultsStore, RunRecord
 from repro.obs import Observer
 from repro.obs.export import record_self_time_gauges
 from repro.obs.meta import run_id_for, run_metadata, run_scope
+from repro.routing import POLICIES, BandwidthPolicy
+from repro.topology import MACHINES
 
 #: Links kept in a record's busiest-link breakdown.
 TOP_LINKS = 12
@@ -157,31 +159,20 @@ def parse_sweep(
 # ---------------------------------------------------------------------------
 
 
-def _machines() -> dict:
-    from repro.cli import MACHINES
-
-    return MACHINES
-
-
-def _policies() -> dict:
-    from repro.cli import POLICIES
-    from repro.routing import BandwidthPolicy
-
-    # "static" is the paper's shorthand for the static multi-hop
-    # comparison policy (Figure 7); alias it to BandwidthPolicy.
-    return {**POLICIES, "static": BandwidthPolicy}
+#: "static" is the paper's shorthand for the static multi-hop
+#: comparison policy (Figure 7); alias it to BandwidthPolicy.
+SWEEP_POLICIES = {**POLICIES, "static": BandwidthPolicy}
 
 
 def validate_point(point: SweepPoint) -> None:
     """Fail fast on a point naming an unknown machine/policy/preset."""
-    machines, policies = _machines(), _policies()
-    if point.topology not in machines:
+    if point.topology not in MACHINES:
         raise SweepError(
-            f"unknown topology {point.topology!r}; have {sorted(machines)}"
+            f"unknown topology {point.topology!r}; have {sorted(MACHINES)}"
         )
-    if point.policy not in policies:
+    if point.policy not in SWEEP_POLICIES:
         raise SweepError(
-            f"unknown policy {point.policy!r}; have {sorted(policies)}"
+            f"unknown policy {point.policy!r}; have {sorted(SWEEP_POLICIES)}"
         )
     if point.faults is not None:
         from repro.faults.plan import PRESET_NAMES
@@ -359,14 +350,14 @@ def run_one(
     process writes — carries the same deterministic run ID.
     """
     validate_point(point)
-    machine = _machines()[point.topology]()
+    machine = MACHINES[point.topology]()
     if point.scale > machine.num_gpus:
         raise SweepError(
             f"scale {point.scale} exceeds {point.topology}'s"
             f" {machine.num_gpus} GPUs"
         )
     gpu_ids = tuple(machine.gpu_ids[: point.scale])
-    policy_cls = _policies()[point.policy]
+    policy_cls = SWEEP_POLICIES[point.policy]
     # Serve points size their tenants from the request stream instead of
     # one bench workload, so skip the (cached but large) build.
     workload = None if point.queries > 1 else _build_workload(point, gpu_ids)
@@ -411,16 +402,7 @@ def run_one(
                 report.healthy.match_digest == report.faulted.match_digest
             )
             if result.recovery is not None:
-                rec = result.recovery
-                telemetry["recovery"] = {
-                    "dead_gpus": list(rec.dead_gpus),
-                    "survivors": list(rec.survivors),
-                    "detection_latency_seconds": rec.max_detection_latency,
-                    "partitions_reassigned": rec.partitions_reassigned,
-                    "reshuffled_bytes": rec.reshuffled_bytes,
-                    "host_resent_bytes": rec.host_resent_bytes,
-                    "recovery_elapsed_seconds": rec.recovery_elapsed,
-                }
+                telemetry["recovery"] = result.recovery.to_dict()
         metrics["perf.self_time_seconds"] = time.perf_counter() - started
         directions["perf.self_time_seconds"] = "lower"
         record_self_time_gauges(observer)

@@ -228,8 +228,6 @@ def run_chaos(
         )
     horizon = healthy.shuffle_report.elapsed
     plan = resolve_plan(scenario, machine, horizon, seed, workload.gpu_ids)
-    if retry is None and plan.retry is not None:
-        retry = RetryPolicy(**plan.retry_kwargs)
     if verify is None:
         verify = any(event.kind in CORRUPTION_KINDS for event in plan.events)
     faulted_config = replace(

@@ -17,6 +17,16 @@ from repro.routing.static import (
 from repro.routing.adaptive import AdaptiveArmPolicy, arm_value
 from repro.routing.centralized import CentralizedPolicy
 
+#: Routing-policy classes by name (the CLI's ``--policy`` choices).
+POLICIES: dict[str, type[RoutingPolicy]] = {
+    "adaptive": AdaptiveArmPolicy,
+    "direct": DirectPolicy,
+    "bandwidth": BandwidthPolicy,
+    "hop-count": HopCountPolicy,
+    "latency": LatencyPolicy,
+    "centralized": CentralizedPolicy,
+}
+
 __all__ = [
     "AdaptiveArmPolicy",
     "BandwidthPolicy",
@@ -24,6 +34,7 @@ __all__ = [
     "DirectPolicy",
     "HopCountPolicy",
     "LatencyPolicy",
+    "POLICIES",
     "RoutingContext",
     "RoutingPolicy",
     "arm_value",

@@ -12,22 +12,12 @@ the query's GPUs, a fresh routing-policy instance, its GPU nodes
 layer and — when the fault plan can kill GPUs — its own crash
 coordinator and join-level recovery bridge.
 
-A session splits the join pipeline the same way :class:`~repro.core.
-mgjoin.MGJoin.run` composes it, so a query served here produces the
-exact digest, match count and phase accounting a solo ``repro join``
-would:
-
-* **prepare** (off-clock, at admission): histograms, partition
-  assignment, compression model, the flow matrix, and the kernel-paced
-  injection/consume rates;
-* **on-clock**: only the data-distribution step runs on the shared
-  engine, concurrently with every other admitted query;
-* **finalize** (off-clock, after the engine drains): the group's byte
-  conservation rule (:meth:`~repro.sim.shuffle.ShuffleGroup.
-  check_conservation`, the one a solo shuffle report checks) is
-  applied, then the functional pass (distribution, local partitioning,
-  probe) runs against the final — possibly crash-recovered —
-  assignment.
+Around that step a session runs the solo join's own two halves,
+:meth:`~repro.core.mgjoin.MGJoin.prepare` at admission and
+:meth:`~repro.core.mgjoin.MGJoin.finish` after the engine drains, so a
+served query produces the exact digest, match count and phase
+accounting a solo ``repro join`` would.  Only the distribution step
+runs on the shared clock, concurrently with every other admitted query.
 
 The match digest is a pure function of the workload and the final
 assignment, never of shuffle timing, which is what makes per-query
@@ -38,9 +28,9 @@ from __future__ import annotations
 
 from typing import Callable, TYPE_CHECKING
 
-from repro.core.global_partition import execute_distribution, plan_flows
-from repro.core.histogram import build_histograms, max_partitions
-from repro.core.mgjoin import MGJoin, PhaseBreakdown, _single_gpu_assignment
+# Unused here; benchmarks/e2e/test_trace.py checks the tracer rebinds it.
+from repro.core.global_partition import execute_distribution  # noqa: F401
+from repro.core.mgjoin import JoinResult, MGJoin
 from repro.sim.fabric import Fabric
 from repro.sim.gpusim import GpuNode
 from repro.sim.recovery import RecoveryConfig, RecoveryManager, RetryPolicy
@@ -76,8 +66,6 @@ class QuerySession:
         self.fabric = fabric
         self.name = name
         self.tag = tag
-        self.workload = workload
-        self.config = config
         self.policy = policy
         self.faults = faults
         self.retry = retry
@@ -97,59 +85,8 @@ class QuerySession:
         self.recovery: RecoveryManager | None = None
         self.coordinator = None
         self.distribution_elapsed = 0.0
-        self._prepare()
-
-    # ------------------------------------------------------------------
-    # Off-clock prepare (mirrors MGJoin.run phases 1-2a)
-    # ------------------------------------------------------------------
-
-    def _prepare(self) -> None:
-        workload = self.workload
-        config = self.config
-        compute = config.compute
-        gpu_ids = self.gpu_ids
-        self.scale = workload.logical_scale
-        # The per-query MGJoin instance supplies the template hooks
-        # (assignment, compression, recovery bridge, local planning,
-        # probe) so serving can never drift from the solo pipeline.
-        self.join = MGJoin(
-            self.fabric.machine, config, policy=self.policy, faults=self.faults
-        )
-        self.num_partitions = config.num_partitions or max_partitions(
-            compute.spec, config.histogram_entry_bytes, config.thread_blocks_per_sm
-        )
-        self.histograms = build_histograms(
-            workload.r, workload.s, self.num_partitions
-        )
-        self.histogram_time = max(
-            compute.histogram_time(
-                workload.logical_tuples_on(g), key_bytes=config.key_bytes
-            )
-            for g in gpu_ids
-        )
-        if len(gpu_ids) > 1:
-            self.assignment = self.join._make_assignment(self.histograms)
-        else:
-            self.assignment = _single_gpu_assignment(self.histograms)
-        self.compression = self.join._compression_model(
-            workload, self.num_partitions
-        )
-        self.bridge = self.join._make_recovery_bridge(
-            self.histograms, self.assignment, self.compression, gpu_ids, self.scale
-        )
-        self.global_pass_time = max(
-            compute.partition_time(
-                workload.logical_tuples_on(g), config.tuple_bytes, passes=1
-            )
-            for g in gpu_ids
-        )
-        self.flows = plan_flows(
-            self.histograms, self.assignment, self.compression, self.scale
-        )
-        self.shuffle_config = self.join._shuffle_config(
-            self.flows, gpu_ids, self.global_pass_time, self.compression
-        )
-        self.hbm_tax = self.join._hbm_communication_tax(self.flows, gpu_ids)
+        self.join = MGJoin(fabric.machine, config, policy=policy, faults=faults)
+        self.plan = self.join.prepare(workload)
 
     # ------------------------------------------------------------------
     # On-clock session (the data-distribution step, shared fabric)
@@ -163,7 +100,8 @@ class QuerySession:
         self.state = "running"
         self.started_at = fabric.engine.now
         fabric.set_priority(self.tag, self.priority)
-        if not self.flows.flows:
+        plan = self.plan
+        if not plan.flows.flows:
             # Nothing crosses the fabric (single-GPU query, or the
             # assignment kept every partition local): the distribution
             # step is empty and the query completes this instant.
@@ -172,12 +110,12 @@ class QuerySession:
         group = ShuffleGroup(
             fabric,
             self.gpu_ids,
-            self.flows,
+            plan.flows,
             self.policy,
-            config=self.shuffle_config,
+            config=plan.shuffle_config,
             faults=self.faults,
             retry=self.retry,
-            recovery_bridge=self.bridge,
+            recovery_bridge=plan.bridge,
             recovery_config=self.recovery_config,
             tag=self.tag,
             query=self.name,
@@ -228,11 +166,11 @@ class QuerySession:
             self.fabric.engine.schedule(0.0, self.on_done, self)
 
     # ------------------------------------------------------------------
-    # Off-clock finalize (mirrors MGJoin.run phases 2b-4 + composition)
+    # Off-clock finalize
     # ------------------------------------------------------------------
 
-    def finalize(self) -> dict:
-        """Check conservation, run the functional pass, compose timings.
+    def finalize(self) -> JoinResult:
+        """Check conservation, then finish the join off the shared clock.
 
         Only meaningful for sessions that reached ``delivered``; raises
         :class:`~repro.sim.engine.SimulationError` if the session lost
@@ -244,38 +182,4 @@ class QuerySession:
             )
         if self.group is not None:
             self.group.check_conservation()
-        workload = self.workload
-        assignment = self.assignment
-        dead = set(self.bridge.dead_gpus) if self.bridge is not None else set()
-        if dead:
-            assignment = self.bridge.final_assignment
-        data = execute_distribution(
-            workload.r, workload.s, self.histograms, assignment
-        )
-        live_ids = tuple(g for g in self.gpu_ids if g not in dead)
-        local_passes, _pass_time, local_total_time = self.join._plan_local(
-            data, live_ids, self.num_partitions, self.scale
-        )
-        matches, per_gpu_matches, probe_time, match_digest = self.join._probe(
-            data, live_ids, self.num_partitions, local_passes, self.scale
-        )
-        for gpu_id in sorted(dead):
-            per_gpu_matches[gpu_id] = 0
-        compute_chain = self.global_pass_time + local_total_time
-        phase23 = max(compute_chain + self.hbm_tax, self.distribution_elapsed)
-        breakdown = PhaseBreakdown(
-            histogram=self.histogram_time,
-            partition_compute=compute_chain,
-            distribution_exposed=phase23 - compute_chain,
-            probe=probe_time,
-        )
-        return {
-            "matches": matches,
-            "per_gpu_matches": per_gpu_matches,
-            "match_digest": match_digest,
-            "breakdown": breakdown,
-            "join_time": breakdown.total,
-            "local_passes": local_passes,
-            "dead_gpus": tuple(sorted(dead)),
-            "distribution_elapsed": self.distribution_elapsed,
-        }
+        return self.join.finish(self.plan, self.distribution_elapsed)

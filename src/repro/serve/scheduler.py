@@ -519,12 +519,14 @@ class QueryScheduler:
             finished_at=session.finished_at,
             queue_wait=entry.admitted_at - request.arrival,
             latency=session.finished_at - request.arrival,
-            join_time=result["join_time"],
-            matches=result["matches"],
-            match_digest=result["match_digest"],
+            join_time=result.total_time,
+            matches=result.matches_real,
+            match_digest=result.match_digest,
             retries=session.recovery.retries if session.recovery else 0,
             fallbacks=session.recovery.fallbacks if session.recovery else 0,
-            crashed_gpus=result["dead_gpus"],
+            crashed_gpus=(
+                tuple(sorted(result.recovery.dead_gpus)) if result.recovery else ()
+            ),
         )
 
     # ------------------------------------------------------------------

@@ -204,7 +204,9 @@ class ShuffleGroup:
         if faults is not None:
             self.recovery = RecoveryManager(
                 engine,
-                policy=retry or RetryPolicy(),
+                # An explicit policy wins over the plan's ``retry:``
+                # section, which wins over the defaults.
+                policy=retry or RetryPolicy(**faults.retry_kwargs),
                 observer=observer,
                 # Seeded like presets (crc32, not hash()) so identical
                 # chaos runs replay identical retry-jitter schedules.

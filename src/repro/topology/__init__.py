@@ -11,6 +11,8 @@ The topology layer is purely structural — it answers questions like
 behaviour (queueing, congestion) lives in :mod:`repro.sim`.
 """
 
+from typing import Callable
+
 from repro.topology.links import (
     LinkSpec,
     LinkType,
@@ -26,9 +28,19 @@ from repro.topology.dgx_station import dgx_station_topology
 from repro.topology.multinode import multi_node_dgx1, node_of
 from repro.topology.routes import Route, RouteEnumerator
 
+#: Machine builders by name (the CLI's ``--machine`` choices).
+MACHINES: dict[str, Callable[[], MachineTopology]] = {
+    "dgx1": dgx1_topology,
+    "dgx2": dgx2_topology,
+    "dgx-station": dgx_station_topology,
+    "dgx1x2": lambda: multi_node_dgx1(2),
+    "dgx1x4": lambda: multi_node_dgx1(4),
+}
+
 __all__ = [
     "LinkSpec",
     "LinkType",
+    "MACHINES",
     "MachineTopology",
     "Node",
     "NodeKind",

@@ -1,6 +1,7 @@
 """Sweep harness: parsing, run_one records, run_batch events."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -99,6 +100,25 @@ def test_run_one_chaos_point_adds_fault_telemetry(tmp_path):
     assert 0 < record.metrics["chaos.throughput_retention"] <= 1.5
     assert record.metrics["chaos.correct"] == 1.0
     assert record.telemetry["digest_match"] is True
+
+
+def test_run_one_crash_point_carries_the_cli_recovery_keys(tmp_path):
+    from repro.cli import main
+
+    record = run_one(dataclasses.replace(TINY, scale=4, faults="gpu-crash"))
+    out_dir = tmp_path / "chaos"
+    code = main(
+        [
+            "chaos", "--gpus", "4", "--preset", "gpu-crash",
+            "--tuples-per-gpu", "64K", "--real-tuples", "1K",
+            "--expect-loss", "--out-dir", str(out_dir),
+        ]
+    )
+    assert code == 0
+    payload = json.loads((out_dir / "chaos_report.json").read_text())
+    telemetry = payload["recovery_telemetry"]
+    assert record.telemetry["recovery"].keys() == telemetry.keys()
+    assert "checkpoint_restored_bytes" in telemetry
 
 
 def test_run_one_rejects_overscaled_point():

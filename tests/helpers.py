@@ -5,8 +5,9 @@ from __future__ import annotations
 from repro.workloads import WorkloadSpec, generate_workload
 
 
-def solo_join(machine, request, policy_factory=None):
-    """Reference result for a serve request: joined alone, healthy."""
+def solo_join(machine, request, policy_factory=None, faults=None):
+    """Reference result for a serve request: joined alone, healthy
+    unless ``faults`` names a fault plan."""
     from repro.core.config import MGJoinConfig
     from repro.core.mgjoin import MGJoin
     from repro.routing import AdaptiveArmPolicy
@@ -17,6 +18,7 @@ def solo_join(machine, request, policy_factory=None):
         machine,
         config=MGJoinConfig(materialize=True),
         policy=factory(),
+        faults=faults,
     ).run(workload_for(machine, request))
 
 

@@ -12,27 +12,44 @@ import repro.sim.shuffle as shuffle_module
 from repro.core.config import MGJoinConfig
 from repro.core.mgjoin import MGJoin
 from repro.faults import FaultEvent, FaultKind, FaultPlan
+from repro.faults.chaos import resolve_plan
 from repro.routing import AdaptiveArmPolicy, DirectPolicy
 from repro.serve import QueryRequest, QueryScheduler, synthetic_requests, workload_for
 from repro.sim import Engine, ShuffleConfig
 
 
+def preset_for(machine, request, preset):
+    """``preset`` resolved against ``request``'s solo healthy run."""
+    horizon = solo_join(machine, request).shuffle_report.elapsed
+    gpu_ids = workload_for(machine, request).gpu_ids
+    return resolve_plan(preset, machine, horizon, 0, gpu_ids)
+
+
 class TestServingIdentity:
-    @pytest.mark.parametrize("arbitration", [None, "fair", "priority"])
-    def test_single_query_serve_equals_solo_join(self, dgx1, arbitration):
-        """One tenant alone must see exactly the standalone join."""
+    @pytest.mark.parametrize(
+        "arbitration, preset",
+        [(None, None), ("fair", None), ("priority", None), (None, "gpu-crash")],
+        ids=["None", "fair", "priority", "gpu-crash"],
+    )
+    def test_single_query_serve_equals_solo_join(self, dgx1, arbitration, preset):
+        """One tenant alone must see exactly the standalone join, healthy
+        or recovering from a GPU crash."""
         request = QueryRequest(name="only", gpus=4, tuples=2048)
+        faults = preset_for(dgx1, request, preset) if preset else None
         report = QueryScheduler(
             dgx1,
             [request],
             policy_factory=AdaptiveArmPolicy,
             arbitration=arbitration,
+            faults=faults,
         ).run()
         outcome = report.outcome("only")
-        reference = solo_join(dgx1, request)
+        reference = solo_join(dgx1, request, faults=faults)
         assert outcome.status == "completed"
         assert outcome.match_digest == reference.match_digest
         assert outcome.matches == reference.matches_real
+        crashed = reference.recovery.dead_gpus if preset else ()
+        assert outcome.crashed_gpus == crashed
         # Not approximately: an uncontended fabric is timing-identical
         # to the standalone simulator, arbitrated or not.
         assert outcome.join_time == reference.total_time
@@ -123,6 +140,42 @@ class TestVerifiedTransport:
         assert len(layers) == 3
         assert len({id(layer) for layer in layers}) == 3
         assert all(layer.verify for layer in layers)
+
+
+class TestPlanRetry:
+    """A plan's ``retry:`` section reaches a served query."""
+
+    @pytest.fixture
+    def managers(self, monkeypatch):
+        built = []
+        real = shuffle_module.RecoveryManager
+
+        def spy(*args, **kwargs):
+            manager = real(*args, **kwargs)
+            built.append(manager)
+            return manager
+
+        monkeypatch.setattr(shuffle_module, "RecoveryManager", spy)
+        return built
+
+    def test_single_query_gets_the_plans_retry_policy(self, dgx1, managers):
+        plan = FaultPlan(
+            name="slow-gpu",
+            seed=3,
+            events=(
+                FaultEvent(
+                    kind=FaultKind.GPU_STRAGGLER, at=0.0, gpu=0,
+                    magnitude=2.0, duration=1e-3,
+                ),
+            ),
+            retry={"max_attempts": 1},
+        )
+        request = QueryRequest(name="only", gpus=4, tuples=2048)
+        report = QueryScheduler(
+            dgx1, [request], policy_factory=AdaptiveArmPolicy, faults=plan
+        ).run()
+        assert report.outcome("only").status == "completed"
+        assert [manager.policy.max_attempts for manager in managers] == [1]
 
 
 class TestAdmissionControl:
