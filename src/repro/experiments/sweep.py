@@ -269,7 +269,8 @@ def _run_serve_point(
     point: SweepPoint, machine, policy_cls, observer, telemetry: dict
 ) -> tuple[dict, dict]:
     """Execute a ``queries > 1`` point through the serving layer."""
-    from repro.serve import QueryScheduler, run_serve_chaos, synthetic_requests
+    from repro.faults import run_chaos
+    from repro.serve import QueryScheduler, synthetic_requests
 
     requests = synthetic_requests(
         point.queries,
@@ -288,7 +289,7 @@ def _run_serve_point(
             observer=observer,
         ).run()
     else:
-        chaos = run_serve_chaos(
+        chaos = run_chaos(
             machine,
             requests,
             point.faults,
@@ -384,7 +385,7 @@ def run_one(
                 machine,
                 workload,
                 point.faults,
-                policy=policy_cls(),
+                policy_factory=policy_cls,
                 seed=point.seed,
                 observer=observer,
                 strict=False,

@@ -13,13 +13,14 @@ This package adds the serving layer on top of the simulated fabric:
   tenant;
 * :mod:`repro.serve.scheduler` — admission control (bounded in-flight
   queries + bounded queue, structured shed-load rejections), deadlines
-  with clean cancellation, and per-tenant SLA telemetry;
-* :mod:`repro.serve.chaos` — the chaos-under-concurrency gate: a GPU
-  crash with >= N queries in flight must leave every query's canonical
-  match digest byte-identical to its solo healthy run.
+  with clean cancellation, and per-tenant SLA telemetry.
+
+Chaos under concurrency — a GPU crash with >= N queries in flight must
+leave every query's canonical match digest byte-identical to its solo
+healthy run — is graded by :func:`repro.faults.chaos.run_chaos`, the
+same driver that grades a solo join: pass it the request batch.
 """
 
-from repro.serve.chaos import ServeChaosReport, run_serve_chaos
 from repro.serve.fabric import QuerySession
 from repro.serve.requests import (
     REJECT_REASONS,
@@ -48,12 +49,10 @@ __all__ = [
     "QuerySession",
     "REJECT_REASONS",
     "RecoveryManager",
-    "ServeChaosReport",
     "ServeReport",
     "TERMINAL_STATUSES",
     "load_requests",
     "resolve_gpu_ids",
-    "run_serve_chaos",
     "synthetic_requests",
     "workload_for",
 ]

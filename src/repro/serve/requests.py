@@ -22,6 +22,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.mgjoin import JoinResult
 
 __all__ = [
     "QueryRequest",
@@ -207,6 +211,11 @@ class QueryOutcome:
     rejection: QueryRejected | None = None
     #: Human-oriented detail for failure statuses.
     detail: str = ""
+    #: The finished join of a completed query (graded by the chaos
+    #: harness); set by the scheduler, not serialized.
+    result: "JoinResult | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.status not in TERMINAL_STATUSES:

@@ -85,8 +85,8 @@ def workload_for(
 ) -> "JoinWorkload":
     """The deterministic workload a request stands for.
 
-    Pure function of (machine, request): the serve-chaos harness calls
-    this for its solo reference runs, so solo and served executions of
+    Pure function of (machine, request): the chaos harness calls this
+    for its solo reference runs, so solo and served executions of
     the same request join byte-identical inputs.
     """
     gpu_ids = resolve_gpu_ids(machine, request)
@@ -528,6 +528,7 @@ class QueryScheduler:
                 tuple(sorted(result.recovery.dead_gpus)) if result.recovery else ()
             ),
         )
+        entry.outcome.result = result
 
     # ------------------------------------------------------------------
     # Telemetry

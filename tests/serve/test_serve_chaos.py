@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.faults.chaos import ChaosError
+from repro.faults.chaos import ChaosError, run_chaos
 from repro.routing import AdaptiveArmPolicy
-from repro.serve import run_serve_chaos, synthetic_requests
+from repro.serve import synthetic_requests
 
 #: Twelve four-GPU tenants — the ISSUE's headline concurrency bar.
 REQUESTS = synthetic_requests(12, gpus=4, tuples=1024)
@@ -13,7 +13,7 @@ REQUESTS = synthetic_requests(12, gpus=4, tuples=1024)
 @pytest.fixture(scope="module")
 def gpu_crash_report(dgx1):
     """One graded gpu-crash run shared by the inspection tests."""
-    return run_serve_chaos(
+    return run_chaos(
         dgx1,
         REQUESTS,
         "gpu-crash",
@@ -59,7 +59,7 @@ class TestReportShape:
 class TestGuards:
     def test_too_few_requests_for_the_gate(self, dgx1):
         with pytest.raises(ValueError, match="at least 12"):
-            run_serve_chaos(
+            run_chaos(
                 dgx1,
                 synthetic_requests(3, gpus=2, tuples=1024),
                 "gpu-crash",
@@ -71,7 +71,7 @@ class TestGuards:
         """Serving has no per-query verified transport yet; corruption
         plans must be refused up front, not silently mis-graded."""
         with pytest.raises(ValueError, match="not .*supported by the serving"):
-            run_serve_chaos(
+            run_chaos(
                 dgx1,
                 synthetic_requests(2, gpus=2, tuples=1024),
                 "payload-corrupt",
@@ -81,7 +81,7 @@ class TestGuards:
 
     def test_single_gpu_workloads_cannot_be_graded(self, dgx1):
         with pytest.raises(ChaosError, match="shuffle"):
-            run_serve_chaos(
+            run_chaos(
                 dgx1,
                 synthetic_requests(2, gpus=1, tuples=1024),
                 "gpu-crash",
