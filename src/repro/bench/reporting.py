@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import tempfile
 
 from repro.bench.harness import FigureResult
 from repro.obs.meta import run_metadata
@@ -69,6 +71,19 @@ def save_figure_result(
     if result.metric_snapshots:
         payload["metrics"] = result.metric_snapshots
     json_path = out_dir / f"{stem}.json"
-    json_path.write_text(json.dumps(payload, indent=2, default=str))
-    (out_dir / f"{stem}.md").write_text(result.to_markdown())
+    _write_atomic(json_path, json.dumps(payload, indent=2, default=str))
+    _write_atomic(out_dir / f"{stem}.md", result.to_markdown())
     return json_path
+
+
+def _write_atomic(path: pathlib.Path, text: str) -> None:
+    """Write ``text`` to a sibling temp file, then rename it over ``path``.
+
+    Concurrent writers of one figure (parallel sweep workers) each
+    replace the file whole, so a reader never sees interleaved bytes.
+    """
+    with tempfile.NamedTemporaryFile(
+        "w", dir=path.parent, prefix=f".{path.name}.", suffix=".tmp", delete=False
+    ) as handle:
+        handle.write(text)
+    os.replace(handle.name, path)

@@ -4,6 +4,9 @@ The kernel follows the SimPy model: *processes* are Python generators
 that ``yield`` events; the engine resumes a process when the event it
 waits on triggers.  Only the features the shuffle simulator needs are
 implemented, which keeps the kernel small enough to test exhaustively.
+Hot per-packet code skips the process machinery and runs as plain
+callbacks on the same queues; :meth:`Engine.drive` steps a generator
+inline from such a callback, and is also what runs every process.
 
 Example::
 
@@ -42,6 +45,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Generator, Iterable
 
 ProcessGenerator = Generator["SimEvent", Any, Any]
@@ -94,34 +98,20 @@ class SimEvent:
 
 
 class Process(SimEvent):
-    """A running generator; also an event that triggers when it returns."""
+    """A running generator; also an event that triggers when it returns.
 
-    __slots__ = ("_generator", "name")
+    A process is :meth:`Engine.drive` with :meth:`succeed` as the
+    return continuation, its first step deferred to the current instant.
+    """
+
+    __slots__ = ("name",)
 
     def __init__(
         self, engine: "Engine", generator: ProcessGenerator, name: str = ""
     ) -> None:
         super().__init__(engine)
-        self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        engine._defer(self._resume, None)
-
-    def _resume(self, completed: SimEvent | None) -> None:
-        try:
-            value = completed.value if completed is not None else None
-            target = self._generator.send(value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            if completed is not None and completed._poolable:
-                self._engine._release(completed)
-            return
-        if not isinstance(target, SimEvent):
-            raise SimulationError(
-                f"process {self.name!r} yielded {target!r}, expected a SimEvent"
-            )
-        target.add_callback(self._resume)
-        if completed is not None and completed._poolable:
-            self._engine._release(completed)
+        engine._defer(partial(engine.drive, generator, self.succeed), None)
 
 
 class Engine:
@@ -284,6 +274,41 @@ class Engine:
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start a process driving ``generator``."""
         return Process(self, generator, name=name)
+
+    def drive(
+        self,
+        generator: ProcessGenerator,
+        on_return: Callable[[Any], None],
+        completed: SimEvent | None = None,
+    ) -> None:
+        """Step ``generator`` now, and again each time what it waits on fires.
+
+        This is the engine's one generator-stepping routine: the value of
+        ``completed`` (the event that woke the generator) is sent in; a
+        yielded event gets this routine as its callback, and a return
+        calls ``on_return(value)`` at once.  A :class:`Process` is this
+        routine with :meth:`SimEvent.succeed` as ``on_return``; a DMA
+        engine short of routing-buffer credits drives
+        :meth:`~repro.sim.resources.RoutingBuffer.acquire` with it
+        inline, as ``yield from`` would.  A consumed :meth:`sleep` event
+        is recycled after the step, return continuation included.
+        """
+        try:
+            target = generator.send(completed.value if completed is not None else None)
+            waiting = True
+        except StopIteration as stop:
+            target, waiting = stop.value, False
+        if not waiting:
+            on_return(target)
+        elif isinstance(target, SimEvent):
+            target.add_callback(partial(self.drive, generator, on_return))
+        else:
+            raise SimulationError(
+                f"generator {getattr(generator, '__name__', generator)!r} "
+                f"yielded {target!r}, expected a SimEvent"
+            )
+        if completed is not None and completed._poolable:
+            self._release(completed)
 
     def any_of(self, events: Iterable[SimEvent]) -> SimEvent:
         """An event that triggers when the *first* of ``events`` does.

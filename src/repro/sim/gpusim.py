@@ -7,11 +7,15 @@ Each participating GPU runs, inside the discrete-event engine:
   packets on the per-neighbour outgoing queues.  Injection is paced at
   the partition kernel's throughput, modelling the overlap between
   partitioning and data distribution (Rationale 2).
-* ``dma_engines`` **sender** processes implementing the paper's
-  weighted round-robin over outgoing queues: pick the most-loaded
-  queue, take a batch of up to ``batch_size`` same-route packets,
-  acquire routing-buffer credits at the next hop, and push the packets
-  over the hop's physical links.
+* ``dma_engines`` **senders** implementing the paper's weighted
+  round-robin over outgoing queues: pick the most-loaded queue, take a
+  batch of up to ``batch_size`` same-route packets, acquire
+  routing-buffer credits at the next hop, and push the packets over
+  the hop's physical links.  Senders and the walk over a staged hop's
+  onward links are engine callbacks, not processes: each wake-up
+  re-enters through the engine's deferred slot, so the dispatch order
+  is the one a resumed process would have had.  A packet hop makes no
+  process or event unless it waits for credits or a fault's delay.
 * a **receiver** that either delivers a packet (final destination —
   handing it to the local-partitioning consumer) or forwards it by
   re-queueing it toward the next hop, releasing the inbound buffer slot
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from repro.sim.engine import Engine, SimEvent, SimulationError
@@ -175,10 +180,14 @@ class GpuNode:
         self._buffers: dict[int, RoutingBuffer] = {}
         self._buffer_slots = buffer_slots
         self._buffer_sync_latency = buffer_sync_latency
-        self._idle_senders: deque[SimEvent] = deque()
-        self._rr_order: list[int] = []
+        #: ``run`` methods of DMA engines parked for lack of work.
+        self._idle_senders: deque[Callable[[None], None]] = deque()
+        self._rr_order: deque[int] = deque()
         #: DMA engines currently transmitting toward each next hop.
         self._active_sends: dict[int, int] = {}
+        #: next hop -> (receiver, inbound buffer, onward links, first
+        #: link); the fabric is static, so each is built once.
+        self._wirings: dict[int, tuple] = {}
         self._consumer_free_at = 0.0
         #: (route, dst) pairs that already passed _validate_route; a
         #: route object is immutable, so one successful validation
@@ -186,7 +195,7 @@ class GpuNode:
         self._validated_routes: set[tuple[Route, int]] = set()
         self.peers: dict[int, "GpuNode"] = {}
         for _ in range(dma_engines):
-            engine.process(self._sender(), name=f"gpu{gpu_id}-sender")
+            _Sender(self)
 
     # ------------------------------------------------------------------
     # Buffers
@@ -394,7 +403,7 @@ class GpuNode:
             self._rr_order.append(next_gpu)
         self._queues[next_gpu].append(packet)
         if self._idle_senders:
-            self._idle_senders.popleft().succeed()
+            self.engine._defer(self._idle_senders.popleft(), None)
 
     def _pick_batch(self) -> list[Packet] | None:
         """Weighted round-robin queue selection (paper §4.1).
@@ -403,141 +412,70 @@ class GpuNode:
         of DMA engines already serving it, so concurrent engines spread
         across next hops in proportion to waiting packets instead of
         piling onto the single longest queue."""
+        queues = self._queues
+        active = self._active_sends
         best_gpu: int | None = None
         best_weight = 0.0
         for next_gpu in self._rr_order:
-            queue_len = len(self._queues[next_gpu])
-            if queue_len == 0:
-                continue
-            weight = queue_len / (1.0 + self._active_sends.get(next_gpu, 0))
-            if weight > best_weight:
-                best_gpu, best_weight = next_gpu, weight
+            queue_len = len(queues[next_gpu])
+            if queue_len:
+                weight = queue_len / (1.0 + active.get(next_gpu, 0))
+                if weight > best_weight:
+                    best_gpu, best_weight = next_gpu, weight
         if best_gpu is None:
             return None
         # Rotate so ties go to a different queue next time.
-        index = self._rr_order.index(best_gpu)
-        self._rr_order = self._rr_order[index + 1 :] + self._rr_order[: index + 1]
-        queue = self._queues[best_gpu]
+        order = self._rr_order
+        order.rotate(-1 - order.index(best_gpu))
+        queue = queues[best_gpu]
         batch = [queue.popleft()]
+        route = batch[0].route
         while queue and len(batch) < self.batch_size:
-            if queue[0].route != batch[0].route:
+            # Interned routes make identity the common match.
+            head = queue[0].route
+            if head is not route and head != route:
                 break
             batch.append(queue.popleft())
         return batch
 
-    def _sender(self):
-        while True:
-            batch = self._pick_batch()
-            if batch is None:
-                waiter = self.engine.event()
-                self._idle_senders.append(waiter)
-                yield waiter
-                continue
-            next_gpu = batch[0].route.next_gpu_after(self.gpu_id)
+    def _wiring(self, next_gpu: int) -> tuple:
+        """``(receiver, inbound buffer, onward links, first link)`` of
+        the hop toward ``next_gpu``; onward links are empty unless the
+        hop is staged over several physical links."""
+        wiring = self._wirings.get(next_gpu)
+        if wiring is None:
             receiver = self.peers[next_gpu]
-            inbound = receiver.buffer_from(self.gpu_id)
-            path = self.machine.hop_path(self.gpu_id, next_gpu)
-            first_link = self.links[path[0].link_id]
-            self._active_sends[next_gpu] = self._active_sends.get(next_gpu, 0) + 1
-            for packet in batch:
-                if self.cancelled:
-                    self._discard(packet)
-                    continue
-                if self.coordinator is not None and (
-                    self.crashed or self.coordinator.is_dead(packet.flow_dst)
-                ):
-                    # This GPU died, or the destination was declared
-                    # dead and its partitions reassigned — either way
-                    # the packet is handed to the crash books.
-                    self._orphan(packet)
-                    continue
-                if self.recovery is None:
-                    # Fast path: with positive local credits acquire()
-                    # yields nothing, so skip the generator round-trip.
-                    if not inbound.try_acquire():
-                        yield from inbound.acquire()
-                else:
-                    acquired = inbound.try_acquire()
-                    if not acquired:
-                        acquired = yield from inbound.acquire(
-                            timeout=self.recovery.policy.acquire_timeout
-                        )
-                    if not acquired:
-                        # The receiver's credits never freed (crashed
-                        # GPU?) — recover instead of deadlocking.
-                        self._recover(packet, reason="credit-timeout")
-                        continue
-                packet.held_buffer = inbound
-                self._fulfill_link(packet, first_link)
-                # The DMA engine is occupied while injecting the packet
-                # into the hop's first link; downstream links of a staged
-                # path are traversed by a detached process so the next
-                # packet of the batch pipelines behind this one.
-                transfer = first_link.transmit(
-                    packet.wire_bytes, tag=self.query_tag
-                )
-                yield transfer
-                if self.crashed:
-                    self._orphan(packet)
-                    continue
-                if self.cancelled:
-                    self._discard(packet)
-                    continue
-                if transfer.value is False and self.recovery is not None:
-                    packet.held_buffer.release()
-                    packet.held_buffer = None
-                    self._recover(packet, reason="link-down")
-                    continue
-                delay = 0.0
-                if self.integrity is not None and first_link.tamper is not None:
-                    delay = first_link.tamper.apply(self, packet, receiver)
-                if len(path) == 1:
-                    # Single-link hop (the common NVLink case): there is
-                    # nothing left to traverse, so hand the packet to
-                    # the receiver directly instead of spinning up a
-                    # whole generator process.  Both paths consume one
-                    # schedule slot, so event order is unchanged.
-                    self.engine.schedule(delay, receiver.on_arrival, packet)
-                else:
-                    self.engine.process(
-                        self._traverse(packet, path[1:], receiver, delay),
-                        name=f"gpu{self.gpu_id}-traverse",
-                    )
-            self._active_sends[next_gpu] -= 1
+            links = [
+                self.links[spec.link_id]
+                for spec in self.machine.hop_path(self.gpu_id, next_gpu)
+            ]
+            wiring = self._wirings[next_gpu] = (
+                receiver,
+                receiver.buffer_from(self.gpu_id),
+                tuple(links[1:]),
+                links[0],
+            )
+        return wiring
 
-    def _traverse(
-        self,
-        packet: Packet,
-        remaining_path,
-        receiver: "GpuNode",
-        delay: float = 0.0,
-    ):
-        if delay > 0.0:
-            yield self.engine.sleep(delay)
-        for spec in remaining_path:
-            link = self.links[spec.link_id]
-            self._fulfill_link(packet, link)
-            transfer = link.transmit(packet.wire_bytes, tag=self.query_tag)
-            yield transfer
-            if self.crashed:
-                self._orphan(packet)
-                return
-            if self.cancelled:
-                self._discard(packet)
-                return
-            if transfer.value is False and self.recovery is not None:
-                # Lost mid-hop on a staged path: give back the reserved
-                # slot at the receiver and retransmit from this GPU.
-                if packet.held_buffer is not None:
-                    packet.held_buffer.release()
-                    packet.held_buffer = None
-                self._recover(packet, reason="link-down")
-                return
-            if self.integrity is not None and link.tamper is not None:
-                hold = link.tamper.apply(self, packet, receiver)
-                if hold > 0.0:
-                    yield self.engine.sleep(hold)
-        receiver.on_arrival(packet)
+    def _hop_failed(self, packet: Packet, delivered: bool) -> bool:
+        """Settle a packet whose link transfer just ended, if it must stop.
+
+        A crashed GPU orphans it, a cancelled query drops it, and a
+        loss gives back the slot reserved at the receiver and
+        retransmits from this GPU.  Returns whether the packet stopped.
+        """
+        if self.crashed:
+            self._orphan(packet)
+        elif self.cancelled:
+            self._discard(packet)
+        elif not delivered and self.recovery is not None:
+            if packet.held_buffer is not None:
+                packet.held_buffer.release()
+                packet.held_buffer = None
+            self._recover(packet, reason="link-down")
+        else:
+            return False
+        return True
 
     def _fulfill_link(self, packet: Packet, channel: LinkChannel) -> None:
         # A link the packet never committed (a fault-made duplicate
@@ -561,8 +499,8 @@ class GpuNode:
         """Stop this query's outstanding work (deadline / retry give-up).
 
         Un-injected flow bytes are dropped, queued packets are discarded
-        with their link commitments returned, and the injector/sender
-        processes park at their next resumption.  Unlike :meth:`crash`
+        with their link commitments returned, and the injector and
+        senders park at their next resumption.  Unlike :meth:`crash`
         this touches no coordinator books — the query is being abandoned
         cleanly, not recovered — and transfers already on the wire
         complete (and are discarded) harmlessly.
@@ -597,8 +535,8 @@ class GpuNode:
         packets are orphaned to the coordinator, and the partition data
         it had already received (``delivered_bytes``) is discarded —
         the returned byte count is what recovery must reproduce
-        elsewhere.  The sender/injector processes observe ``crashed``
-        at their next resumption and park.
+        elsewhere.  The senders and injector observe ``crashed`` at
+        their next resumption and park.
         """
         self.crashed = True
         self.crash_time = self.engine.now
@@ -831,3 +769,179 @@ class GpuNode:
             if slot is not None:
                 self.engine.schedule(finish - self.engine.now, slot.release)
         self.on_delivery(packet)
+
+
+class _Sender:
+    """One DMA engine of a GPU, run as engine callbacks (paper §4.1).
+
+    It repeatedly takes a batch of same-route packets from the weighted
+    round-robin (:meth:`GpuNode._pick_batch`) and, packet by packet,
+    claims a routing-buffer credit at the next hop and pushes the
+    packet over the hop's first link.  The engine is busy until that
+    link finishes; onward links of a staged hop are walked by a detached
+    :class:`_StagedHop`, so the next packet pipelines behind.
+
+    Each wake-up (new work, a credit, a finished transfer) re-enters
+    through ``engine._defer``, the slot a process waiting on the same
+    event would resume in, so same-instant ties keep their order and
+    the kernel counters match a process-based sender.  A credit
+    shortage drives :meth:`RoutingBuffer.acquire` with
+    :meth:`Engine.drive`.
+    """
+
+    __slots__ = ("node", "batch", "index", "next_gpu", "wiring", "_sent_later")
+
+    def __init__(self, node: GpuNode) -> None:
+        self.node = node
+        #: The batch being sent and the index of the packet after the
+        #: one in flight; ``None`` between batches.
+        self.batch: list[Packet] | None = None
+        self.index = 0
+        self.next_gpu = 0
+        self.wiring: tuple = ()
+        self._sent_later = partial(node.engine._defer, self._sent)
+        node.engine._defer(self.run, None)
+
+    def run(self, _: None = None) -> None:
+        """Send until a packet waits on a credit or the wire, or work runs out."""
+        node = self.node
+        while True:
+            batch = self.batch
+            if batch is None:
+                batch = node._pick_batch()
+                if batch is None:
+                    node._idle_senders.append(self.run)
+                    return
+                # The picked queue rotated to the back of the order.
+                next_gpu = node._rr_order[-1]
+                self.batch, self.index, self.next_gpu = batch, 0, next_gpu
+                self.wiring = node._wiring(next_gpu)
+                node._active_sends[next_gpu] = node._active_sends.get(next_gpu, 0) + 1
+            while self.index < len(batch):
+                packet = batch[self.index]
+                self.index += 1
+                if node.cancelled:
+                    node._discard(packet)
+                    continue
+                if node.coordinator is not None and (
+                    node.crashed or node.coordinator.is_dead(packet.flow_dst)
+                ):
+                    # This GPU died, or the destination was declared
+                    # dead and its partitions reassigned — either way
+                    # the packet is handed to the crash books.
+                    node._orphan(packet)
+                    continue
+                inbound = self.wiring[1]
+                if not inbound.try_acquire():
+                    recovery = node.recovery
+                    if recovery is None:
+                        timeout = None
+                    elif inbound.dead:
+                        # acquire() would refuse at once.
+                        node._recover(packet, reason="credit-timeout")
+                        continue
+                    else:
+                        timeout = recovery.policy.acquire_timeout
+                    node.engine.drive(inbound.acquire(timeout), self._acquired)
+                    return
+                self._transmit(packet)
+                return
+            node._active_sends[self.next_gpu] -= 1
+            self.batch = None
+
+    def _acquired(self, acquired: bool) -> None:
+        packet = self.batch[self.index - 1]
+        if acquired or self.node.recovery is None:
+            self._transmit(packet)
+            return
+        # The receiver's credits never freed (crashed GPU?) — recover
+        # instead of deadlocking.
+        self.node._recover(packet, reason="credit-timeout")
+        self.run()
+
+    def _transmit(self, packet: Packet) -> None:
+        node = self.node
+        _, inbound, _, first_link = self.wiring
+        packet.held_buffer = inbound
+        node._fulfill_link(packet, first_link)
+        first_link.transmit(packet.wire_bytes, node.query_tag, self._sent_later)
+
+    def _sent(self, delivered: bool) -> None:
+        node = self.node
+        packet = self.batch[self.index - 1]
+        if not node._hop_failed(packet, delivered):
+            receiver, _, onward, first_link = self.wiring
+            delay = 0.0
+            if node.integrity is not None and first_link.tamper is not None:
+                delay = first_link.tamper.apply(node, packet, receiver)
+            if onward:
+                walk = _StagedHop(node, packet, receiver, onward)
+                node.engine._defer(walk.start, delay)
+            else:
+                node.engine.schedule(delay, receiver.on_arrival, packet)
+        self.run()
+
+
+class _StagedHop:
+    """One packet crossing the onward links of a staged (multi-link) hop.
+
+    Its start and every transfer completion re-enter through
+    ``engine._defer``, as a detached process would.  Tamper delays and
+    holds sleep on a pooled :meth:`Engine.sleep` event, recycled after
+    the step that consumed it, as :meth:`Engine.drive` recycles one, so
+    ``timeout_pool_hits`` counts the same as for a process.
+    """
+
+    __slots__ = ("node", "packet", "receiver", "links", "index", "_sent_later")
+
+    def __init__(
+        self,
+        node: GpuNode,
+        packet: Packet,
+        receiver: GpuNode,
+        links: tuple[LinkChannel, ...],
+    ) -> None:
+        self.node = node
+        self.packet = packet
+        self.receiver = receiver
+        self.links = links
+        self.index = 0
+        self._sent_later = partial(node.engine._defer, self._sent)
+
+    def start(self, delay: float) -> None:
+        """First step, after the first link's tamper ``delay`` (if any)."""
+        if delay > 0.0:
+            self._sleep(delay)
+        else:
+            self._next()
+
+    def _sleep(self, delay: float) -> None:
+        self.node.engine.sleep(delay).add_callback(self._woke)
+
+    def _woke(self, event: SimEvent) -> None:
+        self._next()
+        if event._poolable:
+            self.node.engine._release(event)
+
+    def _next(self) -> None:
+        if self.index == len(self.links):
+            self.receiver.on_arrival(self.packet)
+            return
+        node = self.node
+        link = self.links[self.index]
+        node._fulfill_link(self.packet, link)
+        link.transmit(self.packet.wire_bytes, node.query_tag, self._sent_later)
+
+    def _sent(self, delivered: bool) -> None:
+        node = self.node
+        packet = self.packet
+        if node._hop_failed(packet, delivered):
+            return
+        link = self.links[self.index]
+        self.index += 1
+        if node.integrity is not None and link.tamper is not None:
+            hold = link.tamper.apply(node, packet, self.receiver)
+            if hold > 0.0:
+                self._sleep(hold)
+                return
+        self._next()

@@ -13,7 +13,7 @@ the paper's "broadcast the change in the queuing delay" design.
 
 Fault semantics (`repro.faults`): a channel can be *degraded* (its
 effective bandwidth scaled down), taken *down* (transfers in flight or
-newly submitted are lost and the completion event carries ``False``)
+newly submitted are lost and the completion reports ``False``)
 and brought back up.  Health changes are visible immediately to the
 owning GPU through :meth:`LinkChannel.queue_delay` and to everybody
 else through :meth:`LinkStateBoard.publish_fault`, which rides the same
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.sim.engine import Engine, SimEvent
 from repro.topology.links import LinkSpec
@@ -150,12 +150,22 @@ class LinkChannel:
         self._free_at = min(self._free_at, self.engine.now)
         return was_down
 
-    def transmit(self, nbytes: int, tag: "object | None" = None) -> SimEvent:
-        """Enqueue a transfer; the event triggers at completion.
+    def transmit(
+        self,
+        nbytes: int,
+        tag: "object | None" = None,
+        then: "Callable[[bool], None] | None" = None,
+    ) -> SimEvent | None:
+        """Enqueue a transfer and report its outcome at completion.
 
-        The event's value is ``True`` when the bytes crossed the wire
-        and ``False`` when the link was down at submission or failed
-        before the transfer completed (the packet is lost).
+        The outcome is ``True`` when the bytes crossed the wire and
+        ``False`` when the link was down at submission or failed before
+        the transfer completed (the packet is lost).  It is passed to
+        ``then(outcome)``, called straight from the completion callback;
+        without ``then`` a fresh event is returned and ``then`` is its
+        :meth:`~repro.sim.engine.SimEvent.succeed`.  A caller that
+        passes ``then`` and wants to resume where a waiting process
+        would must re-enter through ``engine._defer`` itself.
 
         ``tag`` identifies the submitting query to the per-link
         :class:`LinkArbiter` when one is installed; untagged transfers
@@ -164,18 +174,23 @@ class LinkChannel:
         """
         if nbytes <= 0:
             raise ValueError(f"transfer size must be positive, got {nbytes}")
+        event = None
+        if then is None:
+            event = SimEvent(self.engine)
+            then = event.succeed
         if self.arbiter is not None and tag is not None:
-            return self.arbiter.submit(nbytes, tag)
-        event = SimEvent(self.engine)
-        if not self.up:
+            self.arbiter.submit(nbytes, tag, then)
+        elif not self.up:
             # Dead port: the DMA engine notices after the launch latency.
             self.transfers_lost += 1
-            self.engine.schedule(self.spec.latency, event.succeed, False)
-            return event
-        self._book(nbytes, self.service_time(nbytes), event)
+            self.engine.schedule(self.spec.latency, then, False)
+        else:
+            self._book(nbytes, self.service_time(nbytes), then)
         return event
 
-    def _book(self, nbytes: int, service: float, event: SimEvent) -> None:
+    def _book(
+        self, nbytes: int, service: float, then: "Callable[[bool], None]"
+    ) -> None:
         """Book one transfer on the wire's virtual FIFO.
 
         Shared by the legacy immediate path (booked at submission) and
@@ -195,14 +210,14 @@ class LinkChannel:
         for recorder in self.recorders:
             recorder.record_transfer(self, now, start, completion, nbytes)
         self.engine.schedule(
-            completion - now, self._finish_transfer, event, self._outage_epoch
+            completion - now, self._finish_transfer, then, self._outage_epoch
         )
 
-    def _finish_transfer(self, event: SimEvent, epoch: int) -> None:
+    def _finish_transfer(self, then: "Callable[[bool], None]", epoch: int) -> None:
         delivered = self.up and epoch == self._outage_epoch
         if not delivered:
             self.transfers_lost += 1
-        event.succeed(delivered)
+        then(delivered)
 
 
 class LinkLanes:
@@ -285,17 +300,18 @@ class LinkArbiter:
                 f" have {ARBITRATION_MODES}"
             )
 
-    def submit(self, nbytes: int, tag: object) -> SimEvent:
-        """Queue one tagged transfer; the event triggers at completion."""
+    def submit(
+        self, nbytes: int, tag: object, then: "Callable[[bool], None]"
+    ) -> None:
+        """Queue one tagged transfer; ``then(outcome)`` runs at completion."""
         channel = self.channel
         engine = channel.engine
-        event = SimEvent(engine)
         if not channel.up:
             # Dead port: fail fast after the launch latency, exactly
             # like the arbiter-free path.
             channel.transfers_lost += 1
-            engine.schedule(channel.spec.latency, event.succeed, False)
-            return event
+            engine.schedule(channel.spec.latency, then, False)
+            return
         queue = self._waiting.get(tag)
         if queue is None:
             queue = self._waiting[tag] = deque()
@@ -307,11 +323,10 @@ class LinkArbiter:
             else:
                 self._rotation.append(tag)
         service = channel.service_time(nbytes)
-        queue.append((nbytes, service, event))
+        queue.append((nbytes, service, then))
         self.queued_service += service
         if not self._inflight:
             self._dispatch_next()
-        return event
 
     def _dispatch_next(self) -> None:
         channel = self.channel
@@ -321,15 +336,15 @@ class LinkArbiter:
             if tag is None:
                 self._inflight = False
                 return
-            nbytes, service, event = self._waiting[tag].popleft()
+            nbytes, service, then = self._waiting[tag].popleft()
             self.queued_service -= service
             if not channel.up:
                 # The link died while this request waited its turn; the
                 # loss surfaces at the packet's own retry machinery.
                 channel.transfers_lost += 1
-                engine.schedule(channel.spec.latency, event.succeed, False)
+                engine.schedule(channel.spec.latency, then, False)
                 continue
-            channel._book(nbytes, service, event)
+            channel._book(nbytes, service, then)
             self._inflight = True
             # Re-arbitrate at the completion boundary whether or not
             # the wire delivered (an outage mid-flight must not stall

@@ -56,8 +56,11 @@ class RoutingBuffer:
     the buffer is genuinely full, the sender blocks until the receiver
     releases a slot.
 
-    Use from a sender process as ``yield from buffer.acquire()``; the
-    receiver calls :meth:`release` as packets are consumed or forwarded.
+    A sender claims a slot with :meth:`try_acquire`; only when that
+    fails (credits out) does it drive the :meth:`acquire` generator,
+    with :meth:`Engine.drive` from a callback sender or ``yield from``
+    inside a process.  The receiver calls :meth:`release` as packets
+    are consumed or forwarded.
     """
 
     def __init__(self, engine: Engine, slots: int, sync_latency: float) -> None:
