@@ -8,6 +8,9 @@ partitioning phase:
   routes (sizes at *logical* scale).
 * :func:`execute_distribution` — actually move the numpy tuples so the
   rest of the pipeline (local partitioning, probe) runs on real data.
+
+:func:`received_histograms` reads the partition counts each GPU ends up
+with off the histograms, so planning the local passes touches no tuple.
 """
 
 from __future__ import annotations
@@ -74,8 +77,40 @@ class DistributedData:
     r: dict[int, GpuShard]
     s: dict[int, GpuShard]
 
-    def received_tuples(self, gpu_id: int) -> int:
-        return len(self.r[gpu_id]) + len(self.s[gpu_id])
+
+def received_histograms(
+    histograms: HistogramSet, assignment: PartitionAssignment
+) -> HistogramSet:
+    """The partition histograms of what each GPU holds after distribution.
+
+    The counts :func:`execute_distribution` delivers, read off the
+    source histograms without touching a tuple: a single-owner
+    partition's owner receives the partition's column sum; a broadcast
+    partition's moving side reaches every owner in full, and its kept
+    side stays put, so each owner keeps its own count.
+    """
+    gpu_ids = histograms.gpu_ids
+    r_counts, s_counts = histograms.stacked()
+    owns = assignment.single_owner_map() == np.arange(len(gpu_ids))[:, None]
+    received_r = np.where(owns, r_counts.sum(axis=0), 0)
+    received_s = np.where(owns, s_counts.sum(axis=0), 0)
+    for p in np.nonzero(assignment.broadcast_side != NO_BROADCAST)[0]:
+        owners = list(assignment.owners[p])
+        if assignment.broadcast_side[p] == BROADCAST_R:
+            moving, kept, moving_counts, kept_counts = (
+                received_r, received_s, r_counts, s_counts
+            )
+        else:
+            moving, kept, moving_counts, kept_counts = (
+                received_s, received_r, s_counts, r_counts
+            )
+        moving[owners, p] = moving_counts[:, p].sum()
+        kept[owners, p] = kept_counts[owners, p]
+    return HistogramSet(
+        num_partitions=histograms.num_partitions,
+        r=dict(zip(gpu_ids, received_r)),
+        s=dict(zip(gpu_ids, received_s)),
+    )
 
 
 def execute_distribution(
@@ -84,52 +119,64 @@ def execute_distribution(
     histograms: HistogramSet,
     assignment: PartitionAssignment,
 ) -> DistributedData:
-    """Physically redistribute the numpy tuples per the assignment."""
-    gpu_ids = histograms.gpu_ids
-    position = {gpu_id: pos for pos, gpu_id in enumerate(gpu_ids)}
-    owner_map = assignment.single_owner_map()
-    num_partitions = histograms.num_partitions
+    """Physically redistribute the numpy tuples per the assignment.
 
+    Each source shard is ordered once, stably, over *slots*: one per
+    owner GPU (its single-owner partitions), then one per broadcast
+    partition.  Every slot is then one contiguous slice of the ordered
+    shard.  An owner slice goes to its owner; a broadcast slice of the
+    moving side goes to every owner of the partition, and one of the
+    kept side stays on the source if the source owns the partition.
+    Each GPU receives its pieces source by source, owner slice first,
+    then the broadcast pieces in a fixed partition order.
+    """
+    gpu_ids = histograms.gpu_ids
+    num_gpus = len(gpu_ids)
+    num_partitions = histograms.num_partitions
     received_r: dict[int, list[GpuShard]] = {g: [] for g in gpu_ids}
     received_s: dict[int, list[GpuShard]] = {g: [] for g in gpu_ids}
 
-    broadcast_partitions = np.nonzero(assignment.broadcast_side != NO_BROADCAST)[0]
-    broadcast_set = set(int(p) for p in broadcast_partitions)
-    dest_bits = len(gpu_ids).bit_length()
+    # Slots: owner positions, then one per broadcast partition.
+    broadcast_side = assignment.broadcast_side
+    broadcast = list(set(np.nonzero(broadcast_side != NO_BROADCAST)[0].tolist()))
+    slot_of = assignment.single_owner_map()
+    slot_of[broadcast] = num_gpus + np.arange(len(broadcast))
+    num_slots = num_gpus + len(broadcast)
+    slot_bits = (num_slots - 1).bit_length()
 
-    for relation, received, moving_marker in (
-        (r, received_r, BROADCAST_R),
-        (s, received_s, BROADCAST_S),
+    r_counts, s_counts = histograms.stacked()
+    for relation, counts, received, moving_marker in (
+        (r, r_counts, received_r, BROADCAST_R),
+        (s, s_counts, received_s, BROADCAST_S),
     ):
-        for src in gpu_ids:
+        for src_pos, src in enumerate(gpu_ids):
             shard = relation.shard(src)
-            pids = partition_of(shard.keys, num_partitions)
-            # Single-owner partitions: one stable order by owner GPU, then
-            # one contiguous slice per owner.  Destination 0 marks the
-            # broadcast partitions, which are handled below.
-            destinations = owner_map[pids] + 1
-            order = stable_bucket_order(destinations, dest_bits)
-            bounds = np.cumsum(np.bincount(destinations, minlength=len(gpu_ids) + 1))
+            slots = slot_of[partition_of(shard.keys, num_partitions)]
+            order = stable_bucket_order(slots, slot_bits)
+            # Slot sizes: the source's histogram, summed per slot.
+            sizes = np.bincount(slot_of, weights=counts[src_pos], minlength=num_slots)
+            bounds = np.concatenate(([0], np.cumsum(sizes.astype(np.int64))))
+            if bounds[-1] != len(shard):
+                raise ValueError(
+                    f"histograms count {bounds[-1]} {relation.name} tuples on"
+                    f" GPU {src}, which holds {len(shard)}"
+                )
             keys, ids = shard.keys[order], shard.ids[order]
             for dst_pos, dst in enumerate(gpu_ids):
                 start, end = bounds[dst_pos], bounds[dst_pos + 1]
                 if start < end:
                     received[dst].append(GpuShard(keys[start:end], ids[start:end]))
-            # Broadcast partitions: this relation either moves to every
-            # owner (if it is the broadcast side) or stays put on the
-            # owners (if it is the kept side).
-            for p in broadcast_set:
-                mask = pids == p
-                if not np.any(mask):
+            for slot, p in enumerate(broadcast, start=num_gpus):
+                start, end = bounds[slot], bounds[slot + 1]
+                if start == end:
                     continue
-                piece = GpuShard(shard.keys[mask], shard.ids[mask])
+                piece = GpuShard(keys[start:end], ids[start:end])
                 owner_positions = assignment.owners[p]
-                if assignment.broadcast_side[p] == moving_marker:
+                if broadcast_side[p] == moving_marker:
                     for dst_pos in owner_positions:
                         received[gpu_ids[dst_pos]].append(piece)
-                else:
-                    if position[src] in owner_positions:
-                        received[src].append(piece)
+                elif src_pos in owner_positions:
+                    received[src].append(piece)
 
     return DistributedData(
         r={g: GpuShard.concat(received_r[g]) for g in gpu_ids},

@@ -63,24 +63,40 @@ def run_bounds(sorted_values: np.ndarray) -> np.ndarray:
 class LocalPartitions:
     """The refined co-partition buckets of one GPU.
 
-    ``bucket_ids`` are the shard's distinct bucket ids in ascending
-    order; bucket ``bucket_ids[i]`` holds ``boundaries[i+1] -
-    boundaries[i]`` tuples.  ``order`` groups tuples bucket-by-bucket
-    (``boundaries[i]:boundaries[i+1]`` slices bucket ``i`` out of the
-    reordered arrays) and keeps input order inside a bucket.  It costs
-    up to two radix passes, so it is built on first read: the count-only
-    probe never reads it.
-
     A tuple's bucket is ``key & mask`` on both join sides, so equal keys
     always share a bucket.  Matching per bucket therefore gives the same
     pairs as matching on the key alone, which is what lets the probe
     skip the buckets (:func:`repro.core.probe.probe_partitions`).
+
+    The buckets themselves are built on first read, because the
+    count-only probe reads none of them:
+
+    * :attr:`bucket_runs` — ``(bucket_ids, boundaries)``: the shard's
+      distinct bucket ids in ascending order, and where each bucket
+      starts; bucket ``bucket_ids[i]`` holds ``boundaries[i+1] -
+      boundaries[i]`` tuples.  One value sort of ``key & mask``.
+    * :attr:`order` — groups tuples bucket-by-bucket
+      (``boundaries[i]:boundaries[i+1]`` slices bucket ``i`` out of the
+      reordered arrays) and keeps input order inside a bucket.  Up to
+      two radix passes.
     """
 
     shard: GpuShard
     bucket_bits: int
-    bucket_ids: np.ndarray
-    boundaries: np.ndarray
+
+    @cached_property
+    def bucket_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        sorted_buckets = np.sort(self.shard.keys & bucket_mask(self.bucket_bits))
+        boundaries = run_bounds(sorted_buckets)
+        return sorted_buckets[boundaries[:-1]].astype(np.int64), boundaries
+
+    @property
+    def bucket_ids(self) -> np.ndarray:
+        return self.bucket_runs[0]
+
+    @property
+    def boundaries(self) -> np.ndarray:
+        return self.bucket_runs[1]
 
     @cached_property
     def order(self) -> np.ndarray:
@@ -105,12 +121,15 @@ class LocalPartitions:
 def stable_bucket_order(ids: np.ndarray, bits: int) -> np.ndarray:
     """``np.argsort(ids, kind="stable")`` for ids in ``[0, 2**bits)``.
 
-    ``bits`` may be at most 32.  The ids are sorted as ``uint16`` digits,
-    which numpy's stable sort handles with an O(n) radix sort: the low
-    16 bits first, then the high bits through that order.  Each pass is
-    stable, so equal ids keep their input order, and the two passes
-    together order by the full id (least-significant-digit radix sort).
+    ``bits`` may be at most 32.  The ids are sorted as ``uint16`` digits
+    (``uint8`` when ``bits <= 8``), which numpy's stable sort handles
+    with an O(n) radix sort: the low 16 bits first, then the high bits
+    through that order.  Each pass is stable, so equal ids keep their
+    input order, and the two passes together order by the full id
+    (least-significant-digit radix sort).
     """
+    if bits <= 8:
+        return np.argsort(ids.astype(np.uint8), kind="stable")
     order = np.argsort(ids.astype(np.uint16), kind="stable")
     if bits <= 16:
         return order
@@ -121,21 +140,14 @@ def stable_bucket_order(ids: np.ndarray, bits: int) -> np.ndarray:
 def refine(shard: GpuShard, global_bits: int, passes: int, fanout: int) -> LocalPartitions:
     """Bucket a shard by ``global_bits + passes*log2(fanout)`` key bits.
 
-    The bucket ids and sizes come from one value sort of ``key & mask``,
-    whose values equal ``buckets[order]``; the permutation itself waits
-    for :attr:`LocalPartitions.order`.
+    Only the depth is settled here: the bucket runs and the bucket order
+    are built when first read (see :class:`LocalPartitions`), so a probe
+    that reads neither pays for no sort.
     """
     if fanout < 1 or fanout & (fanout - 1):
         raise ValueError("fanout must be a power of two")
     bucket_bits = min(global_bits + passes * (int(fanout).bit_length() - 1), 32)
-    sorted_buckets = np.sort(shard.keys & bucket_mask(bucket_bits))
-    boundaries = run_bounds(sorted_buckets)
-    return LocalPartitions(
-        shard=shard,
-        bucket_bits=bucket_bits,
-        bucket_ids=sorted_buckets[boundaries[:-1]].astype(np.int64),
-        boundaries=boundaries,
-    )
+    return LocalPartitions(shard=shard, bucket_bits=bucket_bits)
 
 
 def plan_local_passes(

@@ -33,8 +33,9 @@ from repro.core.global_partition import (
     DistributedData,
     execute_distribution,
     plan_flows,
+    received_histograms,
 )
-from repro.core.histogram import HistogramSet, build_histograms, partition_of
+from repro.core.histogram import HistogramSet, build_histograms
 from repro.core.local_partition import plan_local_passes, refine
 from repro.core.probe import probe_partitions
 from repro.core.recovery import (
@@ -361,8 +362,8 @@ class MGJoin:
             data = execute_distribution(
                 workload.r, workload.s, plan.histograms, assignment
             )
-            local_passes, _pass_time, local_total_time = self._plan_local(
-                data, live_ids, plan.num_partitions, scale
+            local_passes, local_total_time = self._plan_local(
+                received_histograms(plan.histograms, assignment), live_ids, scale
             )
         if local_passes > 1:
             obs.counter("local.extra_passes").inc(local_passes - 1)
@@ -670,39 +671,31 @@ class MGJoin:
 
     def _plan_local(
         self,
-        data: DistributedData,
+        received: HistogramSet,
         gpu_ids: tuple[int, ...],
-        num_partitions: int,
         scale: int,
-    ) -> tuple[int, float, float]:
-        """Return (max passes, one-pass time, all-passes time)."""
+    ) -> tuple[int, float]:
+        """Return (max passes, all-passes time) from each GPU's received
+        partition histograms."""
         config = self.config
         compute = config.compute
         worst_passes = 0
-        worst_pass_time = 0.0
         worst_total = 0.0
         for gpu_id in gpu_ids:
-            r_shard, s_shard = data.r[gpu_id], data.s[gpu_id]
-            r_hist = np.bincount(
-                partition_of(r_shard.keys, num_partitions), minlength=num_partitions
-            )
-            s_hist = np.bincount(
-                partition_of(s_shard.keys, num_partitions), minlength=num_partitions
-            )
+            r_hist, s_hist = received.r[gpu_id], received.s[gpu_id]
             passes = plan_local_passes(
                 r_hist * scale,
                 s_hist * scale,
                 config.local_fanout,
                 config.target_partition_tuples,
             )
-            received_logical = (len(r_shard) + len(s_shard)) * scale
+            received_logical = int(r_hist.sum() + s_hist.sum()) * scale
             pass_time = compute.partition_time(
                 received_logical, config.tuple_bytes, passes=1
             )
             worst_passes = max(worst_passes, passes)
-            worst_pass_time = max(worst_pass_time, pass_time)
             worst_total = max(worst_total, pass_time * passes)
-        return worst_passes, worst_pass_time, worst_total
+        return worst_passes, worst_total
 
     def _probe(
         self,

@@ -11,6 +11,7 @@ kernels below deliver it with sort + binary search, and the whole-shard
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,9 +26,24 @@ class ProbeResult:
     matches: int = 0
     r_ids: np.ndarray | None = None
     s_ids: np.ndarray | None = None
-    #: Number of co-partition pairs probed (for cost accounting).
-    buckets_probed: int = 0
+    #: The probed ``(R, S)`` co-partition sets, for :attr:`buckets_probed`.
+    copartitions: tuple[LocalPartitions, LocalPartitions] | None = field(
+        default=None, repr=False
+    )
     _chunks: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+
+    @cached_property
+    def buckets_probed(self) -> int:
+        """Number of co-partition pairs probed (for cost accounting).
+
+        Counted on first read, from the buckets both sides hold: only
+        an observed join reads it, so the count-only probe builds no
+        bucket runs.
+        """
+        if self.copartitions is None:
+            return 0
+        r_parts, s_parts = self.copartitions
+        return len(_shared(r_parts.bucket_ids, s_parts.bucket_ids)[0])
 
     def add(self, r_ids: np.ndarray, s_ids: np.ndarray, materialize: bool) -> None:
         self.matches += len(r_ids)
@@ -162,8 +178,9 @@ def probe_partitions(
 
     * Count only: sort both sides' key values, take the run heads and
       lengths, find the runs both sides hold with one linear merge, and
-      sum ``r_len * s_len``.  No tuple-level argsort and no
-      ``LocalPartitions.order``.
+      sum ``r_len * s_len``.  No tuple-level argsort, no
+      ``LocalPartitions.order`` and no bucket runs: ``buckets_probed``
+      merges the two sides' bucket ids only when it is read.
     * Materialized or observed: each R tuple, visited in R's bucket
       order, takes the length and start of its key's run in S's rows
       stably sorted by key.  Inside one bucket those S rows keep input
@@ -189,12 +206,10 @@ def probe_partitions(
         if observer is not None
         else None
     )
-    result = ProbeResult()
-    r_pos, _ = _shared(r_parts.bucket_ids, s_parts.bucket_ids)
-    result.buckets_probed = len(r_pos)
-    if len(r_pos) == 0:
-        return result.finalize(materialize)
+    result = ProbeResult(copartitions=(r_parts, s_parts))
     r_shard, s_shard = r_parts.shard, s_parts.shard
+    if len(r_shard) == 0 or len(s_shard) == 0:
+        return result.finalize(materialize)
     per_tuple = materialize or match_histogram is not None
     if per_tuple:
         # One more radix pass, over the high key bits, continues R's
@@ -225,6 +240,8 @@ def probe_partitions(
     counts = run_count[run]
     result.matches = int(counts.sum())
     if match_histogram is not None:
+        r_pos, _ = _shared(r_parts.bucket_ids, s_parts.bucket_ids)
+        result.buckets_probed = len(r_pos)
         per_bucket = np.add.reduceat(counts, r_parts.boundaries[:-1])
         for pos in r_pos:
             match_histogram.observe(int(per_bucket[pos]))

@@ -9,8 +9,8 @@ observations, and the materialized ``(r_id, s_id)`` row order — for
 both probe kernels.  They cover the shallow 7-bit depth, the 21-bit
 depth of one 512-way pass over 4,096 global partitions, and the 32-bit
 cap, with keys up to ``0xFFFFFFFF`` and shards of all-distinct or
-all-equal keys.  The count-only, unobserved probe must not build the
-bucket order at all.
+all-equal keys.  The count-only, unobserved probe must build neither
+the bucket order nor the bucket runs.
 """
 
 import numpy as np
@@ -154,6 +154,23 @@ def test_count_only_probe_never_builds_the_bucket_order(depth):
     # The materialized probe reads R's order, and only then is it built.
     probe_partitions(r_parts, s_parts, materialize=True)
     assert "order" in vars(r_parts)
+
+
+@pytest.mark.parametrize("depth", sorted(DEPTHS))
+def test_count_only_probe_builds_nothing_unread(depth):
+    """Neither side's bucket order nor bucket runs; ``buckets_probed``
+    merges the bucket ids when it is read, and only then."""
+    rng = np.random.default_rng(5)
+    r_parts = _refined(KEYS["narrow"](rng, 2000), depth, 0)
+    s_parts = _refined(KEYS["narrow"](rng, 2000), depth, 10_000)
+    result = probe_partitions(r_parts, s_parts)
+    assert result.matches > 0
+    for parts in (r_parts, s_parts):
+        assert "order" not in vars(parts)
+        assert "bucket_runs" not in vars(parts)
+    probed = result.buckets_probed
+    assert "bucket_runs" in vars(r_parts) and "bucket_runs" in vars(s_parts)
+    assert probed == probe_partitions_bucketed(r_parts, s_parts).buckets_probed > 0
 
 
 def test_probe_methods_agree():
