@@ -263,8 +263,7 @@ class MGJoin:
                     "shuffle", flows=len(flows.flows), payload_bytes=flows.total_bytes
                 ):
                     shuffle_report = self._simulate_distribution(plan)
-            distribution_time = shuffle_report.elapsed if shuffle_report else 0.0
-            return self.finish(plan, distribution_time, shuffle_report)
+            return self.finish(plan, shuffle_report)
 
     def prepare(self, workload: JoinWorkload) -> JoinPlan:
         """Phases 1 and 2a: everything the distribution step needs.
@@ -332,13 +331,13 @@ class MGJoin:
         )
 
     def finish(
-        self,
-        plan: JoinPlan,
-        distribution_time: float,
-        shuffle_report: ShuffleReport | None = None,
+        self, plan: JoinPlan, shuffle_report: ShuffleReport | None
     ) -> JoinResult:
-        """Phases 3 and 4 once ``plan``'s distribution step took
-        ``distribution_time`` seconds, and the phase composition.
+        """Phases 3 and 4 once ``plan``'s distribution step ran, and the
+        phase composition.
+
+        The distribution step took ``shuffle_report.elapsed`` seconds;
+        with no report (nothing crossed the fabric) it took none.
 
         The functional pass runs against the final assignment: if GPUs
         died during the shuffle it re-reads the original (host-resident)
@@ -349,6 +348,9 @@ class MGJoin:
         workload = plan.workload
         gpu_ids = plan.gpu_ids
         scale = workload.logical_scale
+        distribution_time = (
+            shuffle_report.elapsed if shuffle_report is not None else 0.0
+        )
         bridge = plan.bridge
         dead = set(bridge.dead_gpus) if bridge is not None else set()
         assignment = bridge.final_assignment if dead else plan.assignment

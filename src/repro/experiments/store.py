@@ -333,9 +333,12 @@ class ResultsStore:
 
         The artifact's shape is sniffed: a ``BENCH_*.json`` perf
         baseline (``metrics`` + ``directions``) becomes a ``perf``
-        record and a ``chaos_report.json`` becomes a ``chaos`` record —
-        so historical hand-committed files join the ledger and the perf
-        gate can read its baseline *through the store*.
+        record, a ``chaos_report.json`` a ``chaos`` record, a
+        ``serve_chaos_report.json`` a ``serve-chaos`` record and a
+        ``fuzz_report.json`` a ``chaos-fuzz`` record — the records
+        ``--store`` would have written — so historical hand-committed
+        files join the ledger and the perf gate can read its baseline
+        *through the store*.
         """
         path = pathlib.Path(path)
         payload = json.loads(path.read_text())
@@ -349,10 +352,14 @@ class ResultsStore:
             )
         elif "throughput_retention" in payload and "plan" in payload:
             record = chaos_record(payload)
+        elif "in_flight_peak" in payload and "serve" in payload:
+            record = serve_chaos_record(payload)
+        elif "plans_run" in payload and "failures" in payload:
+            record = fuzz_record(payload)
         else:
             raise StoreError(
                 f"{path}: unrecognized artifact shape (expected a BENCH"
-                " baseline or a chaos report)"
+                " baseline, a chaos, serve-chaos or fuzz report)"
             )
         return self.put(record)
 

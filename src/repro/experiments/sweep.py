@@ -58,12 +58,6 @@ _AXIS_PARSERS: dict[str, Callable[[str], object]] = {
     "arrival": float,
 }
 
-#: Fault presets the serving layer cannot host (verified transport is a
-#: per-query facility, not a shared-fabric one) — mirror the serving-
-#: context check of :meth:`repro.faults.plan.FaultPlan.validate` so a
-#: serve sweep fails at parse/validate time, not mid-batch.
-_SERVE_UNSUPPORTED_PRESETS = ("payload-corrupt", "packet-dup", "packet-reorder")
-
 
 class SweepError(ValueError):
     """A sweep specification could not be parsed or validated."""
@@ -187,11 +181,6 @@ def validate_point(point: SweepPoint) -> None:
         raise SweepError("queries must be >= 1")
     if point.arrival < 0.0:
         raise SweepError("arrival (inter-arrival spacing, seconds) must be >= 0")
-    if point.queries > 1 and point.faults in _SERVE_UNSUPPORTED_PRESETS:
-        raise SweepError(
-            f"fault preset {point.faults!r} is not supported with queries > 1 "
-            f"(corruption faults need per-query verified transport)"
-        )
 
 
 def _build_workload(point: SweepPoint, gpu_ids: tuple[int, ...]):

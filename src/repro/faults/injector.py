@@ -40,7 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observer
     from repro.sim.engine import Engine
     from repro.sim.gpusim import GpuNode
-    from repro.sim.integrity import TransportIntegrity
     from repro.sim.linksim import LinkChannel, LinkStateBoard
     from repro.sim.recovery import CrashCoordinator
     from repro.topology.machine import MachineTopology
@@ -68,7 +67,6 @@ class FaultInjector:
         self._machine: "MachineTopology | None" = None
         self._packet_size = 0
         self._observer: "Observer | None" = None
-        self._integrity: "TransportIntegrity | None" = None
         #: Recovery scopes the faults fan out to, one per flow group:
         #: a solo run registers one, the serving layer one per admitted
         #: query, so a shared-fabric fault reaches every affected
@@ -123,7 +121,6 @@ class FaultInjector:
         nodes: dict[int, "GpuNode"],
         enumerator: "RouteEnumerator",
         coordinator: "CrashCoordinator | None" = None,
-        integrity: "TransportIntegrity | None" = None,
     ) -> None:
         """Register one flow group's recovery scope.
 
@@ -132,15 +129,12 @@ class FaultInjector:
         its coordinator (if any) is told about crashes of GPUs it owns.
         Damage already on the fabric is replayed into the enumerator
         immediately so late-admitted queries never route over a link
-        that died before they arrived.  ``integrity`` is the layer a
-        corruption fault's tamperer reports to.
+        that died before they arrived.
         """
         for link_id in self.failed_links:
             enumerator.fail_link(link_id)
         if self.failed_links:
             enumerator.cache.invalidate()
-        if integrity is not None:
-            self._integrity = integrity
         self._groups.append((nodes, enumerator, coordinator))
 
     def unregister_group(self, nodes: dict[int, "GpuNode"]) -> None:
@@ -285,17 +279,15 @@ class FaultInjector:
         One tamperer (and one seeded RNG) per fault event, shared by both
         directions, so the corruption pattern is a pure function of the
         plan — independent of packet interleaving across directions.
+        Each tampered packet is reported to its sending node's own
+        integrity layer, so on a shared fabric the damage lands in the
+        report of the query that owns the packet.
         """
         import random
         import zlib
 
         from repro.sim.integrity import PacketTamperer
 
-        if self._integrity is None:
-            raise FaultPlanError(
-                f"{event.kind.value} fault requires the transport integrity "
-                f"layer, which is not active for this run"
-            )
         seed = (
             zlib.crc32(
                 f"{event.kind.value}:{event.src}:{event.dst}:{event.at}".encode(
@@ -308,7 +300,6 @@ class FaultInjector:
             kind=event.kind.value,
             magnitude=event.magnitude,
             rng=random.Random(seed),
-            integrity=self._integrity,
         )
         for channel in self._link_pair(event):
             channel.tamper = tamperer

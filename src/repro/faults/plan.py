@@ -269,8 +269,10 @@ class FaultPlan:
         query whose GPU set contains both endpoints (otherwise no
         tenant's traffic can ever cross that link).  Violations name
         the offending event and the admitted queries, so a bad serve
-        chaos plan fails before any query is admitted.  Corruption-class
-        faults are refused in serving context.
+        chaos plan fails before any query is admitted.  Every fault
+        kind is accepted in serving context: a corruption fault on a
+        shared link reports each tampered packet to the query that
+        sent it.
         """
         if queries is not None and gpu_ids is None:
             union: set[int] = set()
@@ -321,8 +323,7 @@ class FaultPlan:
     def _validate_serve_reach(
         self, queries: "dict[str, tuple[int, ...]]"
     ) -> None:
-        """Reject events no admitted query can reach, and corruption
-        faults, which the serving layer cannot host."""
+        """Reject events no admitted query can reach."""
         admitted = {
             name: frozenset(query_gpus)
             for name, query_gpus in queries.items()
@@ -347,16 +348,6 @@ class FaultPlan:
                         f"gpu{event.src}<->gpu{event.dst}, a link no "
                         f"admitted query's traffic can cross (admitted: "
                         f"{roster})"
-                    )
-                if event.kind in CORRUPTION_KINDS:
-                    # The injector arms each corruption fault with one
-                    # tamperer reporting to a single integrity layer,
-                    # while every served query owns its own.
-                    raise FaultPlanError(
-                        f"plan {self.name!r}: {event.kind.value} faults are "
-                        f"not supported by the serving layer (verified "
-                        f"transport is per-query, not a shared-fabric "
-                        f"facility)"
                     )
 
     def _validate_permanent_conflicts(self) -> None:

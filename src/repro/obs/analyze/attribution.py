@@ -127,12 +127,6 @@ class BottleneckReport:
     phases: list[PhaseAttribution] = field(default_factory=list)
     flows: list[FlowLatencyRow] = field(default_factory=list)
 
-    @property
-    def worst_flow(self) -> FlowLatencyRow | None:
-        if not self.flows:
-            return None
-        return max(self.flows, key=lambda row: row.mean_latency)
-
     def to_dict(self) -> dict:
         """JSON-ready rendering (consumed by ``repro analyze --out-dir``)."""
         return {

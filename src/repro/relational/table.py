@@ -41,10 +41,6 @@ class Table:
     def column_names(self) -> tuple[str, ...]:
         return tuple(self.columns)
 
-    def column_bytes(self, name: str) -> int:
-        column = self.columns[name]
-        return int(column.nbytes)
-
     def row_width(self, names: tuple[str, ...] | None = None) -> int:
         """Bytes per row over the given (default: all) columns."""
         names = names if names is not None else self.column_names

@@ -10,14 +10,17 @@ must stay isolated stays per query: a route enumerator restricted to
 the query's GPUs, a fresh routing-policy instance, its GPU nodes
 (tagged with the query id), its own retry budget, its own integrity
 layer and — when the fault plan can kill GPUs — its own crash
-coordinator and join-level recovery bridge.
+coordinator and join-level recovery bridge.  A corruption fault on a
+shared link reports each tampered packet to the integrity layer of the
+query that sent it.
 
 Around that step a session runs the solo join's own two halves,
 :meth:`~repro.core.mgjoin.MGJoin.prepare` at admission and
 :meth:`~repro.core.mgjoin.MGJoin.finish` after the engine drains, so a
 served query produces the exact digest, match count and phase
-accounting a solo ``repro join`` would.  Only the distribution step
-runs on the shared clock, concurrently with every other admitted query.
+accounting a solo ``repro join`` would, with a shuffle report from the
+same builder.  Only the distribution step runs on the shared clock,
+concurrently with every other admitted query.
 
 The match digest is a pure function of the workload and the final
 assignment, never of shuffle timing, which is what makes per-query
@@ -84,7 +87,6 @@ class QuerySession:
         self.nodes: dict[int, GpuNode] = {}
         self.recovery: RecoveryManager | None = None
         self.coordinator = None
-        self.distribution_elapsed = 0.0
         self.join = MGJoin(fabric.machine, config, policy=policy, faults=faults)
         self.plan = self.join.prepare(workload)
 
@@ -136,7 +138,6 @@ class QuerySession:
         engine = self.fabric.engine
         self.finished_at = engine.now
         if self.group is not None:
-            self.distribution_elapsed = self.group.elapsed
             # A finished query must never again be touched by fabric
             # faults (a later crash of one of its GPUs belongs to
             # whoever is *still* running there).
@@ -170,16 +171,19 @@ class QuerySession:
     # ------------------------------------------------------------------
 
     def finalize(self) -> JoinResult:
-        """Check conservation, then finish the join off the shared clock.
+        """Report the query's shuffle, then finish the join off the
+        shared clock.
 
-        Only meaningful for sessions that reached ``delivered``; raises
-        :class:`~repro.sim.engine.SimulationError` if the session lost
-        bytes (the rule a solo shuffle report checks).
+        Only meaningful for sessions that reached ``delivered``, and
+        called once the engine has drained, as a solo run builds its
+        report.  The group's :meth:`~repro.sim.shuffle.ShuffleGroup.report`
+        raises :class:`~repro.sim.engine.SimulationError` if the session
+        lost bytes.
         """
         if self.state != "delivered":
             raise RuntimeError(
                 f"session {self.name!r} cannot finalize from state {self.state!r}"
             )
-        if self.group is not None:
-            self.group.check_conservation()
-        return self.join.finish(self.plan, self.distribution_elapsed)
+        group = self.group
+        report = group.report(self.policy.name) if group is not None else None
+        return self.join.finish(self.plan, report)

@@ -254,8 +254,7 @@ class QueryScheduler:
             self._entries[request.name] = _Entry(request, gpu_ids)
         if self.faults is not None:
             # Serve-context plan validation: every fault must land on
-            # hardware some admitted query can reach, and none may be
-            # corruption-class.
+            # hardware some admitted query can reach.
             self.faults.validate(
                 self.machine,
                 queries={

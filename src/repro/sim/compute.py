@@ -115,10 +115,6 @@ class GpuComputeModel:
         touched = (build_tuples + probe_tuples + matches) * tuple_bytes
         return self._stream_time(touched, self.probe_efficiency)
 
-    def memcpy_time(self, nbytes: float) -> float:
-        """Local device-memory copy (packet unpack, buffer moves)."""
-        return self._stream_time(nbytes, self.memcpy_efficiency)
-
     # -- unified memory (UMJ baseline) ------------------------------------
 
     def page_fault_time(self, remote_bytes: float, num_gpus: int) -> float:

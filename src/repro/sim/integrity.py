@@ -269,15 +269,15 @@ class PacketTamperer:
 
     Installed on both directed :class:`~repro.sim.linksim.LinkChannel`
     objects of the faulted NVLink for the event's duration.  ``apply``
-    is called by the sending GPU after each successful transmission;
-    the rng is seeded from the fault event + plan seed, so the same
-    plan tampers with the same packets run after run.
+    is called by the sending GPU after each successful transmission and
+    reports to that GPU's integrity layer; the rng is seeded from the
+    fault event + plan seed, so the same plan tampers with the same
+    packets run after run.
     """
 
     kind: str
     magnitude: float
     rng: random.Random
-    integrity: TransportIntegrity
     #: Arrival delay of a duplicate copy / a held-back packet, seconds.
     dup_delay: float = 20e-6
     reorder_delay: float = 200e-6
@@ -288,7 +288,7 @@ class PacketTamperer:
         """Maybe tamper with ``packet``; returns extra arrival delay."""
         if self.rng.random() >= self.magnitude:
             return 0.0
-        integrity = self.integrity
+        integrity = node.integrity
         if self.kind == "payload-corrupt":
             packet.payload_token ^= 1 << self.rng.randrange(32)
             integrity.note_corrupted(packet)

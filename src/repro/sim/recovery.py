@@ -417,9 +417,6 @@ class CrashCoordinator:
         """GPUs declared dead (crash detected and recovery triggered)."""
         return frozenset(self._declared)
 
-    def is_crashed(self, gpu_id: int) -> bool:
-        return gpu_id in self._crashed
-
     def is_dead(self, gpu_id: int) -> bool:
         return gpu_id in self._declared
 

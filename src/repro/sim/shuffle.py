@@ -4,11 +4,11 @@ Given a *flow matrix* — how many (possibly compressed) bytes each GPU
 must send to each other GPU — a :class:`ShuffleGroup` wires per-GPU
 sender/receiver machinery and a routing policy onto a shared
 :class:`~repro.sim.fabric.Fabric`.  It is the only place a shuffle is
-wired: the :class:`ShuffleSimulator` runs one group on a fresh fabric
-and returns a :class:`~repro.sim.stats.ShuffleReport` with the timings,
-per-link utilization and bisection statistics the paper's Figures 5-10
-report, while the serving layer runs one group per admitted query on a
-fabric they all share.
+wired: the :class:`ShuffleSimulator` runs one group on a fresh fabric,
+while the serving layer runs one group per admitted query on a fabric
+they all share.  Either way the group builds its own
+:class:`~repro.sim.stats.ShuffleReport` with the timings, per-link
+utilization and bisection statistics the paper's Figures 5-10 report.
 """
 
 from __future__ import annotations
@@ -139,8 +139,9 @@ class ShuffleGroup:
     (when verification is requested or the plan can tamper with
     packets), the crash coordinator (when a join-level recovery bridge
     is present too) and one :class:`GpuNode` per relay GPU.  It keeps a
-    running total of delivered bytes, owns the byte-conservation rule
-    and measures the distribution step's elapsed time.
+    running total of delivered bytes, owns the byte-conservation rule,
+    measures the distribution step's elapsed time and builds the
+    :class:`~repro.sim.stats.ShuffleReport` (:meth:`report`).
 
     Building a group spawns its node processes; :meth:`start` registers
     it with the fabric's fault injector and injects its flows.
@@ -284,7 +285,6 @@ class ShuffleGroup:
                 nodes=self.nodes,
                 enumerator=self.enumerator,
                 coordinator=self.coordinator,
-                integrity=self.integrity,
             )
         for gpu_id in self.gpu_ids:
             outgoing = self.flows.outgoing(gpu_id)
@@ -385,6 +385,69 @@ class ShuffleGroup:
             ),
             default=0.0,
         )
+
+    def report(self, policy_name: str) -> ShuffleReport:
+        """Check conservation, then report this group's shuffle.
+
+        Called once the engine has drained, by a solo run and by a
+        served query alike.  The flow, packet, recovery and integrity
+        fields are the group's own; the link-level fields read the
+        fabric, which a served query shares with every other tenant.
+        """
+        self.check_conservation()
+        elapsed = self.elapsed
+        nodes = self.nodes
+        fabric = self.fabric
+        links = fabric.links
+        report = ShuffleReport(
+            policy_name=policy_name,
+            num_gpus=len(self.gpu_ids),
+            elapsed=elapsed,
+            payload_bytes=self.flows.total_bytes,
+            delivered_bytes=self.delivered_bytes,
+            wire_bytes=sum(channel.bytes_sent for channel in links.values()),
+            packets_delivered=self.packets_delivered,
+            hop_count_total=self.hop_count_total,
+            link_stats={
+                link_id: LinkStats(
+                    spec=channel.spec,
+                    bytes_sent=channel.bytes_sent,
+                    busy_time=channel.busy_time,
+                    transfers=channel.transfers,
+                )
+                for link_id, channel in links.items()
+                if channel.transfers > 0
+            },
+            cut=bisection_cut(fabric.machine, self.gpu_ids),
+            buffer_sync_count=sum(
+                node.buffer_sync_count for node in nodes.values()
+            ),
+            board_broadcast_count=fabric.board.broadcast_count,
+            sync_time_total=sum(node.stats.sync_time for node in nodes.values()),
+            consume_finish_time=max(
+                (node.stats.last_consume_time for node in nodes.values()),
+                default=0.0,
+            ),
+            per_gpu_delivered={
+                gpu_id: nodes[gpu_id].stats.delivered_bytes
+                for gpu_id in self.gpu_ids
+            },
+            recovery=(
+                self.coordinator.build_stats(elapsed) if self.crashed else None
+            ),
+            integrity=(
+                self.integrity.build_stats() if self.integrity is not None else None
+            ),
+        )
+        if fabric.injector is not None:
+            report.faults_injected = fabric.injector.faults_injected
+        recovery = self.recovery
+        if recovery is not None:
+            report.packet_retries = recovery.retries
+            report.packet_reroutes = recovery.reroutes
+            report.packet_fallbacks = recovery.fallbacks
+            report.packets_recovered = recovery.packets_recovered
+        return report
 
 
 class ShuffleSimulator:
@@ -489,15 +552,7 @@ class ShuffleSimulator:
             stream.flush()
         if conformance is not None:
             conformance.export_metrics(self.observer)
-        report = self._build_report(fabric, group, policy)
-        if fabric.injector is not None:
-            report.faults_injected = fabric.injector.faults_injected
-        recovery = group.recovery
-        if recovery is not None:
-            report.packet_retries = recovery.retries
-            report.packet_reroutes = recovery.reroutes
-            report.packet_fallbacks = recovery.fallbacks
-            report.packets_recovered = recovery.packets_recovered
+        report = group.report(policy.name)
         if self.observer is not None:
             metrics = self.observer.metrics
             metrics.gauge("shuffle.elapsed_seconds").set(report.elapsed)
@@ -534,53 +589,3 @@ class ShuffleSimulator:
                     rec.recovery_share(report.elapsed)
                 )
         return report
-
-    def _build_report(
-        self, fabric: Fabric, group: ShuffleGroup, policy: RoutingPolicy
-    ) -> ShuffleReport:
-        group.check_conservation()
-        elapsed = group.elapsed
-        nodes = group.nodes
-        consume_finish = max(
-            (node.stats.last_consume_time for node in nodes.values()), default=0.0
-        )
-        links = fabric.links
-        link_stats = {
-            link_id: LinkStats(
-                spec=channel.spec,
-                bytes_sent=channel.bytes_sent,
-                busy_time=channel.busy_time,
-                transfers=channel.transfers,
-            )
-            for link_id, channel in links.items()
-            if channel.transfers > 0
-        }
-        wire_bytes = sum(channel.bytes_sent for channel in links.values())
-        return ShuffleReport(
-            policy_name=policy.name,
-            num_gpus=len(self.gpu_ids),
-            elapsed=elapsed,
-            payload_bytes=group.flows.total_bytes,
-            delivered_bytes=group.delivered_bytes,
-            wire_bytes=wire_bytes,
-            packets_delivered=group.packets_delivered,
-            hop_count_total=group.hop_count_total,
-            link_stats=link_stats,
-            cut=bisection_cut(self.machine, self.gpu_ids),
-            buffer_sync_count=sum(
-                node.buffer_sync_count for node in nodes.values()
-            ),
-            board_broadcast_count=fabric.board.broadcast_count,
-            sync_time_total=sum(node.stats.sync_time for node in nodes.values()),
-            consume_finish_time=consume_finish,
-            per_gpu_delivered={
-                gpu_id: nodes[gpu_id].stats.delivered_bytes
-                for gpu_id in self.gpu_ids
-            },
-            recovery=(
-                group.coordinator.build_stats(elapsed) if group.crashed else None
-            ),
-            integrity=(
-                group.integrity.build_stats() if group.integrity is not None else None
-            ),
-        )

@@ -167,6 +167,13 @@ class ShuffleReport:
     ``payload_bytes`` counts each flow byte once regardless of how many
     relay hops it took; throughput figures therefore compare fairly
     between direct and multi-hop routing.
+
+    A served query's report comes from the same builder, but its
+    link-level fields (``wire_bytes``, ``link_stats``,
+    ``board_broadcast_count`` and the bisection figures read from
+    them) and ``faults_injected`` describe the fabric every tenant
+    shares; the flow, packet, recovery and integrity fields are the
+    query's own.
     """
 
     policy_name: str
@@ -253,6 +260,3 @@ class ShuffleReport:
         return self._directional_utilization(
             self.cut.crossing_ba, self.cut.capacity_ba
         )
-
-    def link_utilization(self, link_id: int) -> float:
-        return self.link_stats[link_id].utilization(self.elapsed)

@@ -42,13 +42,6 @@ class TestServeAxes:
             validate_point(dataclasses.replace(TINY, arrival=-0.1))
         validate_point(dataclasses.replace(TINY, queries=4))
 
-    def test_validate_rejects_corruption_under_concurrency(self):
-        point = dataclasses.replace(TINY, queries=4, faults="payload-corrupt")
-        with pytest.raises(SweepError, match="not supported with queries"):
-            validate_point(point)
-        # Solo corruption chaos stays allowed.
-        validate_point(dataclasses.replace(TINY, faults="payload-corrupt"))
-
 
 class TestServeRunOne:
     def test_healthy_serve_point_records_sla_metrics(self, tmp_path):

@@ -651,6 +651,36 @@ def test_chaos_serve_command_gate(capsys, tmp_path):
     assert record.metrics["serve.chaos_correct"] == 1.0
 
 
+def test_store_ingests_the_chaos_reports_the_cli_writes(capsys, tmp_path):
+    from repro.experiments.store import ResultsStore
+
+    # A served corruption batch and a fuzz campaign, each written with
+    # --out-dir and recorded with --store in one run.
+    assert main([
+        "chaos", "--serve", "--preset", "payload-corrupt", "--gpus", "4",
+        "--real-tuples", "1K", "--queries", "12",
+        "--out-dir", str(tmp_path), "--store", str(tmp_path / "direct"),
+    ]) == 0
+    assert main([
+        "chaos", "fuzz", "--gpus", "4",
+        "--tuples-per-gpu", "1M", "--real-tuples", "4K",
+        "--seed", "8", "--budget", "1", "--verify",
+        "--out-dir", str(tmp_path), "--store", str(tmp_path / "direct"),
+    ]) == 0
+    capsys.readouterr()
+    direct = ResultsStore(tmp_path / "direct")
+    ingested = ResultsStore(tmp_path / "ingested")
+    for name, kind in (
+        ("serve_chaos_report.json", "serve-chaos"),
+        ("fuzz_report.json", "chaos-fuzz"),
+    ):
+        record = ingested.ingest(tmp_path / name)
+        assert record.kind == kind
+        expected = direct.latest(kind=kind)
+        assert record.run_id == expected.run_id
+        assert record.metrics == expected.metrics
+
+
 def test_chaos_serve_requires_a_scenario():
     with pytest.raises(SystemExit):
         main(["chaos", "--serve", "--gpus", "4"])

@@ -11,7 +11,7 @@ from helpers import healthy_latency, solo_join
 import repro.sim.shuffle as shuffle_module
 from repro.core.config import MGJoinConfig
 from repro.core.mgjoin import MGJoin
-from repro.faults import FaultEvent, FaultKind, FaultPlan
+from repro.faults import PRESET_NAMES, FaultEvent, FaultKind, FaultPlan
 from repro.faults.chaos import resolve_plan
 from repro.routing import AdaptiveArmPolicy, DirectPolicy
 from repro.serve import QueryRequest, QueryScheduler, synthetic_requests, workload_for
@@ -25,15 +25,21 @@ def preset_for(machine, request, preset):
     return resolve_plan(preset, machine, horizon, 0, gpu_ids)
 
 
-#: Every preset the serving layer accepts (corruption faults are refused).
-SERVE_PRESETS = (
-    "gpu-crash",
-    "nvlink-brownout",
-    "gpu-straggler",
-    "link-flap",
-    "link-blackout",
-    "nvlink-cut",
-    "gpu-crash-x2",
+#: The report fields that describe the query's own flows.  Link-level
+#: fields (``link_stats``, ``wire_bytes``) describe the shared fabric,
+#: which a served group stops watching at its last owed byte.
+QUERY_REPORT_FIELDS = (
+    "elapsed",
+    "delivered_bytes",
+    "packets_delivered",
+    "hop_count_total",
+    "per_gpu_delivered",
+    "packet_retries",
+    "packet_reroutes",
+    "packet_fallbacks",
+    "packets_recovered",
+    "recovery",
+    "integrity",
 )
 
 
@@ -41,12 +47,12 @@ class TestServingIdentity:
     @pytest.mark.parametrize(
         "arbitration, preset",
         [(None, None), ("fair", None), ("priority", None)]
-        + [(None, preset) for preset in SERVE_PRESETS],
-        ids=["None", "fair", "priority", *SERVE_PRESETS],
+        + [(None, preset) for preset in PRESET_NAMES],
+        ids=["None", "fair", "priority", *PRESET_NAMES],
     )
     def test_single_query_serve_equals_solo_join(self, dgx1, arbitration, preset):
         """One tenant alone must see exactly the standalone join, healthy
-        or under any fault the serving layer accepts."""
+        or under any fault preset, down to its own shuffle report."""
         request = QueryRequest(name="only", gpus=4, tuples=2048)
         faults = preset_for(dgx1, request, preset) if preset else None
         report = QueryScheduler(
@@ -72,6 +78,10 @@ class TestServingIdentity:
         assert outcome.join_time == reference.total_time
         assert outcome.retries == reference.shuffle_report.packet_retries
         assert outcome.fallbacks == reference.shuffle_report.packet_fallbacks
+        assert outcome.result.recovery == reference.recovery
+        served, solo = outcome.result.shuffle_report, reference.shuffle_report
+        for name in QUERY_REPORT_FIELDS:
+            assert getattr(served, name) == getattr(solo, name), name
         assert report.exit_code == 0
 
     def test_concurrent_queries_keep_solo_digests(self, dgx1):

@@ -67,18 +67,6 @@ class TestGuards:
                 min_in_flight=12,
             )
 
-    def test_corruption_scenarios_rejected(self, dgx1):
-        """Serving has no per-query verified transport yet; corruption
-        plans must be refused up front, not silently mis-graded."""
-        with pytest.raises(ValueError, match="not .*supported by the serving"):
-            run_chaos(
-                dgx1,
-                synthetic_requests(2, gpus=2, tuples=1024),
-                "payload-corrupt",
-                policy_factory=AdaptiveArmPolicy,
-                min_in_flight=2,
-            )
-
     def test_single_gpu_workloads_cannot_be_graded(self, dgx1):
         with pytest.raises(ChaosError, match="shuffle"):
             run_chaos(
@@ -88,3 +76,35 @@ class TestGuards:
                 policy_factory=AdaptiveArmPolicy,
                 min_in_flight=2,
             )
+
+
+class TestCorruptionUnderServe:
+    """A corrupted shared link reports each tampered packet to the query
+    that sent it, so a served batch is graded like a solo join."""
+
+    @staticmethod
+    def corrupt(dgx1, verify):
+        return run_chaos(
+            dgx1,
+            REQUESTS,
+            "payload-corrupt",
+            policy_factory=AdaptiveArmPolicy,
+            min_in_flight=12,
+            strict=False,
+            verify=verify,
+        )
+
+    def test_verified_batch_is_repaired(self, dgx1):
+        report = self.corrupt(dgx1, verify=None)
+        assert report.correct, report.failure
+        assert report.serve.completed == 12
+        stats = [run.shuffle_report.integrity for run in report.runs.values()]
+        assert all(s is not None and s.verified for s in stats)
+        assert sum(s.retransmits for s in stats) > 0
+        assert not report.silent_corruption_detected
+
+    def test_unverified_batch_is_flagged_as_silent_corruption(self, dgx1):
+        report = self.corrupt(dgx1, verify=False)
+        assert report.silent_corruption_detected
+        assert not report.correct
+        assert "silently corrupted the shuffle" in report.failure

@@ -127,8 +127,7 @@ def staged_tamper(dgx1):
     flows.add(5, 0, 16 * MB)
     group = ShuffleGroup(fabric, gpus, flows, DirectPolicy())
     tamperer = PacketTamperer(
-        kind="packet-reorder", magnitude=0.5, rng=random.Random(3),
-        integrity=group.integrity,
+        kind="packet-reorder", magnitude=0.5, rng=random.Random(3)
     )
     for channel in fabric.links.values():
         if channel.spec.link_type is not LinkType.NVLINK:
