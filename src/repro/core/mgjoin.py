@@ -48,6 +48,7 @@ from repro.core.relation import JoinWorkload
 from repro.obs import NULL_OBSERVER, Observer
 from repro.routing.adaptive import AdaptiveArmPolicy
 from repro.routing.base import RoutingPolicy
+from repro.sim.integrity import IntegrityStats
 from repro.sim.recovery import RecoveryConfig, RetryPolicy
 from repro.sim.shuffle import FlowMatrix, ShuffleConfig, ShuffleSimulator
 from repro.sim.stats import ShuffleReport
@@ -158,6 +159,13 @@ class JoinResult:
     @property
     def total_time(self) -> float:
         return self.breakdown.total
+
+    @property
+    def integrity(self) -> IntegrityStats | None:
+        """The shuffle's integrity stats; ``None`` when nothing crossed
+        the fabric (no shuffle report) or the integrity layer was off."""
+        report = self.shuffle_report
+        return None if report is None else report.integrity
 
     @property
     def matches_logical(self) -> int:

@@ -420,8 +420,9 @@ def serve_chaos_record(payload: dict) -> RunRecord:
     """A ``serve_chaos_report.json`` payload as a store record.
 
     Per-query verdicts (status, digest vs the solo reference, crashed
-    GPUs) ride in the telemetry blob so a broken concurrency-identity
-    gate is diagnosable from the ledger alone.
+    GPUs, integrity stats) ride in the telemetry blob so a broken
+    concurrency-identity gate, or a repaired corruption, is diagnosable
+    from the ledger alone.
     """
     serve = payload.get("serve", {})
     metrics = {

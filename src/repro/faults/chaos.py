@@ -63,18 +63,10 @@ class ChaosInputError(ValueError):
 
 
 def _silent_corruption(result: JoinResult) -> "IntegrityStats | None":
-    """The integrity stats of ``result`` if corrupt data went unchecked.
-
-    Only possible with verification *off*: the end-to-end audit found
-    deliveries whose payload checksum was stale or whose uid was
-    already seen.  With verification on, those packets were repaired
-    in flight.
-    """
-    report = result.shuffle_report
-    stats = None if report is None else report.integrity
-    if stats is not None and not stats.verified and stats.silent_corruption:
-        return stats
-    return None
+    """The integrity stats of ``result`` if corrupt data went unchecked
+    (see :attr:`~repro.sim.integrity.IntegrityStats.unchecked_corruption`)."""
+    stats = result.integrity
+    return stats if stats is not None and stats.unchecked_corruption else None
 
 
 def join_failure(healthy: JoinResult, faulted: JoinResult) -> str | None:
@@ -208,8 +200,7 @@ class ChaosReport:
     @property
     def integrity(self) -> "IntegrityStats | None":
         """Verified-transport stats from the faulted solo run, if active."""
-        report = self.faulted.shuffle_report
-        return None if report is None else report.integrity
+        return self.faulted.integrity
 
     @property
     def throughput_retention(self) -> float:
@@ -337,6 +328,11 @@ class ChaosReport:
                     "crashed_gpus": list(outcome.crashed_gpus),
                     "retries": outcome.retries,
                     "latency": outcome.latency,
+                    "integrity": (
+                        None
+                        if outcome.integrity is None
+                        else outcome.integrity.to_dict()
+                    ),
                 }
                 for outcome in self.serve.outcomes
             },

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.mgjoin import JoinResult
+    from repro.sim.integrity import IntegrityStats
 
 __all__ = [
     "QueryRequest",
@@ -209,6 +210,9 @@ class QueryOutcome:
     fallbacks: int = 0
     crashed_gpus: tuple[int, ...] = ()
     rejection: QueryRejected | None = None
+    #: Integrity-layer stats of a completed query's shuffle; ``None``
+    #: when the layer was off (no verification, no corruption fault).
+    integrity: "IntegrityStats | None" = None
     #: Human-oriented detail for failure statuses.
     detail: str = ""
     #: The finished join of a completed query (graded by the chaos
@@ -250,6 +254,8 @@ class QueryOutcome:
             payload["crashed_gpus"] = list(self.crashed_gpus)
         if self.rejection is not None:
             payload["rejection"] = self.rejection.to_dict()
+        if self.integrity is not None:
+            payload["integrity"] = self.integrity.to_dict()
         if self.detail:
             payload["detail"] = self.detail
         return payload

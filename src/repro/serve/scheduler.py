@@ -32,8 +32,11 @@ contract:
 
 Everything lands in a :class:`ServeReport`: one terminal
 :class:`~repro.serve.requests.QueryOutcome` per request, per-tenant SLA
-metrics through the observer, and an exit code (0 = served, 1 = at
-least one admitted query was lost).
+metrics through the observer, and an exit code: 0 = served, 1 = at
+least one admitted query was lost, 3 = a completed query's unverified
+transport delivered corrupt or duplicate data (the code ``repro chaos``
+uses; it wins over 1).  Each completed outcome carries its shuffle's
+integrity stats, so the damage is named per query.
 """
 
 from __future__ import annotations
@@ -134,10 +137,24 @@ class ServeReport:
         return sum(1 for outcome in self.outcomes if not outcome.ok)
 
     @property
+    def silently_corrupted(self) -> tuple[str, ...]:
+        """Completed queries whose unverified transport delivered
+        corrupt or duplicate data."""
+        return tuple(
+            outcome.name
+            for outcome in self.outcomes
+            if outcome.integrity is not None
+            and outcome.integrity.unchecked_corruption
+        )
+
+    @property
     def exit_code(self) -> int:
-        """0 = every admitted query completed (rejections are graceful
-        shed-load); 1 = an admitted query was lost to a deadline or an
-        exhausted retry budget."""
+        """3 = a completed query joined silently corrupted data (as in
+        ``repro chaos``); else 0 = every admitted query completed
+        (rejections are graceful shed-load), 1 = an admitted query was
+        lost to a deadline or an exhausted retry budget."""
+        if self.silently_corrupted:
+            return 3
         return 0 if self.failed == 0 else 1
 
     def outcome(self, name: str) -> QueryOutcome:
@@ -176,6 +193,12 @@ class ServeReport:
         if waits:
             lines.append(
                 f"queue wait max       : {max(waits) * 1e3:.3f} ms (sim)"
+            )
+        if self.silently_corrupted:
+            lines.append(
+                "SILENT CORRUPTION    : "
+                + ", ".join(self.silently_corrupted)
+                + " (unverified transport)"
             )
         return lines
 
@@ -526,6 +549,7 @@ class QueryScheduler:
             crashed_gpus=(
                 tuple(sorted(result.recovery.dead_gpus)) if result.recovery else ()
             ),
+            integrity=result.integrity,
         )
         entry.outcome.result = result
 

@@ -92,6 +92,18 @@ class IntegrityStats:
         """Did un-verified transport deliver corrupt or duplicate data?"""
         return self.corrupt_delivered > 0 or self.dup_delivered > 0
 
+    @property
+    def unchecked_corruption(self) -> bool:
+        """Did corrupt or duplicate data reach the join unchecked?
+
+        Only possible with verification *off*: the end-to-end audit
+        found deliveries whose payload checksum was stale or whose uid
+        was already seen.  With verification on, those packets were
+        repaired in flight.  ``repro chaos`` and ``repro serve`` exit 3
+        on it.
+        """
+        return not self.verified and self.silent_corruption
+
     def to_dict(self) -> dict:
         return {
             "verified": self.verified,

@@ -20,7 +20,7 @@ from repro.core.relation import (
     GpuShard,
     JoinWorkload,
 )
-from repro.workloads.zipf import zipf_partition_counts, zipf_sample
+from repro.workloads.zipf import ZipfTable, zipf_partition_counts
 
 
 @dataclass(frozen=True)
@@ -72,9 +72,17 @@ def generate_workload(spec: WorkloadSpec) -> JoinWorkload:
     """Materialize the workload described by ``spec``."""
     rng = np.random.default_rng(spec.seed)
     total = spec.real_tuples_per_gpu * spec.num_gpus
+    # Heavy-hitter keys: ranks drawn from a finite Zipf over the key
+    # universe.  Rank 0 (the heaviest key) can dominate entire radix
+    # partitions, which is what exercises the skew handling.  R and S
+    # draw from one table; 0 keeps sequential unique keys.
+    table = ZipfTable(total, spec.key_zipf) if spec.key_zipf > 0.0 else None
     relations = {}
-    for name, salt in (("R", 0), ("S", 1)):
-        keys = _make_keys(total, spec.key_zipf, rng)
+    for name in ("R", "S"):
+        if table is None:
+            keys = np.arange(total, dtype=KEY_DTYPE)
+        else:
+            keys = table.sample(total, rng).astype(KEY_DTYPE)
         rng.shuffle(keys)
         ids = np.arange(total, dtype=ID_DTYPE)
         relations[name] = _distribute(
@@ -83,15 +91,6 @@ def generate_workload(spec: WorkloadSpec) -> JoinWorkload:
     return JoinWorkload(
         r=relations["R"], s=relations["S"], logical_scale=spec.logical_scale
     )
-
-
-def _make_keys(total: int, key_zipf: float, rng: np.random.Generator) -> np.ndarray:
-    if key_zipf <= 0.0:
-        return np.arange(total, dtype=KEY_DTYPE)
-    # Heavy-hitter keys: ranks drawn from a finite Zipf over the key
-    # universe.  Rank 0 (the heaviest key) can dominate entire radix
-    # partitions, which is what exercises the skew handling.
-    return zipf_sample(total, total, key_zipf, rng).astype(KEY_DTYPE)
 
 
 def _distribute(

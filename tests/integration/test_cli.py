@@ -576,6 +576,52 @@ def test_serve_command_synthetic(capsys, tmp_path):
     report = json.loads(report_path.read_text())
     assert report["exit_code"] == 0
     assert {q["status"] for q in report["queries"]} == {"completed"}
+    assert not any("integrity" in q for q in report["queries"])
+
+
+def test_serve_command_single_gpu_queries(tmp_path):
+    """One-GPU queries shuffle nothing; they still complete cleanly."""
+    import json
+
+    report_path = tmp_path / "single-gpu.json"
+    code = main([
+        "serve", "--synthetic", "2", "--gpus", "1", "--tuples", "1K",
+        "--json", str(report_path),
+    ])
+    assert code == 0
+    report = json.loads(report_path.read_text())
+    assert [q["status"] for q in report["queries"]] == ["completed"] * 2
+    assert not any("integrity" in q for q in report["queries"])
+
+
+def test_serve_command_exits_3_on_silent_corruption(capsys, tmp_path):
+    """Corruption on the default, unverified transport is not a clean
+    serve: exit 3 (as ``repro chaos``) and per-query integrity stats."""
+    import json
+
+    plan = tmp_path / "corrupt.json"
+    plan.write_text(json.dumps({
+        "name": "corrupt-three-links", "seed": 0,
+        "events": [
+            {"kind": "payload-corrupt", "at": 0.0, "src": src, "dst": dst,
+             "duration": 1.0, "magnitude": 1.0}
+            for src, dst in ((0, 3), (1, 2), (2, 3))
+        ],
+    }))
+    report_path = tmp_path / "corrupt-serve.json"
+    code = main([
+        "serve", "--synthetic", "4", "--gpus", "4", "--tuples", "4K",
+        "--plan", str(plan), "--json", str(report_path),
+    ])
+    assert code == 3
+    assert "SILENT CORRUPTION" in capsys.readouterr().out
+    report = json.loads(report_path.read_text())
+    assert report["exit_code"] == 3
+    assert len(report["queries"]) == 4
+    for query in report["queries"]:
+        assert query["status"] == "completed"
+        assert query["integrity"]["silent_corruption"] is True
+        assert query["integrity"]["corrupt_delivered"] > 0
 
 
 def test_serve_command_requires_one_input_source():

@@ -5,6 +5,8 @@ never change what a query computes, only when it runs — and every way
 a query can fail must end in a structured outcome, never a hang.
 """
 
+from dataclasses import replace
+
 import pytest
 from helpers import healthy_latency, solo_join
 
@@ -15,6 +17,9 @@ from repro.faults import PRESET_NAMES, FaultEvent, FaultKind, FaultPlan
 from repro.faults.chaos import resolve_plan
 from repro.routing import AdaptiveArmPolicy, DirectPolicy
 from repro.serve import QueryRequest, QueryScheduler, synthetic_requests, workload_for
+from repro.serve.requests import QueryOutcome
+from repro.serve.scheduler import ServeReport
+from repro.sim.integrity import IntegrityStats
 from repro.sim import Engine, ShuffleConfig
 
 
@@ -82,7 +87,12 @@ class TestServingIdentity:
         served, solo = outcome.result.shuffle_report, reference.shuffle_report
         for name in QUERY_REPORT_FIELDS:
             assert getattr(served, name) == getattr(solo, name), name
-        assert report.exit_code == 0
+        assert outcome.integrity == solo.integrity
+        # Corruption on the default, unverified transport reaches the
+        # join unchecked: serve then exits 3, as ``repro chaos`` does.
+        silent = solo.integrity is not None and solo.integrity.unchecked_corruption
+        assert silent == (preset == "payload-corrupt")
+        assert report.exit_code == (3 if silent else 0)
 
     def test_concurrent_queries_keep_solo_digests(self, dgx1):
         requests = synthetic_requests(5, gpus=4, tuples=1024)
@@ -169,6 +179,80 @@ class TestVerifiedTransport:
         assert len(layers) == 3
         assert len({id(layer) for layer in layers}) == 3
         assert all(layer.verify for layer in layers)
+
+
+class TestSilentCorruption:
+    """Corruption that reaches a served join unchecked is exit code 3."""
+
+    PLAN = FaultPlan(
+        name="corrupt-three-links",
+        seed=0,
+        events=tuple(
+            FaultEvent(
+                kind=FaultKind.PAYLOAD_CORRUPT,
+                at=0.0,
+                src=src,
+                dst=dst,
+                duration=1.0,
+                magnitude=1.0,
+            )
+            for src, dst in ((0, 3), (1, 2), (2, 3))
+        ),
+    )
+
+    def serve(self, dgx1, config=None):
+        return QueryScheduler(
+            dgx1,
+            synthetic_requests(4, gpus=4, tuples=1024),
+            policy_factory=AdaptiveArmPolicy,
+            config=config,
+            faults=self.PLAN,
+        ).run()
+
+    def test_default_transport_exits_3_and_names_the_damage(self, dgx1):
+        report = self.serve(dgx1)
+        assert report.completed == 4 and report.failed == 0
+        assert report.exit_code == 3
+        assert report.to_dict()["exit_code"] == 3
+        assert report.silently_corrupted == ("q000", "q001", "q002", "q003")
+        for outcome in report.outcomes:
+            payload = outcome.to_dict()
+            assert payload["integrity"]["silent_corruption"] is True
+            assert outcome.integrity == outcome.result.shuffle_report.integrity
+        assert any("SILENT CORRUPTION" in line for line in report.summary_lines())
+
+    def test_verified_transport_repairs_and_exits_0(self, dgx1):
+        config = MGJoinConfig(shuffle=ShuffleConfig(verify_transport=True))
+        report = self.serve(dgx1, config)
+        assert report.exit_code == 0
+        assert report.silently_corrupted == ()
+        assert all(o.integrity.retransmits > 0 for o in report.outcomes)
+
+    def test_single_gpu_queries_shuffle_nothing_and_exit_0(self, dgx1):
+        # A one-GPU query sends nothing over the fabric, so its result
+        # has no shuffle report and no integrity stats to grade.
+        report = QueryScheduler(
+            dgx1,
+            synthetic_requests(2, gpus=1, tuples=1024),
+            policy_factory=AdaptiveArmPolicy,
+        ).run()
+        assert report.exit_code == 0
+        assert {o.status for o in report.outcomes} == {"completed"}
+        for outcome in report.outcomes:
+            assert outcome.result.shuffle_report is None
+            assert outcome.integrity is None
+            assert "integrity" not in outcome.to_dict()
+
+    def test_silent_corruption_wins_over_a_lost_query(self):
+        stats = IntegrityStats(verified=False, corrupt_delivered=1)
+        corrupted = QueryOutcome(name="a", status="completed", integrity=stats)
+        lost = QueryOutcome(name="b", status="deadline-expired")
+        report = ServeReport(
+            outcomes=(corrupted, lost), elapsed=0.0, max_in_flight=2, queue_depth=0
+        )
+        assert report.exit_code == 3
+        repaired = replace(corrupted, integrity=replace(stats, verified=True))
+        assert replace(report, outcomes=(repaired, lost)).exit_code == 1
 
 
 class TestPlanRetry:

@@ -48,6 +48,7 @@ class TestReportShape:
         for verdict in payload["queries"].values():
             assert verdict["status"] == "completed"
             assert verdict["digest"] == verdict["solo_digest"]
+            assert verdict["integrity"] is None  # no integrity layer ran
         assert payload["serve"]["exit_code"] == 0
 
     def test_summary_names_the_gate(self, gpu_crash_report):
@@ -102,9 +103,18 @@ class TestCorruptionUnderServe:
         assert all(s is not None and s.verified for s in stats)
         assert sum(s.retransmits for s in stats) > 0
         assert not report.silent_corruption_detected
+        # The repair shows in the report: a touched batch is told apart
+        # from one the fault never reached.
+        queries = report.to_dict()["queries"]
+        assert all(q["integrity"]["verified"] for q in queries.values())
+        assert sum(q["integrity"]["retransmits"] for q in queries.values()) > 0
+        assert report.serve.exit_code == 0
 
     def test_unverified_batch_is_flagged_as_silent_corruption(self, dgx1):
         report = self.corrupt(dgx1, verify=False)
         assert report.silent_corruption_detected
         assert not report.correct
         assert "silently corrupted the shuffle" in report.failure
+        assert report.serve.exit_code == 3
+        queries = report.to_dict()["queries"]
+        assert any(q["integrity"]["silent_corruption"] for q in queries.values())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.workloads.zipf import (
+    ZipfTable,
     zipf_partition_counts,
     zipf_sample,
     zipf_weights,
@@ -74,14 +75,48 @@ class TestPartitionCounts:
         )
 
 
-@pytest.mark.parametrize("z", [0.25, 0.5, 1.0, 1.5])
-@pytest.mark.parametrize("size", [1, 1000, 2**16 + 3])
-@pytest.mark.parametrize("num_items", [7, 1 << 16])
-def test_matches_rng_choice(z, size, num_items):
-    """Same draws as ``Generator.choice`` from a same-seeded generator."""
-    sample = zipf_sample(num_items, size, z, np.random.default_rng(size))
-    expected = np.random.default_rng(size).choice(
+def _choice(num_items, size, z, seed):
+    return np.random.default_rng(seed).choice(
         num_items, size, p=zipf_weights(num_items, z)
     )
+
+
+@pytest.mark.parametrize("z", [0.0, 0.25, 0.5, 1.0, 1.5, 3.0])
+@pytest.mark.parametrize("size", [0, 1, 1000, 2**16 + 3])
+@pytest.mark.parametrize(
+    "num_items", [1, 2, 7, 2**16 - 1, 1 << 16, 2**16 + 1, 3 * 2**15]
+)
+def test_matches_rng_choice(z, size, num_items):
+    """Same draws as ``Generator.choice`` from a same-seeded generator,
+    on both sides of the guide table's power-of-two scale boundary."""
+    sample = zipf_sample(num_items, size, z, np.random.default_rng(size))
+    expected = _choice(num_items, size, z, size)
     assert sample.dtype == expected.dtype
     assert np.array_equal(sample, expected)
+
+
+def test_matches_rng_choice_large():
+    sample = zipf_sample(2**20, 2**20, 0.5, np.random.default_rng(3))
+    assert np.array_equal(sample, _choice(2**20, 2**20, 0.5, 3))
+
+
+@pytest.mark.parametrize("max_steps", [0, 1, 10**9])
+@pytest.mark.parametrize("z", [0.5, 3.0])
+def test_walk_and_bisection_agree(monkeypatch, max_steps, z):
+    """Any walk length gives the same draws: 0 bisects every draw still
+    behind its rank, 10**9 never bisects."""
+    monkeypatch.setattr(ZipfTable, "MAX_STEPS", max_steps)
+    sample = zipf_sample(2**16 + 1, 50_000, z, np.random.default_rng(5))
+    assert np.array_equal(sample, _choice(2**16 + 1, 50_000, z, 5))
+
+
+def test_one_table_equals_repeated_samples():
+    """A table drawn twice continues the generator like two
+    ``zipf_sample`` calls do: R and S share one table."""
+    table = ZipfTable(5000, 0.75)
+    shared = np.random.default_rng(9)
+    first, second = table.sample(3000, shared), table.sample(4000, shared)
+    fresh = np.random.default_rng(9)
+    assert np.array_equal(first, zipf_sample(5000, 3000, 0.75, fresh))
+    assert np.array_equal(second, zipf_sample(5000, 4000, 0.75, fresh))
+
