@@ -1,16 +1,9 @@
-"""Legacy setup shim so editable installs work without the wheel package."""
+"""Legacy setup shim: ``python setup.py develop`` installs editable
+without the wheel package.
 
-from setuptools import find_packages, setup
+Every package setting, the version included, lives in ``pyproject.toml``.
+"""
 
-setup(
-    name="repro",
-    version="1.0.0",
-    description=(
-        "MG-Join (SIGMOD 2021) reproduction: scalable multi-GPU hash join "
-        "with adaptive multi-hop routing, on a simulated multi-GPU machine"
-    ),
-    package_dir={"": "src"},
-    packages=find_packages(where="src"),
-    python_requires=">=3.10",
-    install_requires=["numpy>=1.24"],
-)
+from setuptools import setup
+
+setup()

@@ -110,10 +110,6 @@ class PartitionAssignment:
     def num_broadcast(self) -> int:
         return int(np.count_nonzero(self.broadcast_side))
 
-    def owner_gpus(self, partition: int) -> tuple[int, ...]:
-        """Owner GPU ids (not positions) of one partition."""
-        return tuple(self.gpu_ids[pos] for pos in self.owners[partition])
-
     def single_owner_map(self) -> np.ndarray:
         """Per-partition owner position for non-broadcast partitions.
 

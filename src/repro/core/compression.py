@@ -28,7 +28,6 @@ from repro.core.histogram import partition_of
 from repro.core.local_partition import stable_bucket_order
 from repro.core.relation import GpuShard
 
-_BITS_HEADER_BYTES = 1 + 4  # per block: bit width byte + uint32 block min
 _BLOCK_COUNT_BYTES = 4
 
 

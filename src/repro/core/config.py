@@ -43,9 +43,6 @@ class MGJoinConfig:
     compute: GpuComputeModel = field(default_factory=GpuComputeModel)
     #: Materialize matched (r_id, s_id) pairs instead of counting them.
     materialize: bool = False
-    #: Probe kernel: "nested-loop" (the paper's choice) or "hash" (a
-    #: shared-memory hash table); both are exact and perform alike.
-    probe_method: str = "nested-loop"
 
     @property
     def tuple_bytes(self) -> int:
@@ -65,8 +62,3 @@ class MGJoinConfig:
             raise ValueError("local_fanout must be >= 2")
         if self.target_partition_tuples < 1:
             raise ValueError("target_partition_tuples must be positive")
-        if self.probe_method not in ("nested-loop", "hash"):
-            raise ValueError(
-                f"probe_method must be 'nested-loop' or 'hash',"
-                f" got {self.probe_method!r}"
-            )

@@ -112,11 +112,6 @@ class LocalPartitions:
         rows = self.order[start:end]
         return GpuShard(self.shard.keys[rows], self.shard.ids[rows])
 
-    def max_bucket_tuples(self) -> int:
-        if self.num_buckets == 0:
-            return 0
-        return int(np.diff(self.boundaries).max())
-
 
 def stable_bucket_order(ids: np.ndarray, bits: int) -> np.ndarray:
     """``np.argsort(ids, kind="stable")`` for ids in ``[0, 2**bits)``.

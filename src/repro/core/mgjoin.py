@@ -731,7 +731,6 @@ class MGJoin:
                 r_parts,
                 s_parts,
                 materialize=config.materialize,
-                method=config.probe_method,
                 observer=self.observer,
             )
             if self.observer is not None:

@@ -136,13 +136,6 @@ def join_shards_hash(
     return r_ids, s_ids
 
 
-#: Probe kernel implementations selectable via MGJoinConfig.
-PROBE_METHODS = {
-    "nested-loop": join_shards,
-    "hash": join_shards_hash,
-}
-
-
 def _shared(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs ``(i, j)`` with ``a[i] == b[j]``, for sorted unique arrays.
 
@@ -162,7 +155,6 @@ def probe_partitions(
     r_parts: LocalPartitions,
     s_parts: LocalPartitions,
     materialize: bool = False,
-    method: str = "nested-loop",
     observer=None,
 ) -> ProbeResult:
     """Join matching buckets of the two local partition sets.
@@ -191,16 +183,12 @@ def probe_partitions(
 
     Either way the output equals :func:`probe_partitions_bucketed`:
     match counts, ``buckets_probed``, histogram observations (bucket
-    order) and the materialized row-id order.  Both probe methods
-    compute identical output (a run of equal keys is a hash group).
+    order) and the materialized row-id order, whichever kernel the
+    loop runs (a run of equal keys is a hash group).
     ``tests/core/test_probe_vectorized.py`` pins all of it.
     """
     if r_parts.bucket_bits != s_parts.bucket_bits:
         raise ValueError("co-partitions were refined to different depths")
-    if method not in PROBE_METHODS:
-        raise ValueError(
-            f"unknown probe method {method!r}; have {sorted(PROBE_METHODS)}"
-        )
     match_histogram = (
         observer.metrics.histogram("probe.matches_per_copartition")
         if observer is not None
@@ -260,25 +248,20 @@ def probe_partitions_bucketed(
     r_parts: LocalPartitions,
     s_parts: LocalPartitions,
     materialize: bool = False,
-    method: str = "nested-loop",
+    kernel=join_shards,
     observer=None,
 ) -> ProbeResult:
     """Reference bucket-by-bucket probe loop.
 
     Kept as the semantic specification of :func:`probe_partitions`: it
-    joins each shared co-partition with the selected kernel, one pair
-    at a time.  The vectorized path must match it exactly — counts,
-    ``buckets_probed``, histogram observations and materialized row-id
-    order — which the identity test enforces.
+    joins each shared co-partition with ``kernel`` (:func:`join_shards`
+    or :func:`join_shards_hash`), one pair at a time.  The vectorized
+    path must match it exactly — counts, ``buckets_probed``, histogram
+    observations and materialized row-id order — which the identity
+    test enforces.
     """
     if r_parts.bucket_bits != s_parts.bucket_bits:
         raise ValueError("co-partitions were refined to different depths")
-    try:
-        kernel = PROBE_METHODS[method]
-    except KeyError:
-        raise ValueError(
-            f"unknown probe method {method!r}; have {sorted(PROBE_METHODS)}"
-        ) from None
     match_histogram = (
         observer.metrics.histogram("probe.matches_per_copartition")
         if observer is not None

@@ -129,10 +129,6 @@ class FaultEvent:
                 f"affected and must be in (0, 1], got {self.magnitude}"
             )
 
-    @property
-    def ends_at(self) -> float | None:
-        return None if self.duration is None else self.at + self.duration
-
     def to_dict(self) -> dict:
         entry: dict = {"kind": self.kind.value, "at": self.at}
         for key in ("src", "dst", "gpu", "duration"):

@@ -11,7 +11,7 @@ writes fired alerts to ``alerts.jsonl``, re-emits them into the stream
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .stream import TelemetryStream
@@ -272,8 +272,3 @@ def load_rules(path: "str | Path") -> tuple[AlertRule, ...]:
                 f"alert rule #{index} in {path} is malformed: {exc}"
             ) from exc
     return tuple(rules)
-
-
-def with_threshold(rule: AlertRule, threshold: float) -> AlertRule:
-    """Return a copy of ``rule`` with a different threshold."""
-    return replace(rule, threshold=threshold)

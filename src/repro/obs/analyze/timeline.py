@@ -99,10 +99,6 @@ class LinkSeries:
         return sum(self.utilization) / len(self.utilization)
 
     @property
-    def peak_utilization(self) -> float:
-        return max(self.utilization, default=0.0)
-
-    @property
     def total_bytes(self) -> float:
         return sum(self.bytes)
 

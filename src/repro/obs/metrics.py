@@ -157,9 +157,6 @@ class MetricsRegistry:
     def instruments(self) -> list:
         return list(self._instruments.values())
 
-    def families(self) -> set[str]:
-        return {name for name, _ in self._instruments}
-
     def value(self, name: str, **labels) -> float:
         """Current value of a counter/gauge (0.0 when never touched)."""
         key = (name, tuple(sorted(labels.items())))

@@ -229,23 +229,6 @@ class SpanTracer:
             and (category is None or inst.category == category)
         ]
 
-    def children_of(self, span: Span) -> list[Span]:
-        return [s for s in self.spans if s.parent_id == span.span_id]
-
-    def parent_of(self, span: Span) -> Span | None:
-        if span.parent_id is None:
-            return None
-        for candidate in self.spans:
-            if candidate.span_id == span.parent_id:
-                return candidate
-        return None
-
-    def span_names(self) -> set[str]:
-        return {span.name for span in self.spans}
-
-    def total_duration(self, name: str) -> float:
-        return sum(span.duration for span in self.find(name))
-
     def self_times(self, clock: str | None = None) -> dict[str, float]:
         """Exclusive (self) seconds per span name.
 

@@ -60,12 +60,6 @@ class QueryReport:
     def total_seconds(self) -> float:
         return sum(op.seconds for op in self.operators)
 
-    def seconds_by_operator(self) -> dict[str, float]:
-        totals: dict[str, float] = {}
-        for op in self.operators:
-            totals[op.operator] = totals.get(op.operator, 0.0) + op.seconds
-        return totals
-
 
 class MGJoinQueryEngine:
     """Multi-GPU query execution backed by MG-Join data movement."""

@@ -70,10 +70,6 @@ class Table:
         except ValueError:
             return -1
 
-    def decode(self, column: str, codes: np.ndarray) -> list[str]:
-        dictionary = self.dictionaries[column]
-        return [dictionary[int(code)] for code in codes]
-
     # -- derivation --------------------------------------------------------
 
     def select(self, names: tuple[str, ...]) -> "Table":
@@ -102,15 +98,6 @@ class Table:
         merged.update(new_columns)
         return Table(
             name=self.name, columns=merged, dictionaries=dict(self.dictionaries)
-        )
-
-    def renamed(self, mapping: dict[str, str]) -> "Table":
-        return Table(
-            name=self.name,
-            columns={mapping.get(n, n): col for n, col in self.columns.items()},
-            dictionaries={
-                mapping.get(n, n): d for n, d in self.dictionaries.items()
-            },
         )
 
     def head(self, limit: int) -> "Table":

@@ -20,7 +20,7 @@ so fault cost grows with the number of GPUs touching the same tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 KB = 1024
 MB = 1024 * KB
@@ -39,9 +39,6 @@ class GpuSpec:
     shared_memory_per_sm: int  # usable bytes for the histogram kernel
     dma_engines: int
     kernel_launch_overhead: float = 5e-6
-
-    def with_overrides(self, **kwargs) -> "GpuSpec":
-        return replace(self, **kwargs)
 
 
 #: The V100 of the DGX-1 (§5.1).  ``shared_memory_per_sm`` is the 32 KB

@@ -71,11 +71,6 @@ class ShuffleConfig:
     consume_rate: float | None = 110e9
     #: Cap on intermediate relay GPUs per route.
     max_intermediates: int = 3
-    #: Allow idle (non-participating) GPUs of the machine to relay
-    #: packets.  Off by default: relaying consumes routing-buffer
-    #: memory on the relay GPU, which a join does not want to steal
-    #: from GPUs processing other work (§4.1).
-    allow_external_relays: bool = False
     #: Verified transport: stamp a crc32 checksum per packet at send,
     #: verify on delivery, NACK/retransmit corrupt packets and drop
     #: duplicates.  Off by default — the perf-gated configs keep their
@@ -133,12 +128,14 @@ class FlowMatrix:
 class ShuffleGroup:
     """One flow group's GPUs wired onto a :class:`Fabric`.
 
-    The group builds everything one shuffle keeps to itself: its relay
-    set, a route enumerator restricted to it, the routing context, the
-    recovery manager (when faults are injected), the integrity layer
-    (when verification is requested or the plan can tamper with
-    packets), the crash coordinator (when a join-level recovery bridge
-    is present too) and one :class:`GpuNode` per relay GPU.  It keeps a
+    The group builds everything one shuffle keeps to itself: a route
+    enumerator restricted to its GPUs (only participating GPUs relay:
+    relaying takes routing-buffer memory a join does not steal from
+    GPUs doing other work, §4.1), the routing context, the recovery
+    manager (when faults are injected), the integrity layer (when
+    verification is requested or the plan can tamper with packets), the
+    crash coordinator (when a join-level recovery bridge is present
+    too) and one :class:`GpuNode` per GPU.  It keeps a
     running total of delivered bytes, owns the byte-conservation rule,
     measures the distribution step's elapsed time and builds the
     :class:`~repro.sim.stats.ShuffleReport` (:meth:`report`).
@@ -179,12 +176,9 @@ class ShuffleGroup:
         engine = fabric.engine
         machine = fabric.machine
         observer = fabric.observer
-        self.relay_ids = (
-            machine.gpu_ids if config.allow_external_relays else gpu_ids
-        )
         self.enumerator = RouteEnumerator(
             machine,
-            allowed_gpus=self.relay_ids,
+            allowed_gpus=gpu_ids,
             max_intermediates=config.max_intermediates,
         )
         conformance = observer.conformance if observer is not None else None
@@ -248,7 +242,7 @@ class ShuffleGroup:
                 integrity=self.integrity,
             )
         self.nodes: dict[int, GpuNode] = {}
-        for gpu_id in self.relay_ids:
+        for gpu_id in gpu_ids:
             self.nodes[gpu_id] = GpuNode(
                 engine,
                 gpu_id,
@@ -535,7 +529,7 @@ class ShuffleSimulator:
             recovery_config=self.recovery_config,
         )
         if self.faults is not None:
-            fabric.bind_faults(self.faults, set(group.relay_ids))
+            fabric.bind_faults(self.faults, set(group.gpu_ids))
         group.start()
         engine.run()
         fabric.export_metrics()

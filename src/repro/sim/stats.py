@@ -30,11 +30,6 @@ class LinkStats:
             return 0.0
         return min(1.0, self.busy_time / elapsed)
 
-    def achieved_bandwidth(self, elapsed: float) -> float:
-        if elapsed <= 0:
-            return 0.0
-        return self.bytes_sent / elapsed
-
 
 @dataclass(frozen=True)
 class BisectionCut:

@@ -55,9 +55,3 @@ def dgx2_topology() -> MachineTopology:
     )
     return builder.build()
 
-
-def nvswitch_plane(plane: int):
-    """The NVSwitch node of one baseboard (for tests/diagnostics)."""
-    if plane not in (0, 1):
-        raise ValueError("the DGX-2 has two NVSwitch planes: 0 and 1")
-    return switch(_NVSWITCH_BASE + plane)

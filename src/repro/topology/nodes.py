@@ -42,14 +42,6 @@ class Node:
     def is_gpu(self) -> bool:
         return self.kind is NodeKind.GPU
 
-    @property
-    def is_switch(self) -> bool:
-        return self.kind is NodeKind.SWITCH
-
-    @property
-    def is_cpu(self) -> bool:
-        return self.kind is NodeKind.CPU
-
     def __str__(self) -> str:
         return f"{self.kind.value}{self.index}"
 

@@ -305,14 +305,6 @@ class RouteEnumerator:
             self._memo.clear()
             self._cache.invalidate()
 
-    def restore_link(self, link_id: int) -> None:
-        """Re-admit routes crossing a previously failed link."""
-        if link_id in self._failed:
-            self._failed.discard(link_id)
-            self._version += 1
-            self._memo.clear()
-            self._cache.invalidate()
-
     @property
     def dead_gpus(self) -> frozenset[int]:
         return frozenset(self._dead_gpus)

@@ -104,14 +104,6 @@ class TestAssignment:
         assignment = assign_partitions(histograms, dgx1)
         assert assignment.num_broadcast == 0
 
-    def test_owner_gpus_maps_positions(self, dgx1):
-        workload = make_workload(num_gpus=2, real=512)
-        histograms = build_histograms(workload.r, workload.s, 16)
-        assignment = assign_partitions(histograms, dgx1)
-        for p in range(16):
-            for gpu_id in assignment.owner_gpus(p):
-                assert gpu_id in (0, 1)
-
 
 class TestModuloAssignment:
     def test_round_robin_owners(self):

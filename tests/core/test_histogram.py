@@ -1,5 +1,7 @@
 """Phase 1: histograms and Equation 1."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ def test_eq1_v100_yields_4096_partitions():
 
 
 def test_eq1_scales_with_shared_memory():
-    bigger = V100.with_overrides(shared_memory_per_sm=64 * 1024)
+    bigger = replace(V100, shared_memory_per_sm=64 * 1024)
     assert max_partitions(bigger) == 8192
 
 
@@ -25,7 +27,7 @@ def test_eq1_scales_inversely_with_thread_blocks():
 
 
 def test_eq1_rounds_down_to_power_of_two():
-    odd = V100.with_overrides(shared_memory_per_sm=24 * 1024)
+    odd = replace(V100, shared_memory_per_sm=24 * 1024)
     partitions = max_partitions(odd)
     assert partitions & (partitions - 1) == 0
     assert partitions <= 24 * 1024 // 8
@@ -34,7 +36,7 @@ def test_eq1_rounds_down_to_power_of_two():
 def test_eq1_rejects_bad_inputs():
     with pytest.raises(ValueError):
         max_partitions(V100, histogram_entry_bytes=0)
-    tiny = V100.with_overrides(shared_memory_per_sm=1)
+    tiny = replace(V100, shared_memory_per_sm=1)
     with pytest.raises(ValueError):
         max_partitions(tiny, histogram_entry_bytes=4)
 

@@ -79,7 +79,7 @@ class TestRefine:
         shard = make_shard(50_000)
         coarse = refine(shard, global_bits=2, passes=0, fanout=16)
         fine = refine(shard, global_bits=2, passes=2, fanout=16)
-        assert fine.max_bucket_tuples() < coarse.max_bucket_tuples()
+        assert np.diff(fine.boundaries).max() < np.diff(coarse.boundaries).max()
 
     def test_bucket_bits_capped_at_key_width(self):
         shard = make_shard(100)

@@ -1,15 +1,11 @@
 """The two probe kernels (nested-loop vs hash) are interchangeable."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MGJoin, MGJoinConfig
 from repro.core.probe import join_shards, join_shards_hash
 from repro.core.relation import GpuShard
-
-from helpers import make_workload
 
 
 def shard(keys, ids=None):
@@ -59,15 +55,3 @@ def test_materialized_kernels_agree_as_sets(left, right):
     assert sorted(zip(*map(lambda a: a.tolist(), nested))) == sorted(
         zip(*map(lambda a: a.tolist(), hashed))
     )
-
-
-def test_mgjoin_probe_method_config(dgx1):
-    workload = make_workload(num_gpus=2, real=512)
-    nested = MGJoin(dgx1, MGJoinConfig(probe_method="nested-loop")).run(workload)
-    hashed = MGJoin(dgx1, MGJoinConfig(probe_method="hash")).run(workload)
-    assert nested.matches_real == hashed.matches_real
-
-
-def test_invalid_probe_method_rejected():
-    with pytest.raises(ValueError):
-        MGJoinConfig(probe_method="sort-merge")

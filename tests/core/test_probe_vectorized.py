@@ -5,8 +5,9 @@ with one whole-shard pass over sorted runs of equal keys;
 ``probe_partitions_bucketed`` is kept as its semantic specification.
 These tests fuzz both over skewed shards and hold them to identical
 output — match counts, ``buckets_probed``, per-bucket histogram
-observations, and the materialized ``(r_id, s_id)`` row order — for
-both probe kernels.  They cover the shallow 7-bit depth, the 21-bit
+observations, and the materialized ``(r_id, s_id)`` row order — with
+the reference running either kernel (``join_shards`` or
+``join_shards_hash``).  They cover the shallow 7-bit depth, the 21-bit
 depth of one 512-way pass over 4,096 global partitions, and the 32-bit
 cap, with keys up to ``0xFFFFFFFF`` and shards of all-distinct or
 all-equal keys.  The count-only, unobserved probe must build neither
@@ -18,7 +19,8 @@ import pytest
 
 from repro.core.local_partition import refine
 from repro.core.probe import (
-    PROBE_METHODS,
+    join_shards,
+    join_shards_hash,
     probe_partitions,
     probe_partitions_bucketed,
 )
@@ -43,9 +45,11 @@ def _histogram_state(observer):
     return (hist.count, hist.total, hist.vmin, hist.vmax, list(hist.samples))
 
 
-@pytest.mark.parametrize("method", sorted(PROBE_METHODS))
+@pytest.mark.parametrize(
+    "kernel", (join_shards, join_shards_hash), ids=("nested-loop", "hash")
+)
 @pytest.mark.parametrize("seed", range(8))
-def test_vectorized_matches_bucketed_reference(method, seed):
+def test_vectorized_matches_bucketed_reference(kernel, seed):
     rng = np.random.default_rng(seed)
     # Small key spaces force heavy duplication (the hard case for
     # duplicate expansion); varied sizes cover empty/shared buckets.
@@ -53,17 +57,17 @@ def test_vectorized_matches_bucketed_reference(method, seed):
     r_parts = _partitions(rng, int(rng.integers(0, 800)), key_space)
     s_parts = _partitions(rng, int(rng.integers(0, 800)), key_space, start_id=10_000)
 
-    _assert_matches_reference(r_parts, s_parts, method)
+    _assert_matches_reference(r_parts, s_parts, kernel)
 
 
-def _assert_matches_reference(r_parts, s_parts, method="nested-loop"):
+def _assert_matches_reference(r_parts, s_parts, kernel=join_shards):
     for materialize in (False, True):
         obs_fast, obs_ref = Observer(), Observer()
         fast = probe_partitions(
-            r_parts, s_parts, materialize=materialize, method=method, observer=obs_fast
+            r_parts, s_parts, materialize=materialize, observer=obs_fast
         )
         ref = probe_partitions_bucketed(
-            r_parts, s_parts, materialize=materialize, method=method, observer=obs_ref
+            r_parts, s_parts, materialize=materialize, kernel=kernel, observer=obs_ref
         )
         assert fast.matches == ref.matches
         assert fast.buckets_probed == ref.buckets_probed
@@ -76,9 +80,7 @@ def _assert_matches_reference(r_parts, s_parts, method="nested-loop"):
         else:
             assert fast.r_ids is None and ref.r_ids is None
         # Without an observer the count takes the sorted-runs path alone.
-        unobserved = probe_partitions(
-            r_parts, s_parts, materialize=materialize, method=method
-        )
+        unobserved = probe_partitions(r_parts, s_parts, materialize=materialize)
         assert unobserved.matches == ref.matches
         assert unobserved.buckets_probed == ref.buckets_probed
         if materialize:
@@ -178,8 +180,10 @@ def test_probe_methods_agree():
     rng = np.random.default_rng(99)
     r_parts = _partitions(rng, 500, 32)
     s_parts = _partitions(rng, 700, 32, start_id=10_000)
-    nested = probe_partitions(r_parts, s_parts, materialize=True, method="nested-loop")
-    hashed = probe_partitions_bucketed(r_parts, s_parts, materialize=True, method="hash")
+    nested = probe_partitions(r_parts, s_parts, materialize=True)
+    hashed = probe_partitions_bucketed(
+        r_parts, s_parts, materialize=True, kernel=join_shards_hash
+    )
     assert nested.matches == hashed.matches
     assert np.array_equal(nested.r_ids, hashed.r_ids)
     assert np.array_equal(nested.s_ids, hashed.s_ids)
@@ -205,12 +209,3 @@ def test_mismatched_depths_rejected():
         probe_partitions(shallow, deep)
     with pytest.raises(ValueError):
         probe_partitions_bucketed(shallow, deep)
-
-
-def test_unknown_method_rejected():
-    rng = np.random.default_rng(2)
-    parts = _partitions(rng, 10, 64)
-    with pytest.raises(ValueError):
-        probe_partitions(parts, parts, method="gpu-magic")
-    with pytest.raises(ValueError):
-        probe_partitions_bucketed(parts, parts, method="gpu-magic")

@@ -120,7 +120,7 @@ class TestSingleCrash:
         histograms = build_histograms(workload.r, workload.s, _num_partitions())
         assignment = assign_partitions(histograms, dgx1)
         broadcast_owner = next(
-            assignment.owner_gpus(p)[0]
+            assignment.gpu_ids[assignment.owners[p][0]]
             for p in range(assignment.num_partitions)
             if assignment.broadcast_side[p] != 0
         )

@@ -59,13 +59,6 @@ class TestFaultEvent:
         with pytest.raises(FaultPlanError):
             FaultEvent(kind=FaultKind.GPU_CRASH, at=-1.0, gpu=0)
 
-    def test_ends_at(self):
-        flap = FaultEvent(kind=FaultKind.LINK_BLACKOUT, at=2.0, src=0, dst=1,
-                          duration=0.5)
-        assert flap.ends_at == pytest.approx(2.5)
-        cut = FaultEvent(kind=FaultKind.LINK_FAIL, at=2.0, src=0, dst=1)
-        assert cut.ends_at is None
-
     def test_dict_round_trip(self):
         event = FaultEvent(kind=FaultKind.LINK_DEGRADE, at=1.0, src=0, dst=3,
                            duration=2.0, magnitude=0.25)

@@ -9,7 +9,6 @@ from repro.obs.alerts import (
     AlertEngine,
     AlertRule,
     load_rules,
-    with_threshold,
 )
 from repro.obs.stream import TelemetryStream
 
@@ -67,11 +66,6 @@ class TestAlertRule:
     def test_dict_roundtrip(self):
         for rule in DEFAULT_RULES:
             assert AlertRule.from_dict(rule.to_dict()) == rule
-
-    def test_with_threshold(self):
-        rule = with_threshold(DEFAULT_RULES[0], 0.5)
-        assert rule.threshold == 0.5
-        assert rule.name == DEFAULT_RULES[0].name
 
 
 class TestAlertEngine:

@@ -50,9 +50,10 @@ def test_span_nesting_matches_pipeline_structure(observed_join):
     assert join.parent_id is None
     for phase in ("histogram", "global_partition", "local_partition", "probe"):
         (span,) = spans.find(phase, clock=WALL)
-        assert spans.parent_of(span) is join, phase
+        assert span.parent_id == join.span_id, phase
     (shuffle,) = spans.find("shuffle", clock=WALL)
-    assert spans.parent_of(shuffle).name == "global_partition"
+    (distribution,) = spans.find("global_partition", clock=WALL)
+    assert shuffle.parent_id == distribution.span_id
 
 
 def test_route_decisions_recorded_with_arm_terms(observed_join):

@@ -17,8 +17,6 @@ def test_span_context_manager_nests():
     assert tracer.current is None
     # Inner closes first, so it is recorded first.
     assert [s.name for s in tracer.spans] == ["inner", "outer"]
-    assert tracer.parent_of(inner) is outer
-    assert tracer.children_of(outer) == [inner]
     assert outer.start <= inner.start <= inner.end <= outer.end
 
 
@@ -27,7 +25,7 @@ def test_span_recorded_on_exception():
     with pytest.raises(RuntimeError):
         with tracer.span("doomed"):
             raise RuntimeError("boom")
-    assert tracer.span_names() == {"doomed"}
+    assert [s.name for s in tracer.spans] == ["doomed"]
     assert tracer.current is None
 
 
@@ -94,8 +92,6 @@ def test_queries_filter_on_every_axis():
     assert len(tracer.find(category="phase")) == 2
     assert len(tracer.find("x", category="link")) == 1
     assert tracer.find(clock=WALL)[0].name == "y"
-    assert tracer.total_duration("x") == pytest.approx(3.0)
-    assert tracer.span_names() == {"x", "y"}
 
 
 def test_self_times_subtract_direct_children():

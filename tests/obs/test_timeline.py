@@ -133,7 +133,7 @@ def test_bucketing_prorates_utilization_and_bytes():
     assert series.utilization == pytest.approx([0.0, 1.0, 1.0, 0.0])
     assert series.bytes == pytest.approx([0.0, 40.0, 40.0, 0.0])
     assert series.mean_utilization == pytest.approx(0.5)
-    assert series.peak_utilization == 1.0
+    assert max(series.utilization) == 1.0
     assert series.total_bytes == pytest.approx(80.0)
 
 
@@ -182,7 +182,7 @@ def test_single_packet_flow(tiny_machine):
     timeline = sampler.timeline(num_buckets=8)
     assert timeline.num_buckets == 8
     busiest = timeline.ranked(top=1)[0]
-    assert busiest.peak_utilization > 0.0
+    assert max(busiest.utilization) > 0.0
 
 
 def test_transfer_sample_wait_and_service():

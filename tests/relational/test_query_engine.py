@@ -91,13 +91,6 @@ def test_single_gpu_engine_has_no_shuffle(dgx1):
     )
 
 
-def test_report_groups_by_operator(engine):
-    engine.scan(make_table("a", 10))
-    engine.scan(make_table("b", 10))
-    by_op = engine.report.seconds_by_operator()
-    assert by_op["scan"] > 0
-
-
 def test_invalid_scale_rejected(dgx1):
     with pytest.raises(ValueError):
         MGJoinQueryEngine(dgx1, logical_scale=0.5)

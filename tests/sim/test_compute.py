@@ -1,5 +1,7 @@
 """The GPU kernel cost model and its calibration anchors."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.sim import GpuComputeModel, V100
@@ -70,7 +72,7 @@ def test_cycles_conversion():
 
 
 def test_spec_overrides():
-    slower = V100.with_overrides(memory_bandwidth=450e9)
+    slower = replace(V100, memory_bandwidth=450e9)
     fast_model = GpuComputeModel()
     slow_model = GpuComputeModel(spec=slower)
     assert slow_model.partition_time(1e6) > fast_model.partition_time(1e6)

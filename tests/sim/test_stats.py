@@ -77,24 +77,21 @@ def test_link_stats_utilization():
     stats = LinkStats(spec=spec, bytes_sent=100, busy_time=0.5, transfers=3)
     assert stats.utilization(1.0) == pytest.approx(0.5)
     assert stats.utilization(0.25) == 1.0  # clamped
-    assert stats.achieved_bandwidth(2.0) == pytest.approx(50.0)
     assert stats.utilization(0.0) == 0.0
 
 
 def test_link_stats_degenerate_elapsed():
-    """Zero or negative horizons must not divide: both rates are 0."""
+    """Zero or negative horizons must not divide: utilization is 0."""
     spec = LinkSpec(0, gpu(0), gpu(1), LinkType.NVLINK)
     stats = LinkStats(spec=spec, bytes_sent=100, busy_time=0.5, transfers=3)
     for elapsed in (0.0, -1.0, -0.001):
         assert stats.utilization(elapsed) == 0.0
-        assert stats.achieved_bandwidth(elapsed) == 0.0
 
 
 def test_link_stats_idle_link():
     spec = LinkSpec(0, gpu(0), gpu(1), LinkType.NVLINK)
     stats = LinkStats(spec=spec, bytes_sent=0, busy_time=0.0, transfers=0)
     assert stats.utilization(1.0) == 0.0
-    assert stats.achieved_bandwidth(1.0) == 0.0
 
 
 def _report_with_cut(link_bytes: dict[int, int], elapsed: float) -> ShuffleReport:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.topology import LinkType, TopologyBuilder
+from repro.topology import LinkType, NodeKind, TopologyBuilder
 from repro.topology.machine import TopologyError
 
 
@@ -52,7 +52,7 @@ def test_switch_auto_creates_socket():
     machine = builder.build()
     uplinks = [
         link for link in machine.links
-        if link.link_type is LinkType.PCIE and link.src.is_switch
+        if link.link_type is LinkType.PCIE and link.src.kind is NodeKind.SWITCH
     ]
     assert uplinks  # switch -> cpu uplink exists
 

@@ -4,8 +4,7 @@ import pytest
 
 from repro.routing import AdaptiveArmPolicy, DirectPolicy
 from repro.sim import FlowMatrix, ShuffleSimulator
-from repro.topology import LinkType, RouteEnumerator, dgx2_topology
-from repro.topology.dgx2 import nvswitch_plane
+from repro.topology import LinkType, NodeKind, RouteEnumerator, dgx2_topology
 
 MB = 1024 * 1024
 
@@ -28,7 +27,7 @@ def test_direct_path_goes_through_nvswitch(dgx2):
     path = dgx2.direct_path(0, 7)  # same baseboard
     assert len(path) == 2
     assert all(link.link_type is LinkType.NVLINK for link in path)
-    assert path[0].dst == nvswitch_plane(0)
+    assert path[0].dst.kind is NodeKind.SWITCH
 
 
 def test_cross_board_path_uses_trunk(dgx2):

@@ -25,9 +25,8 @@ def test_string_form():
 
 
 def test_kind_predicates():
-    assert gpu(0).is_gpu and not gpu(0).is_cpu and not gpu(0).is_switch
-    assert cpu(0).is_cpu
-    assert switch(0).is_switch
+    assert gpu(0).is_gpu
+    assert not cpu(0).is_gpu and not switch(0).is_gpu
 
 
 def test_negative_index_rejected():

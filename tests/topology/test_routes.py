@@ -121,23 +121,12 @@ class TestFailedLinks:
         direct = Route((0, 1))
         assert direct in before and direct not in after
 
-    def test_restore_link_brings_routes_back(self, dgx1):
-        enumerator = RouteEnumerator(dgx1)
-        before = enumerator.routes(0, 1)
-        ids = self._nvlink_ids(dgx1, 0, 1)
-        for link_id in ids:
-            enumerator.fail_link(link_id)
-        for link_id in ids:
-            enumerator.restore_link(link_id)
-        assert enumerator.routes(0, 1) == before
-        assert not enumerator.failed_links
-
     def test_version_bumps_on_every_change(self, dgx1):
         enumerator = RouteEnumerator(dgx1)
         v0 = enumerator.version
         enumerator.fail_link(0)
         v1 = enumerator.version
-        enumerator.restore_link(0)
+        enumerator.fail_gpu(7)
         v2 = enumerator.version
         assert v0 < v1 < v2
 
