@@ -28,7 +28,8 @@ from repro.core.histogram import partition_of
 from repro.core.local_partition import stable_bucket_order
 from repro.core.relation import GpuShard
 
-_BLOCK_COUNT_BYTES = 4
+#: Per-block header of :func:`compress_ids`: bit width, base and count.
+_BLOCK_HEADER_BYTES = 9
 
 
 def _required_bits(values: np.ndarray) -> int:
@@ -73,7 +74,7 @@ def decompress_ids(payload: bytes) -> np.ndarray:
         count = int(
             np.frombuffer(view[offset + 5 : offset + 9], dtype=np.uint32)[0]
         )
-        offset += 9
+        offset += _BLOCK_HEADER_BYTES
         packed_bytes = (count * bits + 7) // 8
         deltas = _unpack_bits(view[offset : offset + packed_bytes], bits, count)
         offset += packed_bytes
@@ -142,15 +143,37 @@ class CompressionModel:
         return int(round(num_tuples * self.bytes_per_tuple))
 
 
+def _id_block_bytes(ids: np.ndarray, block_bytes: int = 8192) -> int:
+    """Length of :func:`compress_ids` output minus its block-count header.
+
+    Computed from each block's min and max instead of packing: a block
+    costs its header bytes plus ``ceil(count * bits / 8)``.
+    """
+    if ids.dtype != np.uint32:
+        ids = ids.astype(np.uint32)
+    if block_bytes < 8:
+        raise ValueError("block_bytes too small")
+    if len(ids) == 0:
+        return 0
+    block_len = max(1, block_bytes // 4)
+    starts = np.arange(0, len(ids), block_len)
+    spreads = np.maximum.reduceat(ids, starts) - np.minimum.reduceat(ids, starts)
+    last_count = len(ids) - int(starts[-1])
+    total = 0
+    for index, spread in enumerate(spreads.tolist()):
+        count = last_count if index == len(starts) - 1 else block_len
+        bits = max(1, spread.bit_length())
+        total += _BLOCK_HEADER_BYTES + (count * bits + 7) // 8
+    return total
+
+
 def measure_id_compression(
     sample_ids: np.ndarray, block_bytes: int = 8192
 ) -> float:
     """Achieved id bytes/tuple of the block codec on real data."""
     if len(sample_ids) == 0:
         return 4.0
-    compressed = compress_ids(sample_ids, block_bytes)
-    overhead_free = len(compressed) - _BLOCK_COUNT_BYTES
-    return max(0.25, overhead_free / len(sample_ids))
+    return max(0.25, _id_block_bytes(sample_ids, block_bytes) / len(sample_ids))
 
 
 def build_compression_model(

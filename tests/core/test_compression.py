@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.compression import (
     CompressionModel,
+    _id_block_bytes,
     build_compression_model,
     compress_ids,
     decompress_ids,
@@ -57,6 +58,37 @@ def test_random_ids_do_not_compress():
     rng = np.random.default_rng(1)
     data = rng.integers(0, 2**32, 100_000, dtype=np.uint32)
     assert measure_id_compression(data) > 3.5
+
+
+def _ids(pattern, count):
+    rng = np.random.default_rng(count)
+    if pattern == "random":
+        return rng.integers(0, 2**32, count, dtype=np.uint32)
+    if pattern == "sequential":
+        return np.arange(count, dtype=np.uint32)
+    if pattern == "zeros":
+        return np.zeros(count, dtype=np.uint32)
+    return rng.permutation(count).astype(np.uint32)
+
+
+ID_PATTERNS = ("random", "sequential", "zeros", "permuted")
+SIZE_CASES = [
+    (count, block_bytes, pattern)
+    for count in (0, 1, 2047, 2048, 2049, 2**18)
+    for block_bytes in (8, 1000, 8192)
+    for pattern in ID_PATTERNS
+    # Packing 2^18 ids in 2-id blocks takes seconds; one pattern covers it.
+    if (count, block_bytes) != (2**18, 8) or pattern == "permuted"
+]
+
+
+@pytest.mark.parametrize("count,block_bytes,pattern", SIZE_CASES)
+def test_size_by_arithmetic_equals_packed_length(count, block_bytes, pattern):
+    ids = _ids(pattern, count)
+    expected = len(compress_ids(ids, block_bytes)) - 4
+    assert _id_block_bytes(ids, block_bytes) == expected
+    if count:
+        assert measure_id_compression(ids, block_bytes) == max(0.25, expected / count)
 
 
 def test_tiny_block_bytes_rejected():
