@@ -166,8 +166,8 @@ GOLDEN: dict[str, dict[str, str]] = {
             "9d5ff992743983e0c931fa53768f8efd"
         ),
         "heatmap": (
-            "3d70b9151475fe69bb08749331ccad10"
-            "c88a88e385e1c8c16efa225c33fb7ca1"
+            "3ca4a6cde00ea7b36149824fc7618235"
+            "2c31846d857db650d047867682a7ad4d"
         ),
     },
     "plain-join": {
@@ -212,8 +212,8 @@ GOLDEN: dict[str, dict[str, str]] = {
             "ed12ab4d8e11ba873c2f11161202b945"
         ),
         "heatmap": (
-            "29c976b8c9a0f2cb4b9f4f8d5503c45e"
-            "c6987979bdec9274fbd9b63db2139f42"
+            "05e37f58f8809e5ef0b60c5b063291c2"
+            "80a5e56446facb7b853dd5b37fc9c814"
         ),
     },
     "served-queries": {
