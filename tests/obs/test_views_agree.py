@@ -4,8 +4,10 @@ Link lanes (spans), per-link metrics, ``LinkStats``, the timeline
 sampler, the NDJSON stream and the conformance probe all see link and
 packet activity through one recorder seam.  The cross-view test checks
 that they agree with each other on one fully instrumented join; the
-golden tests pin each view's exact content on five observed runs, so a
-refactor of the seam cannot change what any view reports.
+golden tests pin each view's exact content on eight observed runs,
+three of them faulted with packet retries, host fallbacks, integrity
+repairs and crash detection, so a refactor of the seam cannot change
+what any view reports.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from helpers import make_workload
 from repro.core.mgjoin import MGJoin
 from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.faults.chaos import run_chaos
-from repro.obs import Observer
+from repro.obs import SIM, Observer
 from repro.obs.analyze import LinkTimelineSampler
 from repro.obs.analyze.report import ascii_heatmap, heatmap_csv
 from repro.obs.conformance import ConformanceProbe
@@ -61,6 +63,30 @@ class ObservedRun:
             if span.category == "link"
         ]
 
+    def sim_events(self) -> list:
+        """Every sim-clock instant, then every sim-clock span that is
+        not a link transfer (fault windows, detection, decisions)."""
+        instants = [
+            (inst.name, inst.time, inst.track, inst.category, inst.attrs)
+            for inst in self.observer.spans.instants
+            if inst.clock == SIM
+        ]
+        spans = [
+            (
+                span.span_id,
+                span.name,
+                span.start,
+                span.end,
+                span.track,
+                span.category,
+                span.parent_id,
+                span.attrs,
+            )
+            for span in self.observer.spans.spans
+            if span.clock == SIM and span.category != "link"
+        ]
+        return [instants, spans]
+
     def stream_events(self) -> list[dict]:
         """Stream events with their wall-clock timestamps dropped."""
         return [
@@ -75,6 +101,7 @@ class ObservedRun:
             "metrics": self.observer.metrics.to_json(),
             "lanes": json.dumps(self.lanes()),
             "stream": json.dumps(self.stream_events(), sort_keys=True),
+            "events": json.dumps(self.sim_events()),
         }
         if self.sampler is not None:
             timeline = self.sampler.timeline()
@@ -141,16 +168,49 @@ def served_queries(machine) -> ObservedRun:
     return run
 
 
+def crash_chaos(machine) -> ObservedRun:
+    run = ObservedRun(stream=True)
+    run.result = run_chaos(
+        machine, join_workload(), "gpu-crash", observer=run.observer
+    )
+    return run
+
+
+def corrupt_chaos(machine) -> ObservedRun:
+    run = ObservedRun(stream=True)
+    run.result = run_chaos(
+        machine, join_workload(), "payload-corrupt", observer=run.observer
+    )
+    return run
+
+
+def served_crash(machine) -> ObservedRun:
+    """Twelve queries in flight while one GPU crashes."""
+    run = ObservedRun(stream=True)
+    run.result = run_chaos(
+        machine,
+        synthetic_requests(12, gpus=4, tuples=4096),
+        "gpu-crash",
+        observer=run.observer,
+    )
+    return run
+
+
 RUNS = {
     "sampled-join": sampled_join,
     "plain-join": plain_join,
     "blackout-chaos": blackout_chaos,
     "skewed-shuffle": skewed_shuffle,
     "served-queries": served_queries,
+    "crash-chaos": crash_chaos,
+    "corrupt-chaos": corrupt_chaos,
+    "served-crash": served_crash,
 }
 
 #: sha256 of each view, recorded before link activity moved onto the
-#: recorder seam.  A mismatch means a view's content changed.
+#: recorder seam; the ``events`` view and the three faulted runs were
+#: recorded before the recovery, integrity and fault events moved onto
+#: it.  A mismatch means a view's content changed.
 GOLDEN: dict[str, dict[str, str]] = {
     "sampled-join": {
         "metrics": (
@@ -164,6 +224,10 @@ GOLDEN: dict[str, dict[str, str]] = {
         "stream": (
             "db1c5719cfea12361f819a4c63862ea1"
             "9d5ff992743983e0c931fa53768f8efd"
+        ),
+        "events": (
+            "63e803fc160899f9443a47182c84cd7c"
+            "b1a46dd2918ce1e0060faac231a8ef05"
         ),
         "heatmap": (
             "3ca4a6cde00ea7b36149824fc7618235"
@@ -183,6 +247,10 @@ GOLDEN: dict[str, dict[str, str]] = {
             "4f53cda18c2baa0c0354bb5f9a3ecbe5"
             "ed12ab4d8e11ba873c2f11161202b945"
         ),
+        "events": (
+            "3077d16f87322dc5e04a970dad27fe7c"
+            "d635cd4135d496938c732e0e9d5ec0b1"
+        ),
     },
     "blackout-chaos": {
         "metrics": (
@@ -197,6 +265,10 @@ GOLDEN: dict[str, dict[str, str]] = {
             "2d358f22d7ea602c030aa5f918dfe1d8"
             "9eec5e02211e599442576f65b6cf82aa"
         ),
+        "events": (
+            "aaa82307f58dfa163957fff791720063"
+            "3ab150916a9942b3cb5c57fbf61ce1d5"
+        ),
     },
     "skewed-shuffle": {
         "metrics": (
@@ -210,6 +282,10 @@ GOLDEN: dict[str, dict[str, str]] = {
         "stream": (
             "4f53cda18c2baa0c0354bb5f9a3ecbe5"
             "ed12ab4d8e11ba873c2f11161202b945"
+        ),
+        "events": (
+            "b21cf51476d7372df266bc61c18c3658"
+            "e6db54490531c43e9776b8beeac24fe1"
         ),
         "heatmap": (
             "05e37f58f8809e5ef0b60c5b063291c2"
@@ -228,6 +304,64 @@ GOLDEN: dict[str, dict[str, str]] = {
         "stream": (
             "66a267602b1c4ca792721b0539f67160"
             "5845092b50b47253473b76042b5c483c"
+        ),
+        "events": (
+            "c0b37784141d96346a068a74569ee125"
+            "753c2c531f5285071fdf3be2ee9c1b82"
+        ),
+    },
+    "crash-chaos": {
+        "metrics": (
+            "c4be3c79fb463e75552fd687749243ed"
+            "d28d25f8c077f20f1d92e67ff3c51e4a"
+        ),
+        "lanes": (
+            "874fa00745415e0c82b59469668d7586"
+            "85e3548bb86c70621292a3c71374d124"
+        ),
+        "stream": (
+            "94e15344c39f6778123a0bccca368f52"
+            "52de44f8aeef7a06044788c64d39bd43"
+        ),
+        "events": (
+            "f9d8c4ddaca88ab7646f6724c4fa4d0a"
+            "24ce1113a46c909076f6c2d8e9a1a839"
+        ),
+    },
+    "corrupt-chaos": {
+        "metrics": (
+            "f04434906354738abf71518fd34f8749"
+            "70a756dd7c205f28affcd77725e0dbfa"
+        ),
+        "lanes": (
+            "8a687d5eb1215b14f43418c3b39f6d63"
+            "e96fe51548e48cc90d52f737aeaecd4d"
+        ),
+        "stream": (
+            "aceb675f25398fb5d56f202cd85f2a6e"
+            "5f082480d75e0f0687659e9d40220d59"
+        ),
+        "events": (
+            "733e25b6d6c900e9376211777ab3adf8"
+            "d229bc9f927e0b22e1ba010cb6db8cf6"
+        ),
+    },
+    "served-crash": {
+        "metrics": (
+            "3811752c7bcfc0f3172f53536ba275c7"
+            "a61bb33e4b152fac6789f98d66925704"
+        ),
+        "lanes": (
+            "4f53cda18c2baa0c0354bb5f9a3ecbe5"
+            "ed12ab4d8e11ba873c2f11161202b945"
+        ),
+        "stream": (
+            "0134b58dc4c72ae3ce926c42d608cc4e"
+            "7331d97ab2e38455bac5d1aea4dc5437"
+        ),
+        "events": (
+            "8fdcf051b0729df5128079bb4cf2ba7b"
+            "9aced140ddda9672e68aafe98c8ff0e2"
         ),
     },
 }
@@ -333,3 +467,27 @@ def test_link_events_fire_only_on_transitions(dgx1):
     assert {link for _, link, _ in downs} == {link for _, link, _ in ups}
     assert all(t == pytest.approx(0.1 * horizon) for _, _, t in downs)
     assert all(t == pytest.approx(0.3 * horizon) for _, _, t in ups)
+
+
+def test_served_counters_sum_over_queries(observed):
+    """One observer under a served crash batch: every recovery and
+    delivery counter is the sum over the queries' own shuffle reports."""
+    run = observed("served-crash")
+    metrics = run.observer.metrics
+    reports = [result.shuffle_report for result in run.result.runs.values()]
+    assert len(reports) == 12
+    retries = sum(report.packet_retries for report in reports)
+    assert metrics.value("faults.retries") == retries > 0
+    fallbacks = sum(report.packet_fallbacks for report in reports)
+    assert metrics.value("faults.fallbacks") == fallbacks > 0
+    recovered = sum(report.packets_recovered for report in reports)
+    assert metrics.value("faults.packets_recovered") == recovered > 0
+    declared = sum(len(report.recovery.declared_at) for report in reports)
+    assert metrics.value("recovery.crashes_detected") == declared > 0
+    delivered: dict[int, int] = {}
+    for report in reports:
+        for gpu, nbytes in report.per_gpu_delivered.items():
+            delivered[gpu] = delivered.get(gpu, 0) + nbytes
+    assert len(delivered) == 4 and sum(delivered.values()) > 0
+    for gpu, nbytes in delivered.items():
+        assert metrics.value("shuffle.delivered_bytes", gpu=gpu) == nbytes
