@@ -35,7 +35,7 @@ from repro.faults.fuzz import (
     sample_plan,
     shrink_plan,
 )
-from repro.faults.injector import FAULT_TRACK, LINK_DOWN_PENALTY, FaultInjector
+from repro.faults.injector import LINK_DOWN_PENALTY, FaultInjector
 from repro.faults.plan import (
     CORRUPTION_KINDS,
     PRESET_NAMES,
@@ -52,7 +52,6 @@ __all__ = [
     "ChaosError",
     "ChaosInputError",
     "ChaosReport",
-    "FAULT_TRACK",
     "FaultEvent",
     "FaultInjector",
     "FaultKind",

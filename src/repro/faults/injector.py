@@ -9,7 +9,8 @@ out to the flow groups registered with it
 * scaling :attr:`LinkChannel.bandwidth_scale` (degradation),
 * toggling :meth:`LinkChannel.take_down` / :meth:`bring_up` (blackouts
   and permanent failures — in-flight transfers are lost; each real
-  transition is streamed as ``link.down`` / ``link.up``),
+  transition is reported to the fabric's recorders as ``link.down`` /
+  ``link.up``),
 * invalidating routes via :meth:`RouteEnumerator.fail_link` (permanent
   failures and GPU crashes),
 * slowing a GPU's injection/consumption rates (stragglers),
@@ -37,7 +38,6 @@ from repro.faults.plan import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs import Observer
     from repro.sim.engine import Engine
     from repro.sim.gpusim import GpuNode
     from repro.sim.linksim import LinkChannel, LinkStateBoard
@@ -51,9 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: at congestion steers clear of a dead link once the broadcast lands.
 LINK_DOWN_PENALTY = 0.1
 
-#: Span/instant track for fault-window visualization in Chrome traces.
-FAULT_TRACK = "faults"
-
 
 class FaultInjector:
     """Schedules and applies one plan's faults on the engine clock."""
@@ -66,7 +63,9 @@ class FaultInjector:
         self._board: "LinkStateBoard | None" = None
         self._machine: "MachineTopology | None" = None
         self._packet_size = 0
-        self._observer: "Observer | None" = None
+        #: The fabric's activity recorders, told of every injection,
+        #: restoration and link health transition.
+        self._recorders: tuple = ()
         #: Recovery scopes the faults fan out to, one per flow group:
         #: a solo run registers one, the serving layer one per admitted
         #: query, so a shared-fabric fault reaches every affected
@@ -94,7 +93,7 @@ class FaultInjector:
         machine: "MachineTopology",
         packet_size: int,
         gpu_universe: set[int],
-        observer: "Observer | None" = None,
+        recorders: tuple = (),
     ) -> None:
         """Attach to one fabric and schedule every fault.
 
@@ -108,7 +107,7 @@ class FaultInjector:
         self._board = board
         self._machine = machine
         self._packet_size = packet_size
-        self._observer = observer
+        self._recorders = recorders
         self._groups = []
         self._gpu_universe = set(gpu_universe)
         for event in self.plan.events:
@@ -237,7 +236,9 @@ class FaultInjector:
                     coordinator.notice_crash(event.gpu)
         elif kind in CORRUPTION_KINDS:
             self._install_tamperer(event)
-        self._emit("fault.inject", event)
+        now = self._engine.now
+        for recorder in self._recorders:
+            recorder.record_fault("fault.inject", event, now)
         if event.duration is not None:
             self._engine.schedule(event.duration, self._restore, event)
 
@@ -252,7 +253,9 @@ class FaultInjector:
         elif kind is FaultKind.LINK_BLACKOUT:
             for channel in self._link_pair(event):
                 if channel.bring_up():
-                    self._emit_link("link.up", channel)
+                    now = self._engine.now
+                    for recorder in self._recorders:
+                        recorder.record_link_health("link.up", channel, now)
                 channel.fault_penalty = 0.0
                 self._board.publish_fault(channel.spec.link_id, 0.0)
         elif kind is FaultKind.GPU_STRAGGLER:
@@ -262,16 +265,9 @@ class FaultInjector:
         elif kind in CORRUPTION_KINDS:
             for channel in self._link_pair(event):
                 channel.tamper = None
-        self._emit("fault.restore", event)
-        if self._observer is not None:
-            self._observer.add_span(
-                f"fault:{kind.value}",
-                event.at,
-                self._engine.now,
-                track=FAULT_TRACK,
-                category="fault",
-                **self._attrs(event),
-            )
+        now = self._engine.now
+        for recorder in self._recorders:
+            recorder.record_fault("fault.restore", event, now)
 
     def _install_tamperer(self, event: FaultEvent) -> None:
         """Arm both directed channels of the link with one shared tamperer.
@@ -304,60 +300,11 @@ class FaultInjector:
         for channel in self._link_pair(event):
             channel.tamper = tamperer
 
-    def _attrs(self, event: FaultEvent) -> dict:
-        attrs: dict = {"kind": event.kind.value}
-        if event.gpu is not None:
-            attrs["gpu"] = event.gpu
-        if event.src is not None:
-            attrs["src"] = event.src
-            attrs["dst"] = event.dst
-        if (
-            event.kind in (FaultKind.LINK_DEGRADE, FaultKind.GPU_STRAGGLER)
-            or event.kind in CORRUPTION_KINDS
-        ):
-            attrs["magnitude"] = event.magnitude
-        return attrs
-
     def _take_down(self, channel: "LinkChannel") -> None:
         """Take one link down and broadcast its down penalty."""
         if channel.take_down():
-            self._emit_link("link.down", channel)
+            now = self._engine.now
+            for recorder in self._recorders:
+                recorder.record_link_health("link.down", channel, now)
         channel.fault_penalty = LINK_DOWN_PENALTY
         self._board.publish_fault(channel.spec.link_id, LINK_DOWN_PENALTY)
-
-    def _emit_link(self, name: str, channel: "LinkChannel") -> None:
-        """Stream one link health transition (``link.down``/``link.up``)."""
-        observer = self._observer
-        if observer is None or observer.stream is None:
-            return
-        observer.stream.emit(
-            name,
-            t=self._engine.now,
-            clock="sim",
-            link=channel.spec.link_id,
-            label=str(channel.spec),
-        )
-
-    def _emit(self, name: str, event: FaultEvent) -> None:
-        observer = self._observer
-        if observer is None:
-            return
-        if name == "fault.inject":
-            observer.metrics.counter(
-                "faults.injected", kind=event.kind.value
-            ).inc()
-        observer.instant(
-            name,
-            self._engine.now,
-            track=FAULT_TRACK,
-            category="fault",
-            **self._attrs(event),
-        )
-        if observer.stream is not None:
-            observer.stream.emit(
-                "fault",
-                t=self._engine.now,
-                clock="sim",
-                action=name,
-                **self._attrs(event),
-            )

@@ -142,6 +142,21 @@ class FaultEvent:
             entry["magnitude"] = self.magnitude
         return entry
 
+    def attrs(self) -> dict:
+        """The fault's target and magnitude, as trace and stream fields."""
+        attrs: dict = {"kind": self.kind.value}
+        if self.gpu is not None:
+            attrs["gpu"] = self.gpu
+        if self.src is not None:
+            attrs["src"] = self.src
+            attrs["dst"] = self.dst
+        if (
+            self.kind in (FaultKind.LINK_DEGRADE, FaultKind.GPU_STRAGGLER)
+            or self.kind in CORRUPTION_KINDS
+        ):
+            attrs["magnitude"] = self.magnitude
+        return attrs
+
     @staticmethod
     def from_dict(entry: dict) -> "FaultEvent":
         if not isinstance(entry, dict):

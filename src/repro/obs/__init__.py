@@ -13,11 +13,14 @@ the fabric and the routing policies::
     result = MGJoin(machine, observer=observer).run(workload)
     write_chrome_trace(observer, "join.json")   # chrome://tracing / Perfetto
 
-Instrumented code holds an ``observer`` that is either a real
-:class:`Observer` or ``None``; the hot paths guard with a plain
-``is not None`` check so a run without observability pays only that.
-:data:`NULL_OBSERVER` additionally offers no-op ``span()`` /
-``instant()`` for call sites that prefer unconditional ``with`` blocks.
+The orchestrators (join, serving, routing decisions) hold an
+``observer`` that is either a real :class:`Observer` or ``None`` and
+guard with a plain ``is not None`` check.  The simulator holds none: an
+observer is one of the fabric's recorders
+(:class:`~repro.sim.recorder.Recorder`) and turns the simulator's events
+into spans, metrics and stream events.  :data:`NULL_OBSERVER`
+additionally offers no-op ``span()`` / ``instant()`` for call sites
+that prefer unconditional ``with`` blocks.
 
 Span/metric naming conventions and exporter formats are documented in
 ``docs/observability.md``.
@@ -44,6 +47,10 @@ from repro.obs.spans import (
     Span,
     SpanTracer,
 )
+from repro.sim.recorder import Recorder
+
+#: Trace track of fault windows, fault instants and crash detection.
+FAULT_TRACK = "faults"
 
 
 #: Pipeline phases forwarded to an attached telemetry stream.  Only
@@ -62,24 +69,25 @@ PHASE_NAMES = frozenset(
 )
 
 
-class Observer:
+class Observer(Recorder):
     """Bundles one run's span tracer and metrics registry.
 
     Two optional live surfaces can be attached post-construction:
 
     * ``stream`` — a :class:`repro.obs.stream.TelemetryStream`; when
-      set, pipeline-phase spans and simulator hooks emit NDJSON events
-      in real time.
+      set, pipeline-phase spans and simulator events are emitted as
+      NDJSON events in real time.
     * ``conformance`` — a
       :class:`repro.obs.conformance.ConformanceProbe`; when set, the
       shuffle simulator instruments every routed transfer with its
       predicted ``T_R``/``D_R``.
 
-    Both default to ``None`` and every hook guards on that, so a run
-    without them pays nothing.  The simulator reports link and packet
-    activity to the probe through the fabric's recorder tuple
-    (:class:`~repro.sim.fabric.Fabric`); per-link and board metrics are
-    written once per run by :meth:`~repro.sim.fabric.Fabric.export_metrics`.
+    Both default to ``None``.  The observer is the last of the
+    fabric's recorders (:mod:`repro.sim.recorder`): its hooks below
+    write the per-batch and per-delivery metrics and every recovery,
+    integrity, crash and fault instant, span and stream event.  Totals
+    a component already counts are written once per run by
+    :meth:`~repro.sim.fabric.Fabric.export_metrics`.
     """
 
     enabled = True
@@ -123,6 +131,95 @@ class Observer:
 
     def histogram(self, name: str, **labels) -> Histogram:
         return self.metrics.histogram(name, **labels)
+
+    # Recorder hooks: what each simulator event becomes.
+
+    def record_injection(self, node, route, batch) -> None:
+        self.metrics.counter("shuffle.packets", route=str(route)).inc(len(batch))
+        self.metrics.counter("shuffle.batches", gpu=node.gpu_id).inc()
+
+    def record_delivery(self, packet, now) -> None:
+        metrics = self.metrics
+        metrics.histogram("shuffle.packet_hops").observe(packet.route.num_hops)
+        metrics.histogram("shuffle.flow_latency_seconds").observe(
+            now - packet.created_at
+        )
+        if self.stream is not None and (packet.attempts or packet.fallback):
+            self.stream.emit(
+                "packet.recovered", t=now, src=packet.flow_src,
+                dst=packet.flow_dst,
+            )
+
+    def record_retry(self, gpu, packet, reason, rerouted, now) -> None:
+        fields = dict(
+            src=packet.flow_src, dst=packet.flow_dst,
+            attempt=packet.attempts, reason=reason,
+        )
+        self.spans.instant(
+            "packet.retry", now, track=f"gpu{gpu}", category="fault",
+            **fields, route=str(packet.route), rerouted=rerouted,
+        )
+        if self.stream is not None:
+            self.stream.emit("packet.retry", t=now, **fields, rerouted=rerouted)
+
+    def record_fallback(self, gpu, packet, reason, penalty, now) -> None:
+        flow = dict(src=packet.flow_src, dst=packet.flow_dst)
+        self.spans.instant(
+            "packet.fallback", now, track=f"gpu{gpu}", category="fault",
+            **flow, attempts=packet.attempts, reason=reason,
+            penalty_seconds=penalty,
+        )
+        if self.stream is not None:
+            self.stream.emit(
+                "packet.fallback", t=now, **flow, reason=reason,
+                penalty_seconds=penalty,
+            )
+
+    def record_repair_spend(self, query, spent, now) -> None:
+        if query and self.stream is not None:
+            self.stream.emit(
+                "query", t=now, action="retry", query=query, spent=spent
+            )
+
+    def record_integrity(self, kind, packet, now) -> None:
+        if self.stream is not None:
+            self.stream.emit(
+                "integrity", t=now, kind=kind, src=packet.flow_src,
+                dst=packet.flow_dst, sequence=packet.sequence,
+            )
+
+    def record_gpu_dead(self, gpu, crashed_at, now, config) -> None:
+        self.spans.add_span(
+            f"detect gpu{gpu}", crashed_at, now, track=FAULT_TRACK,
+            category="fault", gpu=gpu,
+        )
+        self.spans.instant(
+            "gpu.declared_dead", now, track=FAULT_TRACK, category="fault",
+            gpu=gpu, detection_latency_seconds=now - crashed_at,
+            miss_budget=config.miss_budget,
+            heartbeat_interval=config.heartbeat_interval,
+        )
+
+    def record_fault(self, action, event, now) -> None:
+        attrs = event.attrs()
+        if action == "fault.inject":
+            self.metrics.counter("faults.injected", kind=event.kind.value).inc()
+        self.spans.instant(
+            action, now, track=FAULT_TRACK, category="fault", **attrs
+        )
+        if self.stream is not None:
+            self.stream.emit("fault", t=now, action=action, **attrs)
+        if action == "fault.restore":
+            self.spans.add_span(
+                f"fault:{event.kind.value}", event.at, now, track=FAULT_TRACK,
+                category="fault", **attrs,
+            )
+
+    def record_link_health(self, name, channel, now) -> None:
+        if self.stream is not None:
+            self.stream.emit(
+                name, t=now, link=channel.spec.link_id, label=str(channel.spec)
+            )
 
 
 class _NullInstrument:
@@ -179,6 +276,7 @@ NULL_OBSERVER = NullObserver()
 
 __all__ = [
     "Counter",
+    "FAULT_TRACK",
     "Gauge",
     "Histogram",
     "Instant",

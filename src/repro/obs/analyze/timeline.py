@@ -30,6 +30,8 @@ import bisect
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.sim.recorder import Recorder
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Engine
     from repro.sim.gpusim import Packet
@@ -127,7 +129,7 @@ class LinkTimeline:
         return ordered if top is None else ordered[:top]
 
 
-class LinkTimelineSampler:
+class LinkTimelineSampler(Recorder):
     """Records per-link busy/queue intervals on the simulated clock.
 
     Bind one sampler to one simulation run::

@@ -25,6 +25,7 @@ counting past the cap).
 from __future__ import annotations
 
 from repro.obs.metrics import stable_float
+from repro.sim.recorder import Recorder
 
 __all__ = ["ConformanceProbe"]
 
@@ -42,7 +43,7 @@ def _percentile(values: list[float], pct: float) -> float:
     return ordered[low] * (1.0 - frac) + ordered[high] * frac
 
 
-class ConformanceProbe:
+class ConformanceProbe(Recorder):
     """Instruments routed transfers with predicted-vs-actual latency."""
 
     def __init__(self, max_samples: int = 100_000, policy: str = "") -> None:
@@ -89,11 +90,15 @@ class ConformanceProbe:
         """Arm the probe for one injected packet."""
         self._pending[id(packet)] = prediction
 
-    def record_queue(self, channel) -> None:
-        """Link queue changes carry no prediction to close (no-op)."""
+    def record_injection(self, node, route, batch) -> None:
+        """Price a routed batch at injection and arm the probe for it.
 
-    def record_transfer(self, channel, submit, start, end, nbytes) -> None:
-        """Link transfers carry no prediction to close (no-op)."""
+        Runs before the batch commits any link, so the prediction sees
+        the queues the deciding GPU saw when it chose ``route``.
+        """
+        prediction = self.predict(node.context, node.gpu_id, route, node.packet_size)
+        for packet in batch:
+            self.register(packet, prediction)
 
     def record_delivery(self, packet, now: float) -> None:
         """Close the loop for a delivered packet (no-op if unregistered)."""

@@ -40,13 +40,10 @@ class RoutingContext:
     #: Observability sink for route decisions and state staleness;
     #: ``None`` = off (policies must guard on it).
     observer: "Observer | None" = None
-    #: Link and packet activity recorders (the fabric's
-    #: :attr:`~repro.sim.fabric.Fabric.recorders`); each delivered
-    #: packet is reported to every one of them.
+    #: Activity recorders (the fabric's
+    #: :attr:`~repro.sim.fabric.Fabric.recorders`); every routed batch
+    #: and every delivered packet is reported to each of them.
     recorders: tuple = ()
-    #: Cost-model conformance probe (predicted T_R/D_R vs actuals);
-    #: ``None`` = off.  See :mod:`repro.obs.conformance`.
-    conformance: "object | None" = None
 
     #: ``board.staleness_seconds`` histogram, fetched on first use.
     _staleness: "Histogram | None" = field(default=None, init=False, repr=False)

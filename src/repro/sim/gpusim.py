@@ -312,27 +312,11 @@ class GpuNode:
                         )
                     continue
                 self._validate_route(route, dst)
-                observer = self.context.observer
-                if observer is not None:
-                    metrics = observer.metrics
-                    metrics.counter("shuffle.packets", route=str(route)).inc(
-                        len(batch)
-                    )
-                    metrics.counter("shuffle.batches", gpu=self.gpu_id).inc()
-                conformance = self.context.conformance
-                prediction = None
-                if conformance is not None:
-                    # Price the chosen route exactly as this GPU
-                    # perceives it at injection; matched against the
-                    # realized latency in _deliver.
-                    prediction = conformance.predict(
-                        self.context, self.gpu_id, route, self.packet_size
-                    )
+                for recorder in self.context.recorders:
+                    recorder.record_injection(self, route, batch)
                 for packet in batch:
                     packet.route = route
                     packet.created_at = self.engine.now
-                    if prediction is not None:
-                        conformance.register(packet, prediction)
                     self._commit_route(packet)
                     self.enqueue(packet)
                     self.stats.injected_packets += 1
@@ -672,7 +656,7 @@ class GpuNode:
         host relay once the attempt budget runs out — the host copy is
         re-read from source memory and therefore always pristine.
         """
-        self.integrity.record_retransmit(packet)
+        self.integrity.stats.retransmits += 1
         self.integrity.restamp(packet)
         source = self.peers.get(packet.flow_src)
         if source is None or source.recovery is None:
@@ -742,18 +726,7 @@ class GpuNode:
         if self.coordinator is not None and self.coordinator.checkpointing:
             self.coordinator.note_delivery(self.gpu_id, packet.payload_bytes)
         if self.recovery is not None and (packet.attempts > 0 or packet.fallback):
-            self.recovery.record_recovered(packet)
-        observer = self.context.observer
-        if observer is not None:
-            observer.metrics.counter(
-                "shuffle.delivered_bytes", gpu=self.gpu_id
-            ).inc(packet.payload_bytes)
-            observer.metrics.histogram("shuffle.packet_hops").observe(
-                packet.route.num_hops
-            )
-            observer.metrics.histogram("shuffle.flow_latency_seconds").observe(
-                self.engine.now - packet.created_at
-            )
+            self.recovery.packets_recovered += 1
         for recorder in self.context.recorders:
             recorder.record_delivery(packet, self.engine.now)
         slot = packet.held_buffer

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs import Observer
     from repro.sim.engine import Engine
     from repro.sim.gpusim import GpuNode, Packet
 
@@ -127,21 +126,11 @@ class TransportIntegrity:
 
     engine: "Engine"
     verify: bool
-    observer: "Observer | None" = None
-
-    # Wire-level tampering counters (fed by PacketTamperer).
-    corrupted_wire: int = 0
-    duplicated_wire: int = 0
-    reordered_wire: int = 0
-    # Verification counters (verify on).
-    checksum_failures: int = 0
-    retransmits: int = 0
-    dup_dropped: int = 0
-    reorders_absorbed: int = 0
-    # Audit counters (verify off: what reached the application).
-    corrupt_delivered: int = 0
-    dup_delivered: int = 0
-    dup_payload_bytes: int = 0
+    #: The fabric's activity recorders, told of every dropped duplicate
+    #: and every checksum failure.
+    recorders: tuple = ()
+    #: The run's counters, copied onto the report by :meth:`build_stats`.
+    stats: IntegrityStats = field(init=False)
 
     _uid_counter: int = 0
     _delivered_uids: set[int] = field(default_factory=set)
@@ -149,6 +138,13 @@ class TransportIntegrity:
     _last_sequence: dict[tuple[int, int], int] = field(default_factory=dict)
     #: uids a reorder tamperer deliberately held back.
     _reordered_uids: set[int] = field(default_factory=set)
+
+    def __post_init__(self) -> None:
+        self.stats = IntegrityStats(verified=self.verify)
+
+    @property
+    def dup_payload_bytes(self) -> int:
+        return self.stats.dup_payload_bytes
 
     # ------------------------------------------------------------------
     # Sender side
@@ -158,13 +154,7 @@ class TransportIntegrity:
         """Assign a run-unique uid and a pristine token + checksum."""
         self._uid_counter += 1
         packet.uid = self._uid_counter
-        packet.payload_token = payload_token(
-            packet.flow_src,
-            packet.flow_dst,
-            packet.sequence,
-            packet.payload_bytes,
-        )
-        packet.checksum = payload_checksum(packet.payload_token)
+        self.restamp(packet)
 
     def restamp(self, packet: "Packet") -> None:
         """Restore pristine payload/checksum for a retransmission.
@@ -193,24 +183,27 @@ class TransportIntegrity:
         off everything is accepted (``"ok"``) and the damage is counted
         for the end-to-end audit.
         """
+        stats = self.stats
         if packet.uid in self._delivered_uids:
             if self.verify:
-                self.dup_dropped += 1
-                self._count("dup_dropped")
-                self._emit("dup-dropped", packet)
+                stats.dup_dropped += 1
+                now = self.engine.now
+                for recorder in self.recorders:
+                    recorder.record_integrity("dup-dropped", packet, now)
                 return "dup"
-            self.dup_delivered += 1
-            self.dup_payload_bytes += packet.payload_bytes
+            stats.dup_delivered += 1
+            stats.dup_payload_bytes += packet.payload_bytes
             return "ok"
         stale = packet.checksum != payload_checksum(packet.payload_token)
         if stale and self.verify:
-            self.checksum_failures += 1
-            self._count("checksum_failures")
-            self._emit("checksum-failure", packet)
+            stats.checksum_failures += 1
+            now = self.engine.now
+            for recorder in self.recorders:
+                recorder.record_integrity("checksum-failure", packet, now)
             return "corrupt"
         self._delivered_uids.add(packet.uid)
         if stale:
-            self.corrupt_delivered += 1
+            stats.corrupt_delivered += 1
         flow = (packet.flow_src, packet.flow_dst)
         last = self._last_sequence.get(flow, -1)
         if packet.sequence > last:
@@ -218,25 +211,15 @@ class TransportIntegrity:
         elif self.verify and packet.uid in self._reordered_uids:
             # Out-of-order *because a fault held the packet back*;
             # placement by (flow, sequence) absorbs it structurally.
-            self.reorders_absorbed += 1
+            stats.reorders_absorbed += 1
         return "ok"
-
-    def record_retransmit(self, packet: "Packet") -> None:
-        self.retransmits += 1
-        self._count("retransmits")
 
     # ------------------------------------------------------------------
     # Fault side (fed by PacketTamperer)
     # ------------------------------------------------------------------
 
-    def note_corrupted(self, packet: "Packet") -> None:
-        self.corrupted_wire += 1
-
-    def note_duplicated(self, packet: "Packet") -> None:
-        self.duplicated_wire += 1
-
     def note_reordered(self, packet: "Packet") -> None:
-        self.reordered_wire += 1
+        self.stats.reordered_wire += 1
         self._reordered_uids.add(packet.uid)
 
     # ------------------------------------------------------------------
@@ -244,35 +227,7 @@ class TransportIntegrity:
     # ------------------------------------------------------------------
 
     def build_stats(self) -> IntegrityStats:
-        return IntegrityStats(
-            verified=self.verify,
-            corrupted_wire=self.corrupted_wire,
-            duplicated_wire=self.duplicated_wire,
-            reordered_wire=self.reordered_wire,
-            checksum_failures=self.checksum_failures,
-            retransmits=self.retransmits,
-            dup_dropped=self.dup_dropped,
-            reorders_absorbed=self.reorders_absorbed,
-            corrupt_delivered=self.corrupt_delivered,
-            dup_delivered=self.dup_delivered,
-            dup_payload_bytes=self.dup_payload_bytes,
-        )
-
-    def _count(self, name: str) -> None:
-        if self.observer is not None:
-            self.observer.metrics.counter(f"integrity.{name}").inc()
-
-    def _emit(self, kind: str, packet: "Packet") -> None:
-        if self.observer is not None and self.observer.stream is not None:
-            self.observer.stream.emit(
-                "integrity",
-                t=self.engine.now,
-                clock="sim",
-                kind=kind,
-                src=packet.flow_src,
-                dst=packet.flow_dst,
-                sequence=packet.sequence,
-            )
+        return replace(self.stats)
 
 
 @dataclass
@@ -303,9 +258,9 @@ class PacketTamperer:
         integrity = node.integrity
         if self.kind == "payload-corrupt":
             packet.payload_token ^= 1 << self.rng.randrange(32)
-            integrity.note_corrupted(packet)
+            integrity.stats.corrupted_wire += 1
         elif self.kind == "packet-dup":
-            integrity.note_duplicated(packet)
+            integrity.stats.duplicated_wire += 1
             clone = replace(packet, held_buffer=None, pending_links={}, duplicate=True)
             # The copy lands at this hop's receiver slightly behind the
             # original and follows the normal receive/forward path.

@@ -19,14 +19,13 @@ owning GPU through :meth:`LinkChannel.queue_delay` and to everybody
 else through :meth:`LinkStateBoard.publish_fault`, which rides the same
 propagation-delay broadcast path as queue-delay changes.
 
-Instrumentation: a channel reports link activity to its
-:attr:`LinkChannel.recorders` -- a tuple of objects with
-``record_queue(channel)``, ``record_transfer(channel, submit, start,
-end, nbytes)`` and ``record_delivery(packet, now)`` -- that the
-:class:`~repro.sim.fabric.Fabric` fills.  :class:`LinkLanes` is the
-recorder behind per-link trace lanes.  Totals the channel and the board
-already keep (bytes, transfers, broadcasts) are exported to metrics
-once per run by :meth:`~repro.sim.fabric.Fabric.export_metrics`.
+Instrumentation: a channel reports every queue change and every booked
+transfer to its :attr:`LinkChannel.recorders`, the fabric's tuple of
+:class:`~repro.sim.recorder.Recorder` objects (``record_queue`` and
+``record_transfer``).  :class:`LinkLanes` is the recorder behind
+per-link trace lanes.  Totals the channel and the board already keep
+(bytes, transfers, broadcasts) are exported to metrics once per run by
+:meth:`~repro.sim.fabric.Fabric.export_metrics`.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.sim.engine import Engine, SimEvent
+from repro.sim.recorder import Recorder
 from repro.topology.links import LinkSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -220,7 +220,7 @@ class LinkChannel:
         then(delivered)
 
 
-class LinkLanes:
+class LinkLanes(Recorder):
     """Recorder that writes each link transfer as a span on its link's lane.
 
     Every booked transfer becomes one simulated-clock ``"transfer"``
@@ -234,9 +234,6 @@ class LinkLanes:
         #: link id -> lane label, rendered once per link.
         self._labels: dict[int, str] = {}
 
-    def record_queue(self, channel: LinkChannel) -> None:
-        pass
-
     def record_transfer(
         self, channel: LinkChannel, submit: float, start: float, end: float,
         nbytes: int,
@@ -249,9 +246,6 @@ class LinkLanes:
             "transfer", start, end, track=label, category="link",
             bytes=nbytes, detail="",
         )
-
-    def record_delivery(self, packet, now: float) -> None:
-        pass
 
 
 ARBITRATION_MODES = ("fair", "priority")

@@ -1,0 +1,62 @@
+"""The one instrumentation seam of the simulator.
+
+The simulator reports what happens to links, packets, recovery, the
+integrity layer and the fault injector by calling one hook per event on
+every recorder of the run: the tuple :class:`~repro.sim.fabric.Fabric`
+builds, in call order sampler, trace lanes, conformance probe,
+observer.  Link channels and the fault injector get it from the fabric,
+GPU nodes from their routing context, and a flow group's recovery
+manager, integrity layer and crash coordinator where the group builds
+them.  Every hook of :class:`Recorder` does nothing, so a recorder
+overrides only the events it reads; the simulator knows no metric
+name, trace track or stream schema.
+"""
+
+from __future__ import annotations
+
+__all__ = ["Recorder"]
+
+
+class Recorder:
+    """Base of every activity recorder: one no-op hook per event."""
+
+    def record_queue(self, channel) -> None:
+        """A link channel's queue changed (a commit or a fulfil)."""
+
+    def record_transfer(self, channel, submit, start, end, nbytes) -> None:
+        """A transfer of ``nbytes`` was booked on a link channel."""
+
+    def record_injection(self, node, route, batch) -> None:
+        """A GPU node routed ``batch`` over ``route``, before the batch
+        committed any link."""
+
+    def record_delivery(self, packet, now) -> None:
+        """``packet`` reached its destination and was accepted."""
+
+    def record_retry(self, gpu, packet, reason, rerouted, now) -> None:
+        """GPU ``gpu`` retried a lost packet (on a new route if
+        ``rerouted``)."""
+
+    def record_fallback(self, gpu, packet, reason, penalty, now) -> None:
+        """GPU ``gpu`` sent ``packet`` over the host relay; it arrives
+        ``penalty`` seconds from now."""
+
+    def record_repair_spend(self, query, spent, now) -> None:
+        """A retry or fallback spent a unit of the repair budget of
+        ``query`` (``""`` for a solo run); ``spent`` units so far."""
+
+    def record_integrity(self, kind, packet, now) -> None:
+        """The verified transport dropped a duplicate (``"dup-dropped"``)
+        or caught a stale checksum (``"checksum-failure"``)."""
+
+    def record_gpu_dead(self, gpu, crashed_at, now, config) -> None:
+        """A crash coordinator with recovery knobs ``config`` declared
+        ``gpu``, crashed at ``crashed_at``, dead."""
+
+    def record_fault(self, action, event, now) -> None:
+        """A fault event was injected (``"fault.inject"``) or restored
+        (``"fault.restore"``)."""
+
+    def record_link_health(self, name, channel, now) -> None:
+        """A link channel really went down (``"link.down"``) or came
+        back up (``"link.up"``)."""

@@ -15,8 +15,9 @@ keeps the shuffle *live* under those conditions:
   *host-staged fallback*: the CPU relays it over PCIe at a recorded
   (much slower) rate instead of the join hanging or dropping data.
 
-All recovery events are emitted as ``repro.obs`` instants and counters
-so chaos runs can be audited in Chrome traces and ``repro analyze``.
+Every retry, fallback, repair-budget spend and crash declaration is
+reported to the fabric's recorders (:mod:`repro.sim.recorder`), so
+chaos runs can be audited in Chrome traces and ``repro analyze``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from typing import TYPE_CHECKING, Callable
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import random
 
-    from repro.obs import Observer
     from repro.sim.engine import Engine
     from repro.sim.gpusim import GpuNode, Packet
     from repro.sim.integrity import TransportIntegrity
@@ -111,14 +111,15 @@ class RecoveryManager:
 
     engine: "Engine"
     policy: RetryPolicy = field(default_factory=RetryPolicy)
-    observer: "Observer | None" = None
+    #: The fabric's activity recorders (:mod:`repro.sim.recorder`).
+    recorders: tuple = ()
     #: Seed of the (lazy) retry-jitter rng; derived from the fault plan
     #: by the shuffle driver so identical runs jitter identically.
     jitter_seed: int = 0
     budget: int | None = None
     on_exhausted: Callable[[], None] | None = None
-    #: Serving-layer query id; non-empty = every spent unit is streamed
-    #: as a ``query`` retry event.
+    #: Serving-layer query id ("" for a solo run), reported with every
+    #: spent unit.
     query: str = ""
 
     #: Recovery counters (copied onto the shuffle report).
@@ -160,47 +161,10 @@ class RecoveryManager:
         self.retries += 1
         if rerouted:
             self.reroutes += 1
-        if self.observer is not None:
-            self.observer.metrics.counter("faults.retries").inc()
-            if rerouted:
-                self.observer.metrics.counter("faults.reroutes").inc()
-            self.observer.instant(
-                "packet.retry",
-                self.engine.now,
-                track=f"gpu{node.gpu_id}",
-                category="fault",
-                src=packet.flow_src,
-                dst=packet.flow_dst,
-                attempt=packet.attempts,
-                reason=reason,
-                route=str(packet.route),
-                rerouted=rerouted,
-            )
-            if self.observer.stream is not None:
-                self.observer.stream.emit(
-                    "packet.retry",
-                    t=self.engine.now,
-                    clock="sim",
-                    src=packet.flow_src,
-                    dst=packet.flow_dst,
-                    attempt=packet.attempts,
-                    reason=reason,
-                    rerouted=rerouted,
-                )
+        now = self.engine.now
+        for recorder in self.recorders:
+            recorder.record_retry(node.gpu_id, packet, reason, rerouted, now)
         self._charge()
-
-    def record_recovered(self, packet: "Packet") -> None:
-        self.packets_recovered += 1
-        if self.observer is not None:
-            self.observer.metrics.counter("faults.packets_recovered").inc()
-            if self.observer.stream is not None:
-                self.observer.stream.emit(
-                    "packet.recovered",
-                    t=self.engine.now,
-                    clock="sim",
-                    src=packet.flow_src,
-                    dst=packet.flow_dst,
-                )
 
     # ------------------------------------------------------------------
     # Host-staged fallback (graceful degradation)
@@ -237,47 +201,16 @@ class RecoveryManager:
         packet.fallback = True
         destination = node.peers[packet.flow_dst]
         finish = self.host_transfer(destination, packet)
-        if self.observer is not None:
-            self.observer.metrics.counter("faults.fallbacks").inc()
-            self.observer.instant(
-                "packet.fallback",
-                now,
-                track=f"gpu{node.gpu_id}",
-                category="fault",
-                src=packet.flow_src,
-                dst=packet.flow_dst,
-                attempts=packet.attempts,
-                reason=reason,
-                penalty_seconds=finish - now,
-            )
-            if self.observer.stream is not None:
-                self.observer.stream.emit(
-                    "packet.fallback",
-                    t=now,
-                    clock="sim",
-                    src=packet.flow_src,
-                    dst=packet.flow_dst,
-                    reason=reason,
-                    penalty_seconds=finish - now,
-                )
+        for recorder in self.recorders:
+            recorder.record_fallback(node.gpu_id, packet, reason, finish - now, now)
         self._charge()
 
     def _charge(self) -> None:
         """Spend one unit of the repair budget (a retry or a fallback)."""
         self.spent += 1
-        if (
-            self.query
-            and self.observer is not None
-            and self.observer.stream is not None
-        ):
-            self.observer.stream.emit(
-                "query",
-                t=self.engine.now,
-                clock="sim",
-                action="retry",
-                query=self.query,
-                spent=self.spent,
-            )
+        now = self.engine.now
+        for recorder in self.recorders:
+            recorder.record_repair_spend(self.query, self.spent, now)
         if self.tripped or self.budget is None:
             return
         if self.spent > self.budget:
@@ -359,7 +292,7 @@ class CrashCoordinator:
         packet_size: int,
         header_bytes: int,
         bridge: "object | None" = None,
-        observer: "Observer | None" = None,
+        recorders: tuple = (),
         integrity: "TransportIntegrity | None" = None,
     ) -> None:
         self.engine = engine
@@ -376,7 +309,8 @@ class CrashCoordinator:
         #: ``on_gpu_dead(dead_gpu, survivors) -> FlowMatrix``); ``None``
         #: means lost partitions are not re-owned (shuffle-only runs).
         self.bridge = bridge
-        self.observer = observer
+        #: The fabric's activity recorders, told of every declaration.
+        self.recorders = recorders
         self.nodes: dict[int, "GpuNode"] = {}
         self._participants: tuple[int, ...] = ()
         #: Flow-level books: bytes planned / injected per (src, dst).
@@ -416,6 +350,10 @@ class CrashCoordinator:
     def dead_gpus(self) -> frozenset[int]:
         """GPUs declared dead (crash detected and recovery triggered)."""
         return frozenset(self._declared)
+
+    @property
+    def crashes_detected(self) -> int:
+        return len(self._declared)
 
     def is_dead(self, gpu_id: int) -> bool:
         return gpu_id in self._declared
@@ -563,28 +501,8 @@ class CrashCoordinator:
             peer.purge_dead_flows(self.is_dead)
         self._flush_resends()
         self._resend_dead_source_remainders(gpu_id)
-        if self.observer is not None:
-            self.observer.metrics.counter("recovery.crashes_detected").inc()
-            # "faults" is FAULT_TRACK in repro.faults.injector (kept as a
-            # literal to avoid a sim -> faults import).
-            self.observer.add_span(
-                f"detect gpu{gpu_id}",
-                crash_at,
-                now,
-                track="faults",
-                category="fault",
-                gpu=gpu_id,
-            )
-            self.observer.instant(
-                "gpu.declared_dead",
-                now,
-                track="faults",
-                category="fault",
-                gpu=gpu_id,
-                detection_latency_seconds=now - crash_at,
-                miss_budget=self.config.miss_budget,
-                heartbeat_interval=self.config.heartbeat_interval,
-            )
+        for recorder in self.recorders:
+            recorder.record_gpu_dead(gpu_id, crash_at, now, self.config)
         if self.bridge is not None:
             reshuffle = self.bridge.on_gpu_dead(gpu_id, self.survivors())
             self._apply_reshuffle(gpu_id, reshuffle)

@@ -184,6 +184,7 @@ class ShuffleGroup:
         conformance = observer.conformance if observer is not None else None
         if conformance is not None and not conformance.policy:
             conformance.policy = policy.name
+        recorders = fabric.recorders
         context = RoutingContext(
             engine=engine,
             machine=machine,
@@ -192,8 +193,7 @@ class ShuffleGroup:
             board=fabric.board,
             num_gpus=len(gpu_ids),
             observer=observer,
-            recorders=fabric.recorders,
-            conformance=conformance,
+            recorders=recorders,
         )
         self.recovery: RecoveryManager | None = None
         if faults is not None:
@@ -202,7 +202,7 @@ class ShuffleGroup:
                 # An explicit policy wins over the plan's ``retry:``
                 # section, which wins over the defaults.
                 policy=retry or RetryPolicy(**faults.retry_kwargs),
-                observer=observer,
+                recorders=recorders,
                 # Seeded like presets (crc32, not hash()) so identical
                 # chaos runs replay identical retry-jitter schedules.
                 jitter_seed=zlib.crc32(faults.name.encode("utf-8"))
@@ -225,7 +225,7 @@ class ShuffleGroup:
         self.integrity: TransportIntegrity | None = None
         if config.verify_transport or plan_tampering:
             self.integrity = TransportIntegrity(
-                engine, verify=config.verify_transport, observer=observer
+                engine, verify=config.verify_transport, recorders=recorders
             )
         self.coordinator: CrashCoordinator | None = None
         if self.recovery is not None and recovery_bridge is not None:
@@ -238,7 +238,7 @@ class ShuffleGroup:
                 packet_size=config.packet_size,
                 header_bytes=config.header_bytes,
                 bridge=recovery_bridge,
-                observer=observer,
+                recorders=recorders,
                 integrity=self.integrity,
             )
         self.nodes: dict[int, GpuNode] = {}
@@ -269,6 +269,7 @@ class ShuffleGroup:
         if self.coordinator is not None:
             self.coordinator.nodes = self.nodes
             self.coordinator.plan(gpu_ids, flows)
+        fabric.groups.append(self)
 
     def start(self) -> None:
         """Enter the fault injector's fan-out and inject every flow."""
