@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.obs.analyze.timeline import LinkTimelineSampler
-from repro.topology.links import bottleneck_bandwidth
-from repro.topology.routes import Route, physical_links
+from repro.topology.routes import Route, route_cache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observer
@@ -152,13 +151,16 @@ def realized_arm(
     delays come from the sampled timeline (strictly before ``when``,
     so a decision's own commits are excluded) instead of the decider's
     broadcast view.
+
+    The static half — the link hops and ``T_R`` — is the route's
+    cached :class:`~repro.topology.routes.RouteRecord`, exactly as the
+    deciding policy reads it.
     """
-    links = physical_links(machine, route)
-    transmission = packet_bytes / bottleneck_bandwidth(list(links), packet_bytes)
+    record = route_cache(machine).record(route)
     delay = 0.0
-    for spec in links:
-        delay += sampler.queue_delay_at(spec.link_id, when) + spec.latency
-    return transmission + delay
+    for link_id, latency, _ in record.hops:
+        delay += sampler.queue_delay_at(link_id, when) + latency
+    return record.transmission_time(packet_bytes) + delay
 
 
 def audit_decisions(
@@ -173,7 +175,8 @@ def audit_decisions(
     """
     policy = ""
     rows: list[DecisionAudit] = []
-    route_cache: dict[str, Route] = {}
+    interned = route_cache(machine).route
+    routes: dict[str, Route] = {}
     for instant in observer.spans.find_instants("arm.decision"):
         attrs = instant.attrs
         candidates = attrs.get("routes")
@@ -183,9 +186,9 @@ def audit_decisions(
         policy = attrs.get("policy", policy)
         costs: dict[str, float] = {}
         for text in candidates:
-            route = route_cache.get(text)
+            route = routes.get(text)
             if route is None:
-                route = route_cache.setdefault(text, parse_route(text))
+                route = routes[text] = interned(parse_route(text).gpus)
             costs[text] = realized_arm(
                 machine, sampler, route, packet_bytes, instant.time
             )

@@ -4,8 +4,9 @@ PR 1's `LinkStats` only answers *how much* a link moved over a whole
 run.  The :class:`LinkTimelineSampler` answers *when*: it hooks into
 :class:`repro.sim.linksim.LinkChannel` (every ``commit`` / ``fulfill``
 / ``transmit`` records a sample on the simulated clock) and into the
-:class:`repro.sim.engine.Engine` (a periodic probe samples every link's
-queue delay at a fixed interval, so idle stretches are visible too).
+:class:`repro.sim.engine.Engine` (a periodic probe reads every link's
+queue delay at a fixed interval and stores it when it changed, so a
+draining wire or a fault penalty shows between queue events too).
 
 Three raw record streams come out of a sampled run:
 
@@ -14,7 +15,9 @@ Three raw record streams come out of a sampled run:
   time,
 * **queue samples** — per-link ``(time, delay)`` step function of the
   perceived queueing delay (wire backlog + committed load, the ``Q_i``
-  of the paper's Eq. 4),
+  of the paper's Eq. 4); the probe stores only its change points,
+  which :meth:`~LinkTimelineSampler.queue_delay_at` and the heatmap
+  bucketing read alike,
 * **deliveries** — per-flow packet latencies with the route's
   uncontended (ideal) time, so latency splits into queueing vs
   transmission.
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.sim.recorder import Recorder
 
@@ -38,9 +41,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.linksim import LinkChannel
 
 
-@dataclass(frozen=True)
-class TransferSample:
-    """One packet's passage over one link."""
+class TransferSample(NamedTuple):
+    """One packet's passage over one link (one per booked transfer)."""
 
     submit: float
     start: float
@@ -57,8 +59,7 @@ class TransferSample:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class FlowDelivery:
+class FlowDelivery(NamedTuple):
     """One delivered packet, with its uncontended-route reference time."""
 
     flow_src: int
@@ -154,12 +155,12 @@ class LinkTimelineSampler(Recorder):
         self._links: dict[int, "LinkChannel"] = {}
         self.labels: dict[int, str] = {}
         self.transfers: dict[int, list[TransferSample]] = {}
-        #: Per-link (times, delays) parallel arrays, appended in
-        #: nondecreasing simulation-time order.
-        self._queue_times: dict[int, list[float]] = {}
-        self._queue_delays: dict[int, list[float]] = {}
+        #: Per-link ``(times, delays)`` parallel arrays, appended in
+        #: nondecreasing simulation-time order: the change points of the
+        #: link's queue-delay step function (see :meth:`_probe`).
+        self._queue: dict[int, tuple[list[float], list[float]]] = {}
         #: The periodic probe's per-link ``(channel, times, delays)``
-        #: rows over the lists above, built at the run's first tick.
+        #: rows over the arrays above, built at the run's first tick.
         self._probe_rows: (
             list[tuple["LinkChannel", list[float], list[float]]] | None
         ) = None
@@ -178,8 +179,7 @@ class LinkTimelineSampler(Recorder):
         self._links = dict(links)
         self.labels = {lid: str(ch.spec) for lid, ch in links.items()}
         self.transfers = {}
-        self._queue_times = {}
-        self._queue_delays = {}
+        self._queue = {}
         self._probe_rows = None
         self.deliveries = []
         self.probe_count = 0
@@ -187,7 +187,7 @@ class LinkTimelineSampler(Recorder):
             engine.every(self.sample_interval, self._probe)
 
     def _probe(self) -> None:
-        """Periodic engine hook: sample every link.
+        """Periodic engine hook: sample every link, store what changed.
 
         Scheduled through :meth:`Engine.every`, whose housekeeping
         accounting stops the chain once only periodic observers remain
@@ -195,25 +195,36 @@ class LinkTimelineSampler(Recorder):
         any *other* periodic observer (e.g. the telemetry stream's link
         pump), each seeing the other as pending work.
 
-        Each tick appends to the same per-link lists that
-        :meth:`record_queue` fills, reached through prebuilt rows.
+        Each tick reads every link's queue delay but appends a sample
+        only when it differs from the link's last recorded value (a
+        link's first sample is always kept).  Both readers of the
+        arrays — :meth:`queue_delay_at` and the bucketing of
+        :meth:`timeline` — read a step function that holds its last
+        value, so a repeat of that value changes no answer.  A change
+        no queue event reports (a fault penalty, the wire draining)
+        still lands at the first tick that sees it.
         """
         self.probe_count += 1
         rows = self._probe_rows
         if rows is None:
             rows = self._probe_rows = [
-                (
-                    channel,
-                    self._queue_times.setdefault(channel.spec.link_id, []),
-                    self._queue_delays.setdefault(channel.spec.link_id, []),
-                )
+                (channel, *self._row(channel.spec.link_id))
                 for channel in self._links.values()
             ]
         assert self.engine is not None
         now = self.engine.now
         for channel, times, delays in rows:
-            times.append(now)
-            delays.append(channel.queue_delay())
+            delay = channel.queue_delay()
+            if not delays or delay != delays[-1]:
+                times.append(now)
+                delays.append(delay)
+
+    def _row(self, link_id: int) -> tuple[list[float], list[float]]:
+        """The ``(times, delays)`` arrays of ``link_id``, made on demand."""
+        row = self._queue.get(link_id)
+        if row is None:
+            row = self._queue[link_id] = ([], [])
+        return row
 
     # -- recording (called from linksim / gpusim hot paths) ----------------
 
@@ -227,15 +238,16 @@ class LinkTimelineSampler(Recorder):
     ) -> None:
         link_id = channel.spec.link_id
         self.transfers.setdefault(link_id, []).append(
-            TransferSample(submit=submit, start=start, end=end, nbytes=nbytes)
+            TransferSample(submit, start, end, nbytes)
         )
         self.record_queue(channel)
 
     def record_queue(self, channel: "LinkChannel") -> None:
         link_id = channel.spec.link_id
+        row = self._queue.get(link_id) or self._row(link_id)
         assert self.engine is not None
-        self._queue_times.setdefault(link_id, []).append(self.engine.now)
-        self._queue_delays.setdefault(link_id, []).append(channel.queue_delay())
+        row[0].append(self.engine.now)
+        row[1].append(channel.queue_delay())
 
     def record_delivery(self, packet: "Packet", delivered_at: float) -> None:
         self.deliveries.append(
@@ -268,13 +280,14 @@ class LinkTimelineSampler(Recorder):
         the commits it causes share one simulation timestamp, and the
         counterfactual must see the state *before* the batch landed.
         """
-        times = self._queue_times.get(link_id)
-        if not times:
+        row = self._queue.get(link_id)
+        if row is None:
             return 0.0
+        times, delays = row
         index = bisect.bisect_left(times, when) - 1
         if index < 0:
             return 0.0
-        return self._queue_delays[link_id][index]
+        return delays[index]
 
     def busy_time(self, link_id: int, start: float, end: float) -> float:
         """Wire-busy seconds of ``link_id`` inside ``[start, end)``."""
@@ -317,7 +330,7 @@ class LinkTimelineSampler(Recorder):
             return LinkTimeline(horizon=0.0, num_buckets=0)
         width = span / num_buckets
         timeline = LinkTimeline(horizon=span, num_buckets=num_buckets)
-        link_ids = set(self.transfers) | set(self._queue_times)
+        link_ids = set(self.transfers) | set(self._queue)
         for link_id in sorted(link_ids):
             utilization = [0.0] * num_buckets
             nbytes = [0.0] * num_buckets
@@ -349,8 +362,7 @@ class LinkTimelineSampler(Recorder):
         last earlier sample, 0.0 before any) and every sample inside
         it, so a bucket without samples reads the carried value.
         """
-        times = self._queue_times.get(link_id, [])
-        delays = self._queue_delays.get(link_id, [])
+        times, delays = self._queue.get(link_id, ((), ()))
         out = [0.0] * num_buckets
         bucket = 0
         carried = peak = 0.0

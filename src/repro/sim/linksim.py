@@ -121,8 +121,14 @@ class LinkChannel:
         by earlier routing decisions (the ``Q_i`` of Eq. 4), plus the
         fault penalty of a degraded or down link — the owning GPU knows
         its own ports' health immediately.
+
+        The clamp is ``max(0.0, free_at - now)`` as a conditional on
+        the engine's ``_now`` slot: the same value, signed zeros
+        included, without a builtin call or a property read on a path
+        every route evaluation and timeline probe tick takes.
         """
-        backlog = max(0.0, self._free_at - self.engine.now) + self.committed_load
+        backlog = self._free_at - self.engine._now
+        backlog = (backlog if backlog > 0.0 else 0.0) + self.committed_load
         if self.arbiter is not None:
             backlog += self.arbiter.queued_service
         return backlog + self.fault_penalty

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Engine, LinkChannel, LinkStateBoard
+from repro.sim import Engine, LinkArbiter, LinkChannel, LinkStateBoard
 from repro.topology.links import LinkSpec, LinkType
 from repro.topology.nodes import gpu
 
@@ -65,6 +65,32 @@ def test_commit_adds_to_queue_delay_and_fulfill_removes():
     assert link.queue_delay() == pytest.approx(link.service_time(2_000_000))
     link.fulfill(2_000_000)
     assert link.queue_delay() == 0.0
+
+
+@pytest.mark.parametrize(
+    "backlog", [2.5e-6, 0.0, -2.5e-6],
+    ids=["free-after-now", "free-at-now", "free-before-now"],
+)
+@pytest.mark.parametrize("committed", [0.0, 1.25e-6], ids=["idle", "committed"])
+@pytest.mark.parametrize("arbitrated", [False, True], ids=["fifo", "arbiter"])
+@pytest.mark.parametrize("penalty", [0.0, 3.75e-6], ids=["healthy", "penalty"])
+def test_queue_delay_is_the_clamped_sum_bit_for_bit(
+    backlog, committed, arbitrated, penalty
+):
+    engine = Engine()
+    engine.run(until=1e-3)
+    now = engine.now
+    link = make_link(engine)
+    link._free_at = now + backlog
+    link.committed_load = committed
+    link.fault_penalty = penalty
+    expected = max(0.0, link._free_at - now) + committed
+    if arbitrated:
+        link.arbiter = LinkArbiter(link)
+        link.arbiter.queued_service = 0.5e-6
+        expected += link.arbiter.queued_service
+    expected += penalty
+    assert link.queue_delay().hex() == expected.hex()
 
 
 def test_busy_time_and_bytes_accumulate():
