@@ -42,32 +42,52 @@ Commands:
 
 Sizes accept suffixes: ``512M``, ``2G``, ``64K``.
 
+Flags that several commands share are declared once, by one ``_*_arg``
+or ``_*_args`` helper per group above ``build_parser``; a default that
+differs between commands is a parameter of the helper.
+
 Progress/notice output goes through the ``repro`` logger to stderr
 (``--log-level``, ``--quiet``), so stdout stays clean for reports and
-for ``--stream -`` NDJSON.
+for ``--stream -`` NDJSON.  Exit codes: 0 ok, 1 a failed gate, 2 bad
+input or an unrunnable scenario, 3 silent corruption detected.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import logging
+import pathlib
 import sys
 
 from repro.baselines import DPRJJoin, UMJJoin
+from repro.bench.regression import PERF_WORKLOADS, skewed_flows
 from repro.core import MGJoin
+from repro.obs import Observer, run_metadata
+from repro.obs.analyze import (
+    LinkTimelineSampler, PhaseWindow, ascii_heatmap, attribute,
+    audit_decisions, render_bottleneck_report, render_regret_table,
+    write_analysis,
+)
 from repro.routing import POLICIES
-from repro.bench.regression import PERF_WORKLOADS
 from repro.sim import ARBITRATION_MODES, FlowMatrix, ShuffleSimulator
-
-PERF_WORKLOAD_NAMES = tuple(PERF_WORKLOADS)
 from repro.topology import MACHINES, dgx1_topology
-from repro.workloads import WorkloadSpec, generate_workload
+from repro.workloads.generator import (
+    WorkloadSpec,
+    generate_workload,
+    round_logical_tuples,
+)
 
 ALGORITHMS = {"mg-join": MGJoin, "dprj": DPRJJoin, "umj": UMJJoin}
+LOG_LEVELS = ("debug", "info", "warning", "error")
 
 log = logging.getLogger("repro.cli")
 
 _SUFFIXES = {"k": 1024, "m": 1024**2, "g": 1024**3, "b": 1024**3}
+
+
+class BadInput(Exception):
+    """Input a command cannot run with: ``main`` prints it and exits 2."""
 
 
 def parse_size(text: str) -> int:
@@ -81,48 +101,167 @@ def parse_size(text: str) -> int:
         text = text[:-1]
     try:
         value = int(float(text) * multiplier)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise argparse.ArgumentTypeError(f"cannot parse size {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError("size must be positive")
     return value
 
 
+# -- flag groups ------------------------------------------------------------
+# Per-command defaults are parameters rather than ``parents=`` plus
+# ``set_defaults``: a parent's actions are shared objects, so a default
+# set on one command would change it on every sibling.
+
+
+def _target_args(sub, gpus: int | None = 8, gpus_help: str | None = None):
+    """``--machine``; unless ``gpus`` is None also ``--policy`` and
+    ``--gpus``."""
+    sub.add_argument("--machine", choices=sorted(MACHINES), default="dgx1")
+    if gpus is not None:
+        sub.add_argument(
+            "--policy", choices=sorted(POLICIES), default="adaptive"
+        )
+        sub.add_argument("--gpus", type=int, default=gpus, help=gpus_help)
+
+
+def _size_args(sub, logical: str = "512M", real: str = "64K") -> None:
+    """``--tuples-per-gpu``, ``--real-tuples`` and ``--seed``."""
+    sub.add_argument(
+        "--tuples-per-gpu", type=parse_size, default=parse_size(logical),
+        help="logical tuples per relation per GPU",
+    )
+    sub.add_argument(
+        "--real-tuples", type=parse_size, default=parse_size(real),
+        help="materialized tuples per relation per GPU",
+    )
+    sub.add_argument("--seed", type=int, default=42)
+
+
+def _zipf_args(sub, keys: float = 0.0) -> None:
+    sub.add_argument("--zipf-placement", type=float, default=0.0)
+    sub.add_argument("--zipf-keys", type=float, default=keys)
+
+
+def _flow_arg(sub, default: str) -> None:
+    sub.add_argument(
+        "--bytes-per-flow", type=parse_size, default=parse_size(default)
+    )
+
+
+def _stream_arg(sub, what: str = "live NDJSON telemetry stream") -> None:
+    sub.add_argument(
+        "--stream", metavar="PATH", default=None,
+        help=f"write the {what} here ('-' = stdout; tail it with"
+        " 'repro top')",
+    )
+
+
+def _alert_args(sub) -> None:
+    sub.add_argument(
+        "--alerts", metavar="PATH", default=None,
+        help="write alerts fired over the stream (sla-breach,"
+        " admission-shed, ...) here as JSON lines",
+    )
+    sub.add_argument(
+        "--alert-rules", metavar="PATH", default=None,
+        help="JSON list of alert rules overriding the built-in defaults",
+    )
+
+
+def _verify_args(sub) -> None:
+    sub.add_argument(
+        "--verify", dest="verify", action="store_true", default=None,
+        help="force the verified transport on (per-packet checksums,"
+        " NACK/retransmit, duplicate suppression)",
+    )
+    sub.add_argument(
+        "--no-verify", dest="verify", action="store_false",
+        help="force the verified transport off; injected corruption is"
+        " then *detected* by the end-to-end audit (exit code 3) instead"
+        " of repaired (default: on exactly when the plan has"
+        " corruption-class faults)",
+    )
+
+
+def _store_arg(sub, help: str = "results-store directory (default:"
+               " $REPRO_RESULTS_STORE or ./experiments)") -> None:
+    sub.add_argument("--store", metavar="DIR", default=None, help=help)
+
+
+def _out_dir_arg(sub, help: str, default: str | None = None) -> None:
+    sub.add_argument("--out-dir", metavar="DIR", default=default, help=help)
+
+
+def _batch_args(sub) -> None:
+    """``--arbitration`` and ``--retry-budget`` of a served batch."""
+    sub.add_argument(
+        "--arbitration", choices=(*ARBITRATION_MODES, "none"), default="fair",
+        help="shared-link bandwidth arbitration between queries"
+        " (default: fair)",
+    )
+    sub.add_argument(
+        "--retry-budget", type=int, default=None, metavar="N",
+        help="per-query repair budget (retries + host fallbacks) before"
+        " a structured retry-budget-exhausted failure (default unbounded)",
+    )
+
+
+def _pool_args(sub, what: str) -> None:
+    sub.add_argument(
+        "--jobs", type=int, default=None, metavar="N",
+        help=f"worker processes (default: min({what}, CPU count))",
+    )
+    sub.add_argument(
+        "--workload-cache", metavar="DIR", default=None,
+        help="shared on-disk workload cache for the worker processes",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from repro.faults.plan import PRESET_NAMES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="MG-Join (SIGMOD 2021) reproduction toolkit",
     )
     parser.add_argument(
-        "--log-level", choices=("debug", "info", "warning", "error"),
-        default="info",
+        "--log-level", choices=LOG_LEVELS, default="info",
         help="stderr verbosity for progress/notice output (default: info)",
     )
     parser.add_argument(
         "--quiet", action="store_true",
         help="shorthand for --log-level warning",
     )
+    # Every subcommand accepts the logging flags too (`repro join
+    # --quiet` as well as `repro --quiet join`).  Their SUPPRESS default
+    # keeps an unsupplied flag from clobbering the main parser's value,
+    # and is the same everywhere, so one shared parent is safe.
+    hidden = argparse.ArgumentParser(add_help=False)
+    hidden.add_argument(
+        "--log-level", choices=LOG_LEVELS,
+        default=argparse.SUPPRESS, help=argparse.SUPPRESS,
+    )
+    hidden.add_argument(
+        "--quiet", action="store_true",
+        default=argparse.SUPPRESS, help=argparse.SUPPRESS,
+    )
+
+    def command(group, name: str, handler, text: str):
+        sub = group.add_parser(name, help=text, parents=[hidden])
+        sub.set_defaults(handler=handler)
+        return sub
+
     commands = parser.add_subparsers(dest="command", required=True)
 
-    topo = commands.add_parser("topology", help="describe a machine")
-    topo.add_argument("--machine", choices=sorted(MACHINES), default="dgx1")
+    topology = command(commands, "topology", _cmd_topology, "describe a machine")
+    _target_args(topology, gpus=None)
 
-    join = commands.add_parser("join", help="run one distributed join")
-    join.add_argument("--machine", choices=sorted(MACHINES), default="dgx1")
+    join = command(commands, "join", _cmd_join, "run one distributed join")
+    _target_args(join)
     join.add_argument("--algorithm", choices=sorted(ALGORITHMS), default="mg-join")
-    join.add_argument("--policy", choices=sorted(POLICIES), default="adaptive")
-    join.add_argument("--gpus", type=int, default=8)
-    join.add_argument(
-        "--tuples-per-gpu", type=parse_size, default=parse_size("512M"),
-        help="logical tuples per relation per GPU",
-    )
-    join.add_argument(
-        "--real-tuples", type=parse_size, default=parse_size("64K"),
-        help="materialized tuples per relation per GPU",
-    )
-    join.add_argument("--zipf-placement", type=float, default=0.0)
-    join.add_argument("--zipf-keys", type=float, default=0.0)
-    join.add_argument("--seed", type=int, default=42)
+    _size_args(join)
+    _zipf_args(join)
     join.add_argument(
         "--trace", metavar="PATH", default=None,
         help="write a Chrome trace-event JSON of the run (Perfetto-loadable)",
@@ -131,29 +270,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-csv", metavar="PATH", default=None,
         help="write the merged spans+metrics CSV of the run",
     )
-    join.add_argument(
-        "--stream", metavar="PATH", default=None,
-        help="write the live NDJSON telemetry stream here ('-' = stdout;"
-        " tail it with 'repro top')",
-    )
+    _stream_arg(join)
 
-    shuffle = commands.add_parser("shuffle", help="run one distribution step")
-    shuffle.add_argument("--machine", choices=sorted(MACHINES), default="dgx1")
-    shuffle.add_argument("--policy", choices=sorted(POLICIES), default="adaptive")
-    shuffle.add_argument("--gpus", type=int, default=8)
-    shuffle.add_argument(
-        "--bytes-per-flow", type=parse_size, default=parse_size("1G")
+    shuffle = command(
+        commands, "shuffle", _cmd_shuffle, "run one distribution step"
     )
+    _target_args(shuffle)
+    _flow_arg(shuffle, "1G")
 
-    trace = commands.add_parser(
-        "trace", help="run one observed distribution step and export traces"
+    trace = command(
+        commands, "trace", _cmd_trace,
+        "run one observed distribution step and export traces",
     )
-    trace.add_argument("--machine", choices=sorted(MACHINES), default="dgx1")
-    trace.add_argument("--policy", choices=sorted(POLICIES), default="adaptive")
-    trace.add_argument("--gpus", type=int, default=8)
-    trace.add_argument(
-        "--bytes-per-flow", type=parse_size, default=parse_size("256M")
-    )
+    _target_args(trace)
+    _flow_arg(trace, "256M")
     trace.add_argument(
         "--out", metavar="PATH", default="trace.json",
         help="Chrome trace-event JSON output path",
@@ -167,36 +297,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the link×time utilization heatmap of the busiest links",
     )
 
-    analyze = commands.add_parser(
-        "analyze",
-        help="run one sampled join/shuffle and emit the congestion analysis",
+    analyze = command(
+        commands, "analyze", _cmd_analyze,
+        "run one sampled join/shuffle and emit the congestion analysis",
     )
-    analyze.add_argument("--machine", choices=sorted(MACHINES), default="dgx1")
-    analyze.add_argument("--policy", choices=sorted(POLICIES), default="adaptive")
-    analyze.add_argument("--gpus", type=int, default=8)
+    _target_args(analyze)
     analyze.add_argument(
         "--mode", choices=("join", "shuffle"), default="join",
-        help="analyze a full MG-Join run or a bare distribution step",
+        help="analyze a full MG-Join run (--tuples-per-gpu, --real-tuples,"
+        " --zipf-*) or a bare distribution step (--bytes-per-flow,"
+        " --hot-gpu)",
     )
-    analyze.add_argument(
-        "--bytes-per-flow", type=parse_size, default=parse_size("64M"),
-        help="per-flow payload (shuffle mode)",
-    )
+    _flow_arg(analyze, "64M")
     analyze.add_argument(
         "--hot-gpu", type=int, default=None, metavar="ID",
         help="skew shuffle-mode traffic toward one hot receiver",
     )
-    analyze.add_argument(
-        "--tuples-per-gpu", type=parse_size, default=parse_size("512M"),
-        help="logical tuples per relation per GPU (join mode)",
-    )
-    analyze.add_argument(
-        "--real-tuples", type=parse_size, default=parse_size("64K"),
-        help="materialized tuples per relation per GPU (join mode)",
-    )
-    analyze.add_argument("--zipf-placement", type=float, default=0.0)
-    analyze.add_argument("--zipf-keys", type=float, default=0.5)
-    analyze.add_argument("--seed", type=int, default=42)
+    _size_args(analyze)
+    _zipf_args(analyze, keys=0.5)
     analyze.add_argument(
         "--buckets", type=int, default=48,
         help="time buckets across the heatmap's x axis",
@@ -204,31 +322,25 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--top", type=int, default=10, help="links/rows shown per section"
     )
-    analyze.add_argument(
-        "--out-dir", metavar="DIR", default=None,
-        help="also write heatmap.csv/json, bottlenecks.json and regret.csv",
+    _out_dir_arg(
+        analyze, "also write heatmap.csv/json, bottlenecks.json and regret.csv"
     )
     analyze.add_argument(
         "--conformance", action="store_true",
         help="instrument every routed transfer with its predicted"
         " T_R/D_R cost and print the cost-model conformance section",
     )
-
-    from repro.faults.plan import PRESET_NAMES
-
     analyze.add_argument(
         "--chaos", choices=PRESET_NAMES, default=None, metavar="PRESET",
         help="inject a fault preset into the analyzed run (a healthy run"
         " is made first to size the fault schedule)",
     )
 
-    chaos = commands.add_parser(
-        "chaos",
-        help="run a join under a fault scenario and grade its survival",
+    chaos = command(
+        commands, "chaos", _cmd_chaos,
+        "run a join under a fault scenario and grade its survival",
     )
-    chaos.add_argument("--machine", choices=sorted(MACHINES), default="dgx1")
-    chaos.add_argument("--policy", choices=sorted(POLICIES), default="adaptive")
-    chaos.add_argument("--gpus", type=int, default=8)
+    _target_args(chaos)
     chaos.add_argument(
         "--preset", choices=PRESET_NAMES, default=None,
         help="built-in fault scenario (times scale with the healthy run)",
@@ -237,16 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--plan", metavar="PATH", default=None,
         help="YAML/JSON fault plan with absolute times; overrides --preset",
     )
-    chaos.add_argument(
-        "--tuples-per-gpu", type=parse_size, default=parse_size("512M"),
-        help="logical tuples per relation per GPU (not under --serve:"
-        " served queries run unscaled, at --real-tuples)",
-    )
-    chaos.add_argument(
-        "--real-tuples", type=parse_size, default=parse_size("32K"),
-        help="materialized tuples per relation per GPU",
-    )
-    chaos.add_argument("--seed", type=int, default=42)
+    _size_args(chaos, real="32K")
     chaos.add_argument(
         "--min-retention", type=float, default=None, metavar="FRACTION",
         help="fail (exit 1) when faulted/healthy throughput drops below this"
@@ -281,46 +384,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", metavar="PATH", default=None,
         help="write the faulted run's Chrome trace (fault windows visible)",
     )
-    chaos.add_argument(
-        "--out-dir", metavar="DIR", default=None,
-        help="write chaos artifacts (trace JSON, report JSON) here",
-    )
-    chaos.add_argument(
-        "--store", metavar="DIR", default=None,
-        help="also commit the chaos report to this results store"
-        " (see 'repro experiments')",
-    )
-    chaos.add_argument(
-        "--stream", metavar="PATH", default=None,
-        help="write the faulted run's NDJSON telemetry stream"
-        " ('-' = stdout; tail it with 'repro top')",
-    )
-    chaos.add_argument(
-        "--alerts", metavar="PATH", default=None,
-        help="write alerts fired over the stream here as JSON lines"
-        " (fired alerts also land in the report/store record)",
-    )
-    chaos.add_argument(
-        "--alert-rules", metavar="PATH", default=None,
-        help="JSON list of alert rules overriding the built-in defaults",
-    )
-    chaos.add_argument(
-        "--verify", dest="verify", action="store_true", default=None,
-        help="force the verified transport on (per-packet checksums,"
-        " NACK/retransmit, duplicate suppression)",
-    )
-    chaos.add_argument(
-        "--no-verify", dest="verify", action="store_false",
-        help="force the verified transport off; injected corruption is"
-        " then *detected* by the end-to-end audit (exit code 3) instead"
-        " of repaired (default: on exactly when the plan has"
-        " corruption-class faults)",
-    )
+    _out_dir_arg(chaos, "write chaos artifacts (trace JSON, report JSON) here")
+    _store_arg(chaos, "also commit the chaos report to this results store")
+    _stream_arg(chaos, "faulted run's NDJSON telemetry stream")
+    _alert_args(chaos)
+    _verify_args(chaos)
     chaos.add_argument(
         "--serve", action="store_true",
         help="chaos under concurrency: serve --queries N joins over one"
         " shared fabric while the scenario fires, and gate every query's"
-        " match digest against its solo healthy run",
+        " match digest against its solo healthy run (served queries run"
+        " unscaled, at --real-tuples)",
     )
     chaos.add_argument(
         "--queries", type=int, default=12, metavar="N",
@@ -330,64 +404,33 @@ def build_parser() -> argparse.ArgumentParser:
         "--min-in-flight", type=int, default=12, metavar="N",
         help="required concurrency peak for the --serve gate (default 12)",
     )
-    chaos.add_argument(
-        "--arbitration", choices=(*ARBITRATION_MODES, "none"), default="fair",
-        help="shared-link bandwidth arbitration between queries (--serve)",
-    )
-    chaos.add_argument(
-        "--retry-budget", type=int, default=None, metavar="N",
-        help="per-query repair budget before a structured"
-        " retry-budget-exhausted failure (--serve; default unbounded)",
-    )
+    _batch_args(chaos)
     chaos_sub = chaos.add_subparsers(dest="chaos_command")
-    fuzz = chaos_sub.add_parser(
-        "fuzz",
-        help="property-based chaos fuzzing: random fault plans, shrunk"
+    fuzz = command(
+        chaos_sub, "fuzz", _cmd_chaos_fuzz,
+        "property-based chaos fuzzing: random fault plans, shrunk"
         " reproducers",
     )
-    fuzz.add_argument("--machine", choices=sorted(MACHINES), default="dgx1")
-    fuzz.add_argument("--policy", choices=sorted(POLICIES), default="adaptive")
-    fuzz.add_argument("--gpus", type=int, default=8)
-    fuzz.add_argument(
-        "--tuples-per-gpu", type=parse_size, default=parse_size("512M"),
-        help="logical tuples per relation per GPU",
-    )
-    fuzz.add_argument(
-        "--real-tuples", type=parse_size, default=parse_size("32K"),
-        help="materialized tuples per relation per GPU",
-    )
-    fuzz.add_argument(
-        "--seed", type=int, default=42,
-        help="fuzz stream seed: same seed + budget = same plan sequence",
-    )
+    _target_args(fuzz)
+    _size_args(fuzz, real="32K")
     fuzz.add_argument(
         "--budget", type=int, default=25, metavar="N",
-        help="number of random fault plans to run (default 25)",
+        help="number of random fault plans to run (default 25; the same"
+        " --seed and budget give the same plan sequence)",
     )
     fuzz.add_argument(
         "--shrink-budget", type=int, default=32, metavar="N",
         help="max extra oracle runs spent minimizing one failure",
     )
-    fuzz.add_argument(
-        "--verify", dest="verify", action="store_true", default=None,
-        help="run every plan with the verified transport forced on",
+    _verify_args(fuzz)
+    _out_dir_arg(
+        fuzz, "write fuzz_report.json and minimized reproducer plans here"
     )
-    fuzz.add_argument(
-        "--no-verify", dest="verify", action="store_false",
-        help="run every plan with the verified transport forced off",
-    )
-    fuzz.add_argument(
-        "--out-dir", metavar="DIR", default=None,
-        help="write fuzz_report.json and minimized reproducer plans here",
-    )
-    fuzz.add_argument(
-        "--store", metavar="DIR", default=None,
-        help="also commit the fuzz report to this results store",
-    )
+    _store_arg(fuzz, "also commit the fuzz report to this results store")
 
-    serve = commands.add_parser(
-        "serve",
-        help="multiplex many concurrent joins over one shared fabric",
+    serve = command(
+        commands, "serve", _cmd_serve,
+        "multiplex many concurrent joins over one shared fabric",
     )
     serve.add_argument(
         "requests", nargs="?", metavar="PATH", default=None,
@@ -399,12 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--synthetic", type=int, default=None, metavar="N",
         help="serve N deterministic synthetic queries instead of a file",
     )
-    serve.add_argument("--machine", choices=sorted(MACHINES), default="dgx1")
-    serve.add_argument("--policy", choices=sorted(POLICIES), default="adaptive")
-    serve.add_argument(
-        "--gpus", type=int, default=2,
-        help="GPUs per synthetic query (default 2)",
-    )
+    _target_args(serve, 2, "GPUs per synthetic query (default 2)")
     serve.add_argument(
         "--tuples", type=parse_size, default=parse_size("2K"),
         help="materialized tuples per relation per GPU for synthetic"
@@ -433,16 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="bounded admission queue; overflow is shed with a"
         " structured rejection, never a hang",
     )
-    serve.add_argument(
-        "--arbitration", choices=(*ARBITRATION_MODES, "none"), default="fair",
-        help="shared-link bandwidth arbitration between queries"
-        " (default: fair)",
-    )
-    serve.add_argument(
-        "--retry-budget", type=int, default=None, metavar="N",
-        help="per-query repair budget (retries + host fallbacks) before"
-        " a structured retry-budget-exhausted failure",
-    )
+    _batch_args(serve)
     serve.add_argument(
         "--plan", metavar="PATH", default=None,
         help="YAML/JSON fault plan (absolute times) injected into the"
@@ -453,26 +482,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", metavar="PATH", default=None,
         help="write the machine-readable serve report here",
     )
-    serve.add_argument(
-        "--stream", metavar="PATH", default=None,
-        help="write the live NDJSON telemetry stream (per-query lanes)"
-        " here ('-' = stdout; tail it with 'repro top')",
-    )
-    serve.add_argument(
-        "--alerts", metavar="PATH", default=None,
-        help="write alerts fired over the stream (sla-breach,"
-        " admission-shed, ...) here as JSON lines",
-    )
-    serve.add_argument(
-        "--alert-rules", metavar="PATH", default=None,
-        help="JSON list of alert rules overriding the built-in defaults",
-    )
+    _stream_arg(serve, "live NDJSON telemetry stream (per-query lanes)")
+    _alert_args(serve)
 
-    perf = commands.add_parser(
-        "perf", help="gate current perf metrics against a BENCH baseline"
+    perf = command(
+        commands, "perf", _cmd_perf,
+        "gate current perf metrics against a BENCH baseline",
     )
     perf.add_argument(
-        "--workload", choices=sorted(PERF_WORKLOAD_NAMES), default="dgx1-8gpu",
+        "--workload", choices=sorted(PERF_WORKLOADS), default="dgx1-8gpu",
         help="canonical perf workload to collect and gate"
         " (default: dgx1-8gpu; each gates its own BENCH_<name>.json)",
     )
@@ -481,9 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="BENCH_*.json baseline file (default: the repo's"
         " BENCH_<workload>.json)",
     )
-    perf.add_argument(
-        "--store", metavar="DIR", default=None,
-        help="read the baseline through a results store (latest 'perf'"
+    _store_arg(
+        perf, "read the baseline through a results store (latest 'perf'"
         " record) instead of a BENCH file; see 'repro experiments'",
     )
     perf.add_argument(
@@ -501,21 +518,15 @@ def build_parser() -> argparse.ArgumentParser:
         " (with --store, also commit it to the ledger)",
     )
 
-    experiments = commands.add_parser(
-        "experiments",
-        help="experiment farm: sweeps into a results store + observatory",
+    experiments = command(
+        commands, "experiments", None,
+        "experiment farm: sweeps into a results store + observatory",
     )
     exp_sub = experiments.add_subparsers(dest="exp_command", required=True)
 
-    def _store_arg(sub):
-        sub.add_argument(
-            "--store", metavar="DIR", default=None,
-            help="results-store directory (default: $REPRO_RESULTS_STORE"
-            " or ./experiments)",
-        )
-
-    exp_run = exp_sub.add_parser(
-        "run", help="run a parameterized sweep into the store"
+    exp_run = command(
+        exp_sub, "run", _cmd_experiments_run,
+        "run a parameterized sweep into the store",
     )
     exp_run.add_argument(
         "--sweep", nargs="+", metavar="KEY=V1[,V2,...]", required=True,
@@ -524,41 +535,25 @@ def build_parser() -> argparse.ArgumentParser:
         " --sweep topology=dgx1 policy=adaptive,static scale=2",
     )
     _store_arg(exp_run)
-    exp_run.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes (default: min(points, CPU count))",
-    )
-    exp_run.add_argument(
-        "--tuples-per-gpu", type=parse_size, default=parse_size("64M"),
-        help="logical tuples per relation per GPU for every point",
-    )
-    exp_run.add_argument(
-        "--real-tuples", type=parse_size, default=parse_size("32K"),
-        help="materialized tuples per relation per GPU for every point",
-    )
-    exp_run.add_argument("--seed", type=int, default=42)
-    exp_run.add_argument(
-        "--workload-cache", metavar="DIR", default=None,
-        help="shared on-disk workload cache for the sweep workers",
-    )
+    _pool_args(exp_run, "points")
+    _size_args(exp_run, logical="64M", real="32K")
     exp_run.add_argument(
         "--progress", choices=("human", "jsonl", "quiet"), default="human",
         help="live progress events: one-line-per-point, JSON lines, or off",
     )
-    exp_run.add_argument(
-        "--stream", metavar="PATH", default=None,
-        help="mirror sweep progress into an NDJSON telemetry stream"
-        " ('-' = stdout; tail it with 'repro top')",
-    )
+    _stream_arg(exp_run, "sweep progress as an NDJSON telemetry stream")
 
-    exp_list = exp_sub.add_parser("list", help="query the run ledger")
+    exp_list = command(
+        exp_sub, "list", _cmd_experiments_list, "query the run ledger"
+    )
     _store_arg(exp_list)
     exp_list.add_argument("--kind", default=None, help="join / chaos / perf")
     exp_list.add_argument("--topology", default=None)
     exp_list.add_argument("--policy", default=None)
 
-    exp_compare = exp_sub.add_parser(
-        "compare", help="direction-aware metric diff between two runs"
+    exp_compare = command(
+        exp_sub, "compare", _cmd_experiments_compare,
+        "direction-aware metric diff between two runs",
     )
     exp_compare.add_argument("baseline_run", metavar="RUN_A")
     exp_compare.add_argument("current_run", metavar="RUN_B")
@@ -572,8 +567,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the rendered report here",
     )
 
-    exp_report = exp_sub.add_parser(
-        "report", help="per-topology trend lines over the ledger"
+    exp_report = command(
+        exp_sub, "report", _cmd_experiments_report,
+        "per-topology trend lines over the ledger",
     )
     _store_arg(exp_report)
     exp_report.add_argument(
@@ -583,30 +579,25 @@ def build_parser() -> argparse.ArgumentParser:
     exp_report.add_argument("--kind", default=None)
     exp_report.add_argument("--topology", default=None)
 
-    exp_ingest = exp_sub.add_parser(
-        "ingest", help="import BENCH baselines / chaos reports as records"
+    exp_ingest = command(
+        exp_sub, "ingest", _cmd_experiments_ingest,
+        "import BENCH baselines / chaos reports as records",
     )
     exp_ingest.add_argument("paths", nargs="+", metavar="PATH")
     _store_arg(exp_ingest)
 
-    bench = commands.add_parser(
-        "bench", help="regenerate figures in parallel with self-time records"
+    bench = command(
+        commands, "bench", _cmd_bench,
+        "regenerate figures in parallel with self-time records",
     )
     bench.add_argument(
         "--figures", nargs="*", metavar="NAME", default=None,
         help="figure keys to run (default: the whole suite)",
     )
-    bench.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes (default: min(figures, CPU count))",
-    )
-    bench.add_argument(
-        "--out-dir", metavar="DIR", default="bench_results",
-        help="artifact directory (per-figure JSON/markdown + bench_run.json)",
-    )
-    bench.add_argument(
-        "--workload-cache", metavar="DIR", default=None,
-        help="directory for the shared on-disk workload cache",
+    _pool_args(bench, "figures")
+    _out_dir_arg(
+        bench, "artifact directory (per-figure JSON/markdown +"
+        " bench_run.json)", default="bench_results",
     )
     bench.add_argument(
         "--gate", action="store_true",
@@ -617,11 +608,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="BENCH_*.json baseline for --gate (default: repo baseline)",
     )
 
-    figure = commands.add_parser("figure", help="regenerate a paper figure")
+    figure = command(
+        commands, "figure", _cmd_figure, "regenerate a paper figure"
+    )
     figure.add_argument("name", help="fig01, fig04, ..., fig14")
     figure.add_argument("--out", default=None, help="directory for results")
 
-    tpch = commands.add_parser("tpch", help="run TPC-H queries")
+    tpch = command(commands, "tpch", _cmd_tpch, "run TPC-H queries")
     tpch.add_argument("--query", default="all")
     tpch.add_argument(
         "--engine",
@@ -631,8 +624,9 @@ def build_parser() -> argparse.ArgumentParser:
     tpch.add_argument("--scale-factor", type=float, default=250.0)
     tpch.add_argument("--real-scale-factor", type=float, default=0.01)
 
-    top = commands.add_parser(
-        "top", help="live dashboard over an NDJSON telemetry stream file"
+    top = command(
+        commands, "top", _cmd_top,
+        "live dashboard over an NDJSON telemetry stream file",
     )
     top.add_argument(
         "path", metavar="STREAM",
@@ -647,24 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--interval", type=float, default=0.5, metavar="SECONDS",
         help="poll interval with --follow (default 0.5)",
     )
-
-    # Accept the global logging flags after the subcommand too
-    # (`repro join --quiet` as well as `repro --quiet join`).  The
-    # SUPPRESS default keeps an unsupplied subcommand flag from
-    # clobbering the value the main parser already set.
-    for sub in (
-        list(commands.choices.values())
-        + list(exp_sub.choices.values())
-        + list(chaos_sub.choices.values())
-    ):
-        sub.add_argument(
-            "--log-level", choices=("debug", "info", "warning", "error"),
-            default=argparse.SUPPRESS, help=argparse.SUPPRESS,
-        )
-        sub.add_argument(
-            "--quiet", action="store_true",
-            default=argparse.SUPPRESS, help=argparse.SUPPRESS,
-        )
     return parser
 
 
@@ -677,41 +653,102 @@ def _configure_logging(args) -> None:
     """
     level = "warning" if args.quiet else args.log_level
     logger = logging.getLogger("repro")
-    for old in list(logger.handlers):
-        logger.removeHandler(old)
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(message)s"))
-    logger.addHandler(handler)
+    logger.handlers = [handler]
     logger.setLevel(getattr(logging, level.upper()))
     logger.propagate = False
+
+
+def _refuse(message) -> int:
+    """Report input a command cannot run with: one stderr line, exit 2."""
+    print(message, file=sys.stderr)
+    return 2
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     _configure_logging(args)
-    handler = {
-        "topology": _cmd_topology,
-        "join": _cmd_join,
-        "shuffle": _cmd_shuffle,
-        "trace": _cmd_trace,
-        "analyze": _cmd_analyze,
-        "chaos": _cmd_chaos,
-        "serve": _cmd_serve,
-        "perf": _cmd_perf,
-        "bench": _cmd_bench,
-        "experiments": _cmd_experiments,
-        "figure": _cmd_figure,
-        "tpch": _cmd_tpch,
-        "top": _cmd_top,
-    }[args.command]
     try:
-        return handler(args)
+        return args.handler(args)
+    except BadInput as exc:
+        raise SystemExit(_refuse(exc)) from None
     except BrokenPipeError:
         # Downstream pager/head closed the pipe; that is not an error.
         import os
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+
+
+class _Observation:
+    """The observer, NDJSON stream and alert engine around one run.
+
+    ``--stream`` opens the stream; an ``alerting`` command also opens an
+    in-memory one for ``--alerts``/``--alert-rules`` alone and feeds it
+    to an ``AlertEngine``.  Exiting closes the engine, then the stream.
+    """
+
+    def __init__(self, args, observe: bool = True, alerting: bool = True):
+        self.observer = self.stream = self.alerts = None
+        # With the stream on stdout the human report moves to the logger
+        # so the NDJSON stays machine-parseable.
+        self.say = log.info if args.stream == "-" else print
+        if observe:
+            self.observer = Observer()
+        if args.stream or (alerting and (args.alerts or args.alert_rules)):
+            from repro.obs.stream import TelemetryStream
+
+            self.stream = TelemetryStream(args.stream or None)
+            if alerting:
+                from repro.obs.alerts import AlertEngine, load_rules
+
+                rules = None
+                if args.alert_rules is not None:
+                    rules = load_rules(args.alert_rules)
+                self.alerts = AlertEngine(self.stream, rules, path=args.alerts)
+            if self.observer is not None:
+                self.observer.stream = self.stream
+
+    def __enter__(self) -> "_Observation":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.alerts is not None:
+            self.alerts.close()
+        if self.stream is not None:
+            self.stream.close()
+
+    def report(self, lines) -> None:
+        """Say the human report, then how many alerts fired."""
+        for line in lines:
+            self.say(line)
+        if self.alerts is None:
+            return
+        fired = self.alerts.summary()
+        counts = sorted(fired["by_severity"].items())
+        severities = ", ".join(f"{name}={count}" for name, count in counts)
+        self.say(
+            f"alerts fired         : {fired['fired']}"
+            + (f" ({severities})" if severities else "")
+        )
+
+
+def _write_artifacts(args, payload, files, record_for, say=print):
+    """Write ``files`` ({name: (label, JSON data)}) into ``--out-dir`` and
+    put ``record_for(payload)`` into ``--store``; returns the output
+    directory or None."""
+    out_dir = None
+    if args.out_dir is not None:
+        out_dir = pathlib.Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, (label, data) in files.items():
+            (out_dir / name).write_text(json.dumps(data, indent=1))
+            say(f"{label:<15}: {out_dir / name}")
+    if args.store is not None:
+        record = _resolve_store(args.store).put(record_for(payload))
+        say(f"ledger record  : {record.run_id} (rev {record.revision})")
+    return out_dir
 
 
 # ---------------------------------------------------------------------------
@@ -739,64 +776,43 @@ def _cmd_topology(args) -> int:
 
 def _select_gpus(machine, count: int) -> tuple[int, ...]:
     if count < 1 or count > machine.num_gpus:
-        raise SystemExit(f"--gpus must be 1..{machine.num_gpus}")
+        raise BadInput(f"--gpus must be 1..{machine.num_gpus}")
     return tuple(machine.gpu_ids[:count])
 
 
 def _cmd_join(args) -> int:
     machine = MACHINES[args.machine]()
     workload = _workload_from_args(
-        machine,
-        args,
-        placement_zipf=args.zipf_placement,
+        machine, args, placement_zipf=args.zipf_placement,
         key_zipf=args.zipf_keys,
     )
-    observer = None
-    if args.trace or args.trace_csv or args.stream:
-        from repro.obs import Observer
-
-        observer = Observer()
-    stream = None
-    if args.stream:
-        from repro.obs.stream import open_stream
-
-        stream = open_stream(args.stream)
-        observer.stream = stream
-    algorithm_cls = ALGORITHMS[args.algorithm]
-    if args.algorithm == "umj":
-        algorithm = algorithm_cls(machine, observer=observer)
-    else:
-        algorithm = algorithm_cls(
-            machine, policy=POLICIES[args.policy](), observer=observer
-        )
-    try:
+    traced = bool(args.trace or args.trace_csv)
+    with _Observation(
+        args, observe=traced or bool(args.stream), alerting=False
+    ) as obs:
+        if args.algorithm == "umj":
+            algorithm = UMJJoin(machine, observer=obs.observer)
+        else:
+            algorithm = ALGORITHMS[args.algorithm](
+                machine, policy=POLICIES[args.policy](), observer=obs.observer
+            )
         result = algorithm.run(workload)
-    finally:
-        if stream is not None:
-            stream.close()
-    # With the stream on stdout the human report moves to the logger so
-    # the NDJSON stays machine-parseable.
-    say = log.info if args.stream == "-" else print
-    say(f"algorithm        : {result.algorithm}")
-    say(f"gpus             : {result.num_gpus}")
-    say(f"logical tuples   : {result.logical_tuples:,}")
-    say(f"matches (logical): {result.matches_logical:,}")
-    say(f"total time       : {result.total_time * 1e3:.2f} ms")
-    say(f"throughput       : {result.throughput / 1e9:.2f} B tuples/s")
-    say(f"cycles / tuple   : {result.cycles_per_tuple:.1f}")
-    for phase, seconds in result.breakdown.as_dict().items():
-        say(f"  {phase:22s}: {seconds * 1e3:9.2f} ms")
-    if args.trace or args.trace_csv:
-        from repro.obs import run_metadata
-
-        metadata = run_metadata(
-            topology=args.machine,
-            num_gpus=len(workload.gpu_ids),
-            seed=args.seed,
-            algorithm=args.algorithm,
-            policy=args.policy,
-        )
-        _export_observation(observer, args.trace, args.trace_csv, metadata)
+    obs.report([
+        f"algorithm        : {result.algorithm}",
+        f"gpus             : {result.num_gpus}",
+        f"logical tuples   : {result.logical_tuples:,}",
+        f"matches (logical): {result.matches_logical:,}",
+        f"total time       : {result.total_time * 1e3:.2f} ms",
+        f"throughput       : {result.throughput / 1e9:.2f} B tuples/s",
+        f"cycles / tuple   : {result.cycles_per_tuple:.1f}",
+        *(
+            f"  {phase:22s}: {seconds * 1e3:9.2f} ms"
+            for phase, seconds in result.breakdown.as_dict().items()
+        ),
+    ])
+    if traced:
+        metadata = _run_metadata(args, algorithm=args.algorithm)
+        _export_observation(obs.observer, args.trace, args.trace_csv, metadata)
     return 0
 
 
@@ -810,18 +826,19 @@ def _export_observation(observer, trace_path, csv_path, metadata=None) -> None:
         path = export.write_chrome_trace(observer, trace_path, metadata)
         print(f"chrome trace     : {path} (open in chrome://tracing or Perfetto)")
     if csv_path:
-        import pathlib
-
         pathlib.Path(csv_path).write_text(export.to_csv(observer))
         print(f"merged CSV       : {csv_path}")
     print()
     print(export.summary(observer), end="")
 
 
-def _round_to_multiple(logical: int, real: int) -> int:
-    if logical < real:
-        return real
-    return (logical // real) * real
+def _run_metadata(args, **extra) -> dict:
+    """The artifact header of a command's ``--machine``, ``--gpus``,
+    ``--seed`` (where it has one) and ``--policy``."""
+    return run_metadata(
+        topology=args.machine, num_gpus=args.gpus,
+        seed=getattr(args, "seed", None), policy=args.policy, **extra,
+    )
 
 
 def _workload_from_args(machine, args, **skew):
@@ -830,7 +847,7 @@ def _workload_from_args(machine, args, **skew):
     return generate_workload(
         WorkloadSpec(
             gpu_ids=_select_gpus(machine, args.gpus),
-            logical_tuples_per_gpu=_round_to_multiple(
+            logical_tuples_per_gpu=round_logical_tuples(
                 args.tuples_per_gpu, args.real_tuples
             ),
             real_tuples_per_gpu=args.real_tuples,
@@ -840,12 +857,19 @@ def _workload_from_args(machine, args, **skew):
     )
 
 
-def _cmd_shuffle(args) -> int:
+def _run_shuffle(args, **observed):
+    """The all-to-all step of ``--machine``, ``--gpus`` and
+    ``--bytes-per-flow`` under ``--policy``."""
     machine = MACHINES[args.machine]()
     gpu_ids = _select_gpus(machine, args.gpus)
     flows = FlowMatrix.all_to_all(gpu_ids, args.bytes_per_flow)
-    policy = POLICIES[args.policy]()
-    report = ShuffleSimulator(machine, gpu_ids).run(flows, policy)
+    return ShuffleSimulator(machine, gpu_ids, **observed).run(
+        flows, POLICIES[args.policy]()
+    )
+
+
+def _cmd_shuffle(args) -> int:
+    report = _run_shuffle(args)
     print(f"policy               : {report.policy_name}")
     print(f"payload              : {report.payload_bytes / 1e9:.2f} GB")
     print(f"elapsed              : {report.elapsed * 1e3:.2f} ms")
@@ -872,21 +896,13 @@ def _cmd_shuffle(args) -> int:
 
 def _cmd_trace(args) -> int:
     """One fully-observed shuffle: every exporter exercised."""
-    from repro.obs import Observer
-    from repro.obs.analyze import LinkTimelineSampler, ascii_heatmap
-
-    machine = MACHINES[args.machine]()
-    gpu_ids = _select_gpus(machine, args.gpus)
-    flows = FlowMatrix.all_to_all(gpu_ids, args.bytes_per_flow)
-    policy = POLICIES[args.policy]()
     observer = Observer()
     sampler = LinkTimelineSampler() if args.gantt else None
     # Route the per-link trace into the same span store so the Chrome
     # export shows each link's transfers as its own timeline lane.
-    report = ShuffleSimulator(
-        machine, gpu_ids, tracer=observer.spans, observer=observer,
-        sampler=sampler,
-    ).run(flows, policy)
+    report = _run_shuffle(
+        args, tracer=observer.spans, observer=observer, sampler=sampler
+    )
     print(f"policy   : {report.policy_name}")
     print(f"payload  : {report.payload_bytes / 1e9:.2f} GB")
     print(f"elapsed  : {report.elapsed * 1e3:.2f} ms (simulated)")
@@ -901,12 +917,7 @@ def _cmd_trace(args) -> int:
     if sampler is not None:
         print()
         print(ascii_heatmap(sampler.timeline()), end="")
-    from repro.obs import run_metadata
-
-    metadata = run_metadata(
-        topology=args.machine, num_gpus=len(gpu_ids), policy=args.policy
-    )
-    _export_observation(observer, args.out, args.csv, metadata)
+    _export_observation(observer, args.out, args.csv, _run_metadata(args))
     return 0
 
 
@@ -914,8 +925,6 @@ def _phase_windows(observer, horizon):
     """Split the shuffle clock at the last route decision: before it
     the global partition pass is still injecting packets, after it the
     network drains into the local partition pass (§4 overlap)."""
-    from repro.obs.analyze import PhaseWindow
-
     decisions = observer.spans.find_instants("arm.decision")
     split = max((instant.time for instant in decisions), default=0.0)
     if 0.0 < split < horizon:
@@ -928,16 +937,7 @@ def _phase_windows(observer, horizon):
 
 def _cmd_analyze(args) -> int:
     """One sampled run -> heatmap + bottleneck attribution + regret."""
-    from repro.obs import Observer, run_metadata
-    from repro.obs.analyze import (
-        LinkTimelineSampler,
-        ascii_heatmap,
-        attribute,
-        audit_decisions,
-        render_bottleneck_report,
-        render_regret_table,
-        write_analysis,
-    )
+    from repro.faults import resolve_plan
 
     machine = MACHINES[args.machine]()
     gpu_ids = _select_gpus(machine, args.gpus)
@@ -949,60 +949,46 @@ def _cmd_analyze(args) -> int:
     sampler = LinkTimelineSampler()
     if args.mode == "join":
         workload = _workload_from_args(
-            machine,
-            args,
-            placement_zipf=args.zipf_placement,
+            machine, args, placement_zipf=args.zipf_placement,
             key_zipf=args.zipf_keys,
         )
-        faults = None
-        if args.chaos is not None:
-            from repro.faults import resolve_plan
 
-            healthy = MGJoin(machine, policy=POLICIES[args.policy]()).run(
-                workload
+        def run(**observed):
+            result = MGJoin(
+                machine, policy=POLICIES[args.policy](), **observed
+            ).run(workload)
+            return result, result.shuffle_report
+    else:
+        bytes_per_flow = args.bytes_per_flow
+        if args.hot_gpu is None:
+            flows = FlowMatrix.all_to_all(gpu_ids, bytes_per_flow)
+        elif args.hot_gpu in gpu_ids:
+            flows = skewed_flows(
+                gpu_ids, args.hot_gpu, 6 * bytes_per_flow, bytes_per_flow
             )
-            if healthy.shuffle_report is None:
-                print("workload never shuffles; nothing to break")
-                return 1
-            faults = resolve_plan(
-                args.chaos,
-                machine,
-                healthy.shuffle_report.elapsed,
-                args.seed,
-                gpu_ids,
+        else:
+            raise BadInput(
+                f"--hot-gpu must be one of the selected GPUs {list(gpu_ids)}"
             )
-        algorithm = MGJoin(
-            machine,
-            policy=POLICIES[args.policy](),
-            observer=observer,
-            sampler=sampler,
-            faults=faults,
+
+        def run(**observed):
+            simulator = ShuffleSimulator(machine, gpu_ids, **observed)
+            return None, simulator.run(flows, POLICIES[args.policy]())
+
+    faults = None
+    if args.chaos is not None:
+        # A healthy run first, to size the fault schedule.
+        healthy = run()[1]
+        if healthy is None:
+            print("workload never shuffles; nothing to break")
+            return 1
+        faults = resolve_plan(
+            args.chaos, machine, healthy.elapsed, args.seed, gpu_ids
         )
-        result = algorithm.run(workload)
-        report = result.shuffle_report
+    result, report = run(observer=observer, sampler=sampler, faults=faults)
+    if result is not None:
         print(f"algorithm : {result.algorithm}  ({len(gpu_ids)} GPUs)")
         print(f"total time: {result.total_time * 1e3:.2f} ms")
-    else:
-        flows = FlowMatrix()
-        for src in gpu_ids:
-            for dst in gpu_ids:
-                if src != dst:
-                    flows.add(src, dst, args.bytes_per_flow)
-                    if args.hot_gpu is not None and dst == args.hot_gpu:
-                        flows.add(src, dst, 5 * args.bytes_per_flow)
-        faults = None
-        if args.chaos is not None:
-            from repro.faults import resolve_plan
-
-            healthy = ShuffleSimulator(machine, gpu_ids).run(
-                flows, POLICIES[args.policy]()
-            )
-            faults = resolve_plan(
-                args.chaos, machine, healthy.elapsed, args.seed, gpu_ids
-            )
-        report = ShuffleSimulator(
-            machine, gpu_ids, observer=observer, sampler=sampler, faults=faults
-        ).run(flows, POLICIES[args.policy]())
     if report is None:
         print("no distribution step was simulated; nothing to analyze")
         return 1
@@ -1063,19 +1049,12 @@ def _cmd_analyze(args) -> int:
             f" shuffle)"
         )
     if args.out_dir:
-        metadata = run_metadata(
-            topology=args.machine,
-            num_gpus=len(gpu_ids),
-            seed=args.seed,
-            policy=args.policy,
-            mode=args.mode,
-        )
         paths = write_analysis(
             args.out_dir,
             timeline=timeline,
             bottlenecks=bottlenecks,
             regret=regret,
-            metadata=metadata,
+            metadata=_run_metadata(args, mode=args.mode),
         )
         print()
         for path in paths:
@@ -1085,29 +1064,23 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_chaos(args) -> int:
     """Run one chaos scenario, a solo join or a served batch, and grade it."""
-    import json
-    import pathlib
     from dataclasses import asdict
 
     from repro.core.recovery import RecoveryError
+    from repro.experiments.store import chaos_record, serve_chaos_record
     from repro.faults import ChaosError, ChaosInputError, FaultPlan
     from repro.faults import FaultPlanError, run_chaos
-    from repro.obs import run_metadata
     from repro.serve import synthetic_requests
     from repro.sim import SimulationError
     from repro.sim.recovery import RecoveryConfig, RetryPolicy
 
-    if getattr(args, "chaos_command", None) == "fuzz":
-        return _cmd_chaos_fuzz(args)
     if args.plan is None and args.preset is None:
-        raise SystemExit("chaos needs --preset NAME or --plan PATH")
+        raise BadInput("chaos needs --preset NAME or --plan PATH")
     if args.serve and args.min_retention is not None:
-        print(
+        return _refuse(
             "chaos --serve cannot take --min-retention: served queries share"
-            " the links, so their throughput has no solo healthy baseline",
-            file=sys.stderr,
+            " the links, so their throughput has no solo healthy baseline"
         )
-        return 2
     machine = MACHINES[args.machine]()
     batch = {}
     if args.serve:
@@ -1139,51 +1112,44 @@ def _cmd_chaos(args) -> int:
         if args.checkpoint_interval is not None
         else None
     )
-    observer, stream, alert_engine = _serve_observability(args)
-    if stream is not None and not args.serve:
-        from repro.obs.conformance import ConformanceProbe
+    with _Observation(args) as obs:
+        if obs.stream is not None and not args.serve:
+            from repro.obs.conformance import ConformanceProbe
 
-        # Conformance rides along so the residual-drift alert rule has
-        # events to chew on.
-        observer.conformance = ConformanceProbe()
-    try:
-        scenario = (
-            FaultPlan.from_file(args.plan)
-            if args.plan is not None
-            else args.preset
-        )
-        retry = None
-        if cli_retry:
-            base = scenario.retry_kwargs if isinstance(scenario, FaultPlan) else {}
-            retry = RetryPolicy(**{**base, **cli_retry})
-        report = run_chaos(
-            machine,
-            target,
-            scenario,
-            policy_factory=POLICIES[args.policy],
-            seed=args.seed,
-            observer=observer,
-            strict=False,
-            retry=retry,
-            recovery=recovery,
-            verify=args.verify,
-            **batch,
-        )
-    except (ChaosError, ChaosInputError, FaultPlanError, RecoveryError,
-            SimulationError) as exc:
-        print(f"chaos cannot run this scenario: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if alert_engine is not None:
-            alert_engine.close()
-        if stream is not None:
-            stream.close()
-    # With the stream on stdout the human report moves to the logger so
-    # the NDJSON stays machine-parseable.
-    say = log.info if args.stream == "-" else print
-    for line in report.summary_lines():
-        say(line)
-    _say_alert_summary(say, alert_engine)
+            # Conformance rides along so the residual-drift alert rule
+            # has events to chew on.
+            obs.observer.conformance = ConformanceProbe()
+        try:
+            scenario = (
+                FaultPlan.from_file(args.plan)
+                if args.plan is not None
+                else args.preset
+            )
+            retry = None
+            if cli_retry:
+                base = (
+                    scenario.retry_kwargs
+                    if isinstance(scenario, FaultPlan) else {}
+                )
+                retry = RetryPolicy(**{**base, **cli_retry})
+            report = run_chaos(
+                machine,
+                target,
+                scenario,
+                policy_factory=POLICIES[args.policy],
+                seed=args.seed,
+                observer=obs.observer,
+                strict=False,
+                retry=retry,
+                recovery=recovery,
+                verify=args.verify,
+                **batch,
+            )
+        except (ChaosError, ChaosInputError, FaultPlanError, RecoveryError,
+                SimulationError) as exc:
+            return _refuse(f"chaos cannot run this scenario: {exc}")
+    obs.report(report.summary_lines())
+    say = obs.say
     ok = report.correct
     if not ok:
         say(f"FAIL: {report.failure}")
@@ -1208,37 +1174,25 @@ def _cmd_chaos(args) -> int:
         "retry": asdict(retry or RetryPolicy(**report.plan.retry_kwargs)),
         "recovery": asdict(recovery or RecoveryConfig()),
     }
-    metadata = run_metadata(
-        topology=args.machine,
-        num_gpus=args.gpus,
-        seed=args.seed,
-        policy=args.policy,
+    metadata = _run_metadata(
+        args,
         scenario=report.plan.name,
         **({"queries": args.queries} if args.serve else {}),
         **knobs,
     )
     artifact = "serve_chaos" if args.serve else "chaos"
+    payload = dict(report.to_dict(), **knobs, run=metadata)
+    if obs.alerts is not None:
+        payload["alerts"] = obs.alerts.fired
+    out_dir = _write_artifacts(
+        args, payload, {f"{artifact}_report.json": ("chaos report", payload)},
+        serve_chaos_record if args.serve else chaos_record, say,
+    )
     trace_path = args.trace
-    if args.out_dir is not None or args.store is not None:
-        payload = dict(report.to_dict(), **knobs, run=metadata)
-        if alert_engine is not None:
-            payload["alerts"] = alert_engine.fired
-        if args.out_dir is not None:
-            out_dir = pathlib.Path(args.out_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            if trace_path is None:
-                trace_path = str(out_dir / f"{artifact}_trace.json")
-            report_path = out_dir / f"{artifact}_report.json"
-            report_path.write_text(json.dumps(payload, indent=1))
-            say(f"chaos report   : {report_path}")
-        if args.store is not None:
-            from repro.experiments.store import chaos_record, serve_chaos_record
-
-            record_for = serve_chaos_record if args.serve else chaos_record
-            record = _resolve_store(args.store).put(record_for(payload))
-            say(f"ledger record  : {record.run_id} (rev {record.revision})")
+    if trace_path is None and out_dir is not None:
+        trace_path = str(out_dir / f"{artifact}_trace.json")
     if trace_path is not None:
-        _export_observation(observer, trace_path, None, metadata)
+        _export_observation(obs.observer, trace_path, None, metadata)
     if report.silent_corruption_detected:
         return 3
     return 0 if ok else 1
@@ -1247,15 +1201,14 @@ def _cmd_chaos(args) -> int:
 def _cmd_chaos_fuzz(args) -> int:
     """Fuzz random fault plans against the healthy-digest property."""
     from repro.core.recovery import RecoveryError
+    from repro.experiments.store import fuzz_record
     from repro.faults import ChaosError, FaultPlanError, run_chaos
     from repro.faults.chaos import healthy_reference
     from repro.faults.fuzz import run_fuzz
-    from repro.obs import run_metadata
     from repro.sim import SimulationError
 
     machine = MACHINES[args.machine]()
     workload = _workload_from_args(machine, args)
-    gpu_ids = workload.gpu_ids
     policy_factory = POLICIES[args.policy]
     # One healthy baseline for the whole campaign; every plan is graded
     # against its digest and scaled to its shuffle duration.
@@ -1263,7 +1216,7 @@ def _cmd_chaos_fuzz(args) -> int:
         machine, workload, policy_factory=policy_factory
     )
     if healthy.shuffle_report is None:
-        raise SystemExit("chaos fuzz needs a workload that shuffles data")
+        raise BadInput("chaos fuzz needs a workload that shuffles data")
 
     def runner(plan) -> "str | None":
         try:
@@ -1286,93 +1239,31 @@ def _cmd_chaos_fuzz(args) -> int:
         runner,
         seed=args.seed,
         budget=args.budget,
-        gpu_ids=gpu_ids,
+        gpu_ids=workload.gpu_ids,
         shrink_budget=args.shrink_budget,
         log=log.info,
     )
     for line in report.summary_lines():
         print(line)
-    if args.out_dir is not None or args.store is not None:
-        import json
-        import pathlib
-
-        metadata = run_metadata(
-            topology=args.machine,
-            num_gpus=len(gpu_ids),
-            seed=args.seed,
-            policy=args.policy,
-            verify=args.verify,
-            budget=args.budget,
+    metadata = _run_metadata(args, verify=args.verify, budget=args.budget)
+    payload = dict(report.to_dict(), run=metadata)
+    files = {"fuzz_report.json": ("fuzz report", payload)}
+    for failure in report.failures:
+        files[f"{failure.plan.name}.min.json"] = (
+            "reproducer", failure.shrunk.to_dict()
         )
-        payload = dict(report.to_dict(), run=dict(metadata))
-        if args.out_dir is not None:
-            out_dir = pathlib.Path(args.out_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            report_path = out_dir / "fuzz_report.json"
-            report_path.write_text(json.dumps(payload, indent=1))
-            print(f"fuzz report    : {report_path}")
-            for failure in report.failures:
-                plan_path = out_dir / f"{failure.plan.name}.min.json"
-                plan_path.write_text(
-                    json.dumps(failure.shrunk.to_dict(), indent=1)
-                )
-                print(f"reproducer     : {plan_path}")
-        if args.store is not None:
-            from repro.experiments.store import fuzz_record
-
-            record = _resolve_store(args.store).put(fuzz_record(payload))
-            print(f"ledger record  : {record.run_id} (rev {record.revision})")
+    _write_artifacts(args, payload, files, fuzz_record)
     return 0 if report.ok else 1
-
-
-def _serve_observability(args):
-    """(observer, stream, alert_engine) for the serve and chaos commands."""
-    from repro.obs import Observer
-
-    observer = Observer()
-    stream = None
-    alert_engine = None
-    if args.stream or args.alerts or args.alert_rules:
-        from repro.obs.alerts import AlertEngine, load_rules
-        from repro.obs.stream import TelemetryStream, open_stream
-
-        stream = (
-            open_stream(args.stream) if args.stream else TelemetryStream(None)
-        )
-        rules = (
-            load_rules(args.alert_rules)
-            if args.alert_rules is not None
-            else None
-        )
-        alert_engine = AlertEngine(stream, rules, path=args.alerts)
-        observer.stream = stream
-    return observer, stream, alert_engine
-
-
-def _say_alert_summary(say, alert_engine) -> None:
-    if alert_engine is None:
-        return
-    fired = alert_engine.summary()
-    severities = ", ".join(
-        f"{name}={count}"
-        for name, count in sorted(fired["by_severity"].items())
-    )
-    say(
-        f"alerts fired         : {fired['fired']}"
-        + (f" ({severities})" if severities else "")
-    )
 
 
 def _cmd_serve(args) -> int:
     """Serve a request batch (file or synthetic) over one shared fabric."""
-    import json
-
     from repro.faults import FaultPlan, FaultPlanError
     from repro.serve import QueryScheduler, load_requests, synthetic_requests
     from repro.sim import SimulationError
 
     if (args.requests is None) == (args.synthetic is None):
-        raise SystemExit("serve needs a request file or --synthetic N (not both)")
+        raise BadInput("serve needs a request file or --synthetic N (not both)")
     machine = MACHINES[args.machine]()
     try:
         if args.synthetic is not None:
@@ -1389,42 +1280,30 @@ def _cmd_serve(args) -> int:
             requests = load_requests(args.requests)
         plan = FaultPlan.from_file(args.plan) if args.plan is not None else None
     except (FaultPlanError, OSError, ValueError) as exc:
-        print(f"serve cannot load its inputs: {exc}", file=sys.stderr)
-        return 2
-    observer, stream, alert_engine = _serve_observability(args)
-    try:
-        report = QueryScheduler(
-            machine,
-            requests,
-            policy_factory=POLICIES[args.policy],
-            max_in_flight=args.max_in_flight,
-            queue_depth=args.queue_depth,
-            arbitration=(
-                None if args.arbitration == "none" else args.arbitration
-            ),
-            faults=plan,
-            retry_budget=args.retry_budget,
-            observer=observer,
-        ).run()
-    except (FaultPlanError, SimulationError, ValueError) as exc:
-        print(f"serve cannot run: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if alert_engine is not None:
-            alert_engine.close()
-        if stream is not None:
-            stream.close()
-    say = log.info if args.stream == "-" else print
-    for line in report.summary_lines():
-        say(line)
-    _say_alert_summary(say, alert_engine)
+        return _refuse(f"serve cannot load its inputs: {exc}")
+    with _Observation(args) as obs:
+        try:
+            report = QueryScheduler(
+                machine,
+                requests,
+                policy_factory=POLICIES[args.policy],
+                max_in_flight=args.max_in_flight,
+                queue_depth=args.queue_depth,
+                arbitration=(
+                    None if args.arbitration == "none" else args.arbitration
+                ),
+                faults=plan,
+                retry_budget=args.retry_budget,
+                observer=obs.observer,
+            ).run()
+        except (FaultPlanError, SimulationError, ValueError) as exc:
+            return _refuse(f"serve cannot run: {exc}")
+    obs.report(report.summary_lines())
     if args.json is not None:
-        import pathlib
-
         pathlib.Path(args.json).write_text(
             json.dumps(report.to_dict(), indent=1)
         )
-        say(f"serve report         : {args.json}")
+        obs.say(f"serve report         : {args.json}")
     return report.exit_code
 
 
@@ -1442,7 +1321,6 @@ def _resolve_store(path: str | None):
 def _cmd_perf(args) -> int:
     """Collect perf metrics, gate against (or refresh) the baseline."""
     from repro.bench import regression
-    from repro.obs import run_metadata
 
     workload = regression.PERF_WORKLOADS[args.workload]
     path = args.baseline or regression.baseline_path(workload.name)
@@ -1474,8 +1352,7 @@ def _cmd_perf(args) -> int:
                 current=current,
             )
         except StoreError as exc:
-            print(f"perf gate cannot read the store: {exc}", file=sys.stderr)
-            return 2
+            return _refuse(f"perf gate cannot read the store: {exc}")
         print(f"baseline via store: {baseline_run}")
     else:
         result = regression.run_gate(path, tolerance=tolerance, current=current)
@@ -1483,31 +1360,20 @@ def _cmd_perf(args) -> int:
     return 0 if result.ok else 1
 
 
-def _cmd_experiments(args) -> int:
-    """Dispatch ``repro experiments run|list|compare|report|ingest``."""
-    return {
-        "run": _cmd_experiments_run,
-        "list": _cmd_experiments_list,
-        "compare": _cmd_experiments_compare,
-        "report": _cmd_experiments_report,
-        "ingest": _cmd_experiments_ingest,
-    }[args.exp_command](args)
-
-
 def _cmd_experiments_run(args) -> int:
-    import json
-
     from repro.experiments import SweepError, SweepPoint, parse_sweep, run_batch
 
     defaults = SweepPoint(
-        tuples_per_gpu=_round_to_multiple(args.tuples_per_gpu, args.real_tuples),
+        tuples_per_gpu=round_logical_tuples(
+            args.tuples_per_gpu, args.real_tuples
+        ),
         real_tuples=args.real_tuples,
         seed=args.seed,
     )
     try:
         points = parse_sweep(args.sweep, defaults=defaults)
     except SweepError as exc:
-        raise SystemExit(str(exc)) from exc
+        raise BadInput(exc) from exc
     store = _resolve_store(args.store)
 
     # Human progress rides the logger (stderr) so stdout stays free for
@@ -1541,26 +1407,19 @@ def _cmd_experiments_run(args) -> int:
         "jsonl": lambda event: print(json.dumps(event, sort_keys=True)),
         "quiet": None,
     }[args.progress]
-    stream = None
-    if args.stream:
-        from repro.obs.stream import open_stream
-
-        stream = open_stream(args.stream)
-    try:
-        records = run_batch(
-            points,
-            store,
-            jobs=args.jobs,
-            workload_cache=args.workload_cache,
-            progress=progress,
-            stream=stream,
-        )
-    except SweepError as exc:
-        print(f"sweep failed: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        if stream is not None:
-            stream.close()
+    with _Observation(args, observe=False, alerting=False) as obs:
+        try:
+            records = run_batch(
+                points,
+                store,
+                jobs=args.jobs,
+                workload_cache=args.workload_cache,
+                progress=progress,
+                stream=obs.stream,
+            )
+        except SweepError as exc:
+            print(f"sweep failed: {exc}", file=sys.stderr)
+            return 1
     log.info(
         "ledger: %s (%d record(s) written)", store.ledger_path, len(records)
     )
@@ -1569,11 +1428,10 @@ def _cmd_experiments_run(args) -> int:
 
 def _cmd_experiments_list(args) -> int:
     store = _resolve_store(args.store)
-    filters = {}
-    if args.topology is not None:
-        filters["topology"] = args.topology
-    if args.policy is not None:
-        filters["policy"] = args.policy
+    filters = {
+        key: getattr(args, key) for key in ("topology", "policy")
+        if getattr(args, key) is not None
+    }
     entries = store.select(kind=args.kind, **filters)
     if not entries:
         print(f"(no matching runs in {store.root})")
@@ -1582,16 +1440,14 @@ def _cmd_experiments_list(args) -> int:
         f"{'seq':>4}  {'run id':<24} {'kind':<6} {'topology':<12}"
         f" {'policy':<12} {'gpus':>4}  rev  headline"
     )
+    headlines = (
+        "join.throughput_btps",
+        "chaos.throughput_retention",
+        "shuffle.throughput_gbps",
+    )
     for entry in entries:
-        headline = ""
-        for name in (
-            "join.throughput_btps",
-            "chaos.throughput_retention",
-            "shuffle.throughput_gbps",
-        ):
-            if entry.get(name) is not None:
-                headline = f"{name}={entry[name]:.4f}"
-                break
+        name = next((n for n in headlines if entry.get(n) is not None), None)
+        headline = "" if name is None else f"{name}={entry[name]:.4f}"
         print(
             f"{entry['sequence']:>4}  {entry['run_id']:<24}"
             f" {entry.get('kind') or '?':<6}"
@@ -1612,8 +1468,7 @@ def _cmd_experiments_compare(args) -> int:
         baseline = store.get(args.baseline_run)
         current = store.get(args.current_run)
     except StoreError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        return _refuse(exc)
     tolerance = (
         args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
     )
@@ -1621,8 +1476,6 @@ def _cmd_experiments_compare(args) -> int:
     rendered = render_compare(baseline, current, result)
     print(rendered, end="")
     if args.out:
-        import pathlib
-
         pathlib.Path(args.out).write_text(rendered)
         print(f"wrote {args.out}")
     return 0 if result.ok else 1
@@ -1673,7 +1526,7 @@ def _cmd_bench(args) -> int:
             workload_cache=args.workload_cache,
         )
     except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
+        raise BadInput(exc) from exc
     print(bench.render(), end="")
     print(f"manifest: {args.out_dir}/bench_run.json")
     ok = bench.ok
@@ -1692,7 +1545,7 @@ def _cmd_figure(args) -> int:
 
     name = args.name.lower()
     if name not in figures.ALL_FIGURES:
-        raise SystemExit(
+        raise BadInput(
             f"unknown figure {args.name!r}; have {sorted(figures.ALL_FIGURES)}"
         )
     result = figures.ALL_FIGURES[name]()
@@ -1716,22 +1569,16 @@ def _cmd_top(args) -> int:
 
 
 def _cmd_tpch(args) -> int:
-    from repro.relational import (
-        DPRJQueryEngine,
-        MGJoinQueryEngine,
-        OmnisciCpuEngine,
-        OmnisciGpuEngine,
-    )
+    from repro import relational
     from repro.relational.tpch import QUERIES, generate_tpch, run_query
 
     machine = dgx1_topology()
     database = generate_tpch(scale_factor=args.real_scale_factor)
     scale = args.scale_factor / args.real_scale_factor
     engine_cls = {
-        "mg-join": MGJoinQueryEngine,
-        "dprj": DPRJQueryEngine,
-        "omnisci-gpu": OmnisciGpuEngine,
-        "omnisci-cpu": OmnisciCpuEngine,
+        cls.name: cls
+        for cls in (relational.MGJoinQueryEngine, relational.DPRJQueryEngine,
+                    relational.OmnisciGpuEngine, relational.OmnisciCpuEngine)
     }[args.engine]
     engine = engine_cls(machine, logical_scale=scale)
     queries = sorted(QUERIES) if args.query == "all" else [args.query]

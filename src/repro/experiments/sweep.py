@@ -39,6 +39,7 @@ from repro.obs.export import record_self_time_gauges
 from repro.obs.meta import run_id_for, run_metadata, run_scope
 from repro.routing import POLICIES, BandwidthPolicy
 from repro.topology import MACHINES
+from repro.workloads.generator import round_logical_tuples
 
 #: Links kept in a record's busiest-link breakdown.
 TOP_LINKS = 12
@@ -186,11 +187,11 @@ def validate_point(point: SweepPoint) -> None:
 def _build_workload(point: SweepPoint, gpu_ids: tuple[int, ...]):
     from repro.bench.harness import bench_workload
 
-    logical = max(point.tuples_per_gpu, point.real_tuples)
-    logical = (logical // point.real_tuples) * point.real_tuples
     return bench_workload(
         gpu_ids,
-        logical_tuples_per_gpu=logical,
+        logical_tuples_per_gpu=round_logical_tuples(
+            point.tuples_per_gpu, point.real_tuples
+        ),
         real_tuples_per_gpu=point.real_tuples,
         seed=point.seed,
     )

@@ -33,7 +33,6 @@ __all__ = [
     "EVENT_TYPES",
     "TelemetryStream",
     "LinkPump",
-    "open_stream",
     "validate_event",
     "read_events",
 ]
@@ -200,11 +199,6 @@ class LinkPump:
             max_util=max_util,
             max_queue=max_queue,
         )
-
-
-def open_stream(path: "str | Path", **kwargs) -> TelemetryStream:
-    """Open an NDJSON telemetry stream at ``path`` (``"-"`` = stdout)."""
-    return TelemetryStream(path, **kwargs)
 
 
 def validate_event(event: object) -> list[str]:

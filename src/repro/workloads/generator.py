@@ -68,6 +68,12 @@ class WorkloadSpec:
         return len(self.gpu_ids)
 
 
+def round_logical_tuples(logical: int, real: int) -> int:
+    """``logical`` rounded down to a whole multiple of ``real``, at
+    least ``real``: the largest logical count ``real`` divides."""
+    return (max(logical, real) // real) * real
+
+
 def generate_workload(spec: WorkloadSpec) -> JoinWorkload:
     """Materialize the workload described by ``spec``."""
     rng = np.random.default_rng(spec.seed)

@@ -730,3 +730,61 @@ def test_store_ingests_the_chaos_reports_the_cli_writes(capsys, tmp_path):
 def test_chaos_serve_requires_a_scenario():
     with pytest.raises(SystemExit):
         main(["chaos", "--serve", "--gpus", "4"])
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "1e400", "1e400G"])
+def test_parse_size_rejects_non_finite_sizes(text):
+    import argparse
+
+    with pytest.raises(argparse.ArgumentTypeError, match="cannot parse"):
+        parse_size(text)
+
+
+def test_shuffle_rejects_an_infinite_size(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["shuffle", "--bytes-per-flow", "inf"])
+    assert excinfo.value.code == 2
+    assert "cannot parse size 'inf'" in capsys.readouterr().err
+
+
+# Every bad-input exit goes through one path: one stderr line, code 2.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["join", "--gpus", "0"], "--gpus must be 1..8"),
+        (["chaos"], "chaos needs --preset NAME or --plan PATH"),
+        (
+            ["chaos", "fuzz", "--gpus", "1", "--tuples-per-gpu", "64K",
+             "--real-tuples", "4K", "--budget", "1"],
+            "chaos fuzz needs a workload that shuffles data",
+        ),
+        (["serve"], "serve needs a request file or --synthetic N (not both)"),
+        (
+            ["serve", "requests.json", "--synthetic", "2"],
+            "serve needs a request file or --synthetic N (not both)",
+        ),
+        (
+            ["experiments", "run", "--sweep", "bogus", "--store", "TMP"],
+            "bad sweep token 'bogus'; want key=v1[,v2,...]",
+        ),
+        (["bench", "--figures", "nope", "--out-dir", "TMP"], "unknown figures"),
+        (["figure", "nope"], "unknown figure 'nope'"),
+        (
+            ["analyze", "--mode", "shuffle", "--gpus", "4", "--hot-gpu", "99"],
+            "--hot-gpu must be one of the selected GPUs [0, 1, 2, 3]",
+        ),
+    ],
+    ids=[
+        "gpus", "chaos-scenario", "fuzz-no-shuffle", "serve-no-input",
+        "serve-two-inputs", "sweep", "bench-figures", "figure", "hot-gpu",
+    ],
+)
+def test_bad_input_exits_2(argv, message, capsys, tmp_path):
+    argv = [str(tmp_path) if arg == "TMP" else arg for arg in argv]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and message in lines[0], lines
+    assert captured.out == ""

@@ -11,7 +11,6 @@ from repro.obs.stream import (
     EVENT_TYPES,
     STREAM_SCHEMA_VERSION,
     TelemetryStream,
-    open_stream,
     read_events,
     validate_event,
 )
@@ -55,7 +54,7 @@ class TestTelemetryStream:
 
     def test_path_sink_roundtrip(self, tmp_path):
         path = tmp_path / "deep" / "stream.ndjson"
-        stream = open_stream(path)
+        stream = TelemetryStream(path)
         stream.emit("run.finished", t=2.0, elapsed=2.0)
         stream.close()
         events = list(read_events(path))
