@@ -19,7 +19,11 @@ from repro.bench.regression import (
     run_gate_from_store,
     write_baseline,
 )
-from repro.bench.reporting import format_markdown_table, save_figure_result
+from repro.bench.reporting import (
+    figure_differences,
+    format_markdown_table,
+    save_figure_result,
+)
 from repro.bench.runner import BenchRun, FigureRun, run_benchmarks
 
 __all__ = [
@@ -31,6 +35,7 @@ __all__ = [
     "bench_workload",
     "collect_perf_metrics",
     "compare",
+    "figure_differences",
     "figures",
     "format_markdown_table",
     "load_baseline",

@@ -10,6 +10,10 @@ import tempfile
 from repro.bench.harness import FigureResult
 from repro.obs.meta import run_metadata
 
+#: Artifact blocks that describe one regeneration (host, version,
+#: self-time), not the figure: :func:`figure_differences` skips them.
+RUN_BLOCKS = frozenset({"run", "perf"})
+
 
 def _format_value(value) -> str:
     if isinstance(value, float):
@@ -87,3 +91,44 @@ def _write_atomic(path: pathlib.Path, text: str) -> None:
     ) as handle:
         handle.write(text)
     os.replace(handle.name, path)
+
+
+def figure_differences(expected, actual) -> list[str]:
+    """How two figure artifacts differ, one line each; empty when equal.
+
+    Each side is the path of a :func:`save_figure_result` JSON file or
+    that file's loaded dict.  Every block but :data:`RUN_BLOCKS` must be
+    present on both sides and equal.  Rows are compared one by one:
+    same count, same keys, then every value with ``==``, so a float
+    must match to the last bit.
+    """
+    expected, actual = _load_artifact(expected), _load_artifact(actual)
+    lines = []
+    blocks = set(expected) - RUN_BLOCKS
+    if blocks != set(actual) - RUN_BLOCKS:
+        lines.append(
+            f"blocks: expected {sorted(blocks)},"
+            f" got {sorted(set(actual) - RUN_BLOCKS)}"
+        )
+    for block in sorted((blocks & set(actual)) - {"rows"}):
+        if expected[block] != actual[block]:
+            lines.append(f"{block}: expected {expected[block]!r}, got {actual[block]!r}")
+    rows, got_rows = expected.get("rows", []), actual.get("rows", [])
+    if len(rows) != len(got_rows):
+        lines.append(f"rows: expected {len(rows)}, got {len(got_rows)}")
+    for index, (row, got) in enumerate(zip(rows, got_rows)):
+        if set(row) != set(got):
+            lines.append(f"row {index}: keys {sorted(row)} != {sorted(got)}")
+            continue
+        lines.extend(
+            f"row {index} {key}: expected {row[key]!r}, got {got[key]!r}"
+            for key in row
+            if row[key] != got[key]
+        )
+    return lines
+
+
+def _load_artifact(artifact) -> dict:
+    if isinstance(artifact, dict):
+        return artifact
+    return json.loads(pathlib.Path(artifact).read_text())

@@ -948,6 +948,8 @@ def _cmd_analyze(args) -> int:
         observer.conformance = ConformanceProbe()
     sampler = LinkTimelineSampler()
     if args.mode == "join":
+        if args.hot_gpu is not None:
+            raise BadInput("--hot-gpu applies to --mode shuffle only")
         workload = _workload_from_args(
             machine, args, placement_zipf=args.zipf_placement,
             key_zipf=args.zipf_keys,
@@ -980,8 +982,7 @@ def _cmd_analyze(args) -> int:
         # A healthy run first, to size the fault schedule.
         healthy = run()[1]
         if healthy is None:
-            print("workload never shuffles; nothing to break")
-            return 1
+            raise BadInput("analyze --chaos needs a workload that shuffles data")
         faults = resolve_plan(
             args.chaos, machine, healthy.elapsed, args.seed, gpu_ids
         )

@@ -113,14 +113,21 @@ class PartitionAssignment:
     def single_owner_map(self) -> np.ndarray:
         """Per-partition owner position for non-broadcast partitions.
 
-        Broadcast partitions get -1.
+        Broadcast partitions get -1.  Built on first use and returned
+        read-only: an assignment is never mutated after construction.
+        It lives as long as the assignment, so it is held as int16.
         """
-        first_owner = np.fromiter(
-            (owners[0] for owners in self.owners),
-            dtype=np.int64,
-            count=self.num_partitions,
-        )
-        return np.where(self.broadcast_side == NO_BROADCAST, first_owner, -1)
+        owner_map = self.__dict__.get("_owner_map")
+        if owner_map is None:
+            first_owner = np.fromiter(
+                (owners[0] for owners in self.owners),
+                dtype=np.int16,
+                count=self.num_partitions,
+            )
+            owner_map = np.where(self.broadcast_side == NO_BROADCAST, first_owner, -1)
+            owner_map.flags.writeable = False
+            self._owner_map = owner_map
+        return owner_map
 
 
 #: Downstream processing cost of one tuple on its owner GPU: two HBM

@@ -26,9 +26,8 @@ from repro.core.assignment import (
     PartitionAssignment,
 )
 from repro.core.compression import CompressionModel
-from repro.core.histogram import HistogramSet, partition_of
-from repro.core.local_partition import stable_bucket_order
-from repro.core.relation import DistributedRelation, GpuShard
+from repro.core.histogram import HistogramSet
+from repro.core.relation import ID_DTYPE, KEY_DTYPE, DistributedRelation, GpuShard
 from repro.sim.shuffle import FlowMatrix
 
 
@@ -118,67 +117,109 @@ def execute_distribution(
     s: DistributedRelation,
     histograms: HistogramSet,
     assignment: PartitionAssignment,
+    received: HistogramSet | None = None,
 ) -> DistributedData:
     """Physically redistribute the numpy tuples per the assignment.
 
     Each source shard is ordered once, stably, over *slots*: one per
     owner GPU (its single-owner partitions), then one per broadcast
-    partition.  Every slot is then one contiguous slice of the ordered
-    shard.  An owner slice goes to its owner; a broadcast slice of the
-    moving side goes to every owner of the partition, and one of the
-    kept side stays on the source if the source owns the partition.
-    Each GPU receives its pieces source by source, owner slice first,
-    then the broadcast pieces in a fixed partition order.
+    partition.  Every slot is then one contiguous run of the order.  An
+    owner slot goes to its owner; a broadcast slot of the moving side
+    goes to every owner of the partition, and one of the kept side
+    stays on the source if the source owns the partition.  Each GPU
+    receives its pieces source by source, owner slice first, then the
+    broadcast pieces in a fixed partition order.
+
+    Each GPU's arrays are allocated once, sized by ``received`` (the
+    :func:`received_histograms` of ``histograms`` and ``assignment``,
+    computed here when not given).  Owner slices are gathered from the
+    source shard straight into place; a source's broadcast slots are
+    gathered once and copied to each receiver.
     """
     gpu_ids = histograms.gpu_ids
     num_gpus = len(gpu_ids)
-    num_partitions = histograms.num_partitions
-    received_r: dict[int, list[GpuShard]] = {g: [] for g in gpu_ids}
-    received_s: dict[int, list[GpuShard]] = {g: [] for g in gpu_ids}
+    if received is None:
+        received = received_histograms(histograms, assignment)
 
-    # Slots: owner positions, then one per broadcast partition.
+    # Slots: owner positions, then one per broadcast partition.  The
+    # table holds the smallest unsigned digit that fits, which numpy's
+    # stable argsort orders by radix.
     broadcast_side = assignment.broadcast_side
     broadcast = list(set(np.nonzero(broadcast_side != NO_BROADCAST)[0].tolist()))
-    slot_of = assignment.single_owner_map()
-    slot_of[broadcast] = num_gpus + np.arange(len(broadcast))
     num_slots = num_gpus + len(broadcast)
-    slot_bits = (num_slots - 1).bit_length()
+    slot_of = assignment.single_owner_map().astype(np.min_scalar_type(num_slots - 1))
+    slot_of[broadcast] = np.arange(num_gpus, num_slots)
+    key_mask = KEY_DTYPE(histograms.num_partitions - 1)
 
     r_counts, s_counts = histograms.stacked()
-    for relation, counts, received, moving_marker in (
-        (r, r_counts, received_r, BROADCAST_R),
-        (s, s_counts, received_s, BROADCAST_S),
+    sides = []
+    for relation, counts, holds, moving_marker in (
+        (r, r_counts, received.r, BROADCAST_R),
+        (s, s_counts, received.s, BROADCAST_S),
     ):
+        dests = [
+            GpuShard(np.empty(size, KEY_DTYPE), np.empty(size, ID_DTYPE))
+            for size in (int(holds[g].sum()) for g in gpu_ids)
+        ]
+        filled = [0] * num_gpus
         for src_pos, src in enumerate(gpu_ids):
             shard = relation.shard(src)
-            slots = slot_of[partition_of(shard.keys, num_partitions)]
-            order = stable_bucket_order(slots, slot_bits)
+            keys, ids = shard.keys, shard.ids
+            order = np.argsort(np.take(slot_of, keys & key_mask), kind="stable")
             # Slot sizes: the source's histogram, summed per slot.
             sizes = np.bincount(slot_of, weights=counts[src_pos], minlength=num_slots)
-            bounds = np.concatenate(([0], np.cumsum(sizes.astype(np.int64))))
+            bounds = np.concatenate(([0], np.cumsum(sizes.astype(np.int64)))).tolist()
             if bounds[-1] != len(shard):
                 raise ValueError(
                     f"histograms count {bounds[-1]} {relation.name} tuples on"
                     f" GPU {src}, which holds {len(shard)}"
                 )
-            keys, ids = shard.keys[order], shard.ids[order]
-            for dst_pos, dst in enumerate(gpu_ids):
-                start, end = bounds[dst_pos], bounds[dst_pos + 1]
+            # Owner slots: gathered straight into place.  mode="clip"
+            # lets take write into ``out`` unbuffered; every index is in
+            # range, so nothing is clipped.
+            for pos in range(num_gpus):
+                start, end = bounds[pos], bounds[pos + 1]
                 if start < end:
-                    received[dst].append(GpuShard(keys[start:end], ids[start:end]))
+                    at = filled[pos]
+                    filled[pos] = at + end - start
+                    picked = order[start:end]
+                    np.take(keys, picked, out=dests[pos].keys[at : filled[pos]], mode="clip")
+                    np.take(ids, picked, out=dests[pos].ids[at : filled[pos]], mode="clip")
+            if not broadcast:
+                continue
+            # Broadcast slots are small and may go to many owners:
+            # gather them once, then write each GPU's pieces with one
+            # concatenate per GPU instead of one call per piece.
+            first = bounds[num_gpus]
+            picked = order[first:]
+            slot_keys, slot_ids = keys[picked], ids[picked]
+            piece_keys = [[] for _ in range(num_gpus)]
+            piece_ids = [[] for _ in range(num_gpus)]
             for slot, p in enumerate(broadcast, start=num_gpus):
-                start, end = bounds[slot], bounds[slot + 1]
+                start, end = bounds[slot] - first, bounds[slot + 1] - first
                 if start == end:
                     continue
-                piece = GpuShard(keys[start:end], ids[start:end])
                 owner_positions = assignment.owners[p]
                 if broadcast_side[p] == moving_marker:
-                    for dst_pos in owner_positions:
-                        received[gpu_ids[dst_pos]].append(piece)
+                    receivers = owner_positions
                 elif src_pos in owner_positions:
-                    received[src].append(piece)
-
-    return DistributedData(
-        r={g: GpuShard.concat(received_r[g]) for g in gpu_ids},
-        s={g: GpuShard.concat(received_s[g]) for g in gpu_ids},
-    )
+                    receivers = (src_pos,)
+                else:
+                    continue
+                piece_key, piece_id = slot_keys[start:end], slot_ids[start:end]
+                for pos in receivers:
+                    piece_keys[pos].append(piece_key)
+                    piece_ids[pos].append(piece_id)
+            for pos in range(num_gpus):
+                if piece_keys[pos]:
+                    at = filled[pos]
+                    filled[pos] = at + sum(map(len, piece_keys[pos]))
+                    np.concatenate(piece_keys[pos], out=dests[pos].keys[at : filled[pos]])
+                    np.concatenate(piece_ids[pos], out=dests[pos].ids[at : filled[pos]])
+        if filled != [len(dest) for dest in dests]:
+            raise ValueError(
+                f"received histograms count {[len(d) for d in dests]}"
+                f" {relation.name} tuples, distribution delivered {filled}"
+            )
+        sides.append(dict(zip(gpu_ids, dests)))
+    return DistributedData(*sides)

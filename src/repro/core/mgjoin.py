@@ -369,11 +369,12 @@ class MGJoin:
         # Phase 3: local partitioning (overlapped with arrival) of the
         # data each GPU received.
         with obs.span("local_partition"):
+            received = received_histograms(plan.histograms, assignment)
             data = execute_distribution(
-                workload.r, workload.s, plan.histograms, assignment
+                workload.r, workload.s, plan.histograms, assignment, received
             )
             local_passes, local_total_time = self._plan_local(
-                received_histograms(plan.histograms, assignment), live_ids, scale
+                received, live_ids, scale
             )
         if local_passes > 1:
             obs.counter("local.extra_passes").inc(local_passes - 1)

@@ -77,39 +77,39 @@ def round_logical_tuples(logical: int, real: int) -> int:
 def generate_workload(spec: WorkloadSpec) -> JoinWorkload:
     """Materialize the workload described by ``spec``."""
     rng = np.random.default_rng(spec.seed)
-    total = spec.real_tuples_per_gpu * spec.num_gpus
     # Heavy-hitter keys: ranks drawn from a finite Zipf over the key
     # universe.  Rank 0 (the heaviest key) can dominate entire radix
     # partitions, which is what exercises the skew handling.  R and S
     # draw from one table; 0 keeps sequential unique keys.
-    table = ZipfTable(total, spec.key_zipf) if spec.key_zipf > 0.0 else None
-    relations = {}
-    for name in ("R", "S"):
-        if table is None:
-            keys = np.arange(total, dtype=KEY_DTYPE)
-        else:
-            keys = table.sample(total, rng).astype(KEY_DTYPE)
-        rng.shuffle(keys)
-        ids = np.arange(total, dtype=ID_DTYPE)
-        relations[name] = _distribute(
-            name, keys, ids, spec.gpu_ids, spec.placement_zipf
-        )
-    return JoinWorkload(
-        r=relations["R"], s=relations["S"], logical_scale=spec.logical_scale
-    )
+    table = None
+    if spec.key_zipf > 0.0:
+        table = ZipfTable(spec.real_tuples_per_gpu * spec.num_gpus, spec.key_zipf)
+    r, s = (_relation(name, spec, table, rng) for name in ("R", "S"))
+    return JoinWorkload(r=r, s=s, logical_scale=spec.logical_scale)
 
 
-def _distribute(
+def _relation(
     name: str,
-    keys: np.ndarray,
-    ids: np.ndarray,
-    gpu_ids: tuple[int, ...],
-    placement_zipf: float,
+    spec: WorkloadSpec,
+    table: ZipfTable | None,
+    rng: np.random.Generator,
 ) -> DistributedRelation:
-    counts = zipf_partition_counts(len(gpu_ids), len(keys), placement_zipf)
+    """One relation: shuffled key and id columns, copied out into shards.
+
+    The keys are drawn straight into their column.  The full columns
+    die on return, before the next relation is drawn.
+    """
+    total = spec.real_tuples_per_gpu * spec.num_gpus
+    if table is None:
+        keys = np.arange(total, dtype=KEY_DTYPE)
+    else:
+        keys = table.fill(np.empty(total, dtype=KEY_DTYPE), rng)
+    rng.shuffle(keys)
+    ids = np.arange(total, dtype=ID_DTYPE)
+    counts = zipf_partition_counts(spec.num_gpus, total, spec.placement_zipf)
     shards: dict[int, GpuShard] = {}
     offset = 0
-    for gpu_id, count in zip(sorted(gpu_ids), counts):
+    for gpu_id, count in zip(sorted(spec.gpu_ids), counts):
         end = offset + int(count)
         shards[gpu_id] = GpuShard(keys[offset:end].copy(), ids[offset:end].copy())
         offset = end

@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Uniforms drawn, and CDF entries binned, per block: the temporaries of
+#: :class:`ZipfTable` are this many elements, whatever the sample size.
+BLOCK = 1 << 16
+
 
 def zipf_weights(num_items: int, z: float) -> np.ndarray:
     """Normalized finite-Zipf probabilities for ranks ``1..num_items``.
@@ -20,9 +24,11 @@ def zipf_weights(num_items: int, z: float) -> np.ndarray:
         raise ValueError("num_items must be positive")
     if z < 0:
         raise ValueError(f"Zipf factor must be non-negative, got {z}")
-    ranks = np.arange(1, num_items + 1, dtype=np.float64)
-    weights = ranks ** (-z)
-    return weights / weights.sum()
+    # In place: ``ranks ** -z / sum`` with no second full-size array.
+    weights = np.arange(1, num_items + 1, dtype=np.float64)
+    weights **= -z
+    weights /= weights.sum()
+    return weights
 
 
 class ZipfTable:
@@ -52,25 +58,49 @@ class ZipfTable:
     MAX_STEPS = 4
 
     def __init__(self, num_items: int, z: float) -> None:
-        # Keep only the CDF: the weights would otherwise sit beside the
-        # table and the draws at the peak of a large sample.
-        cdf = zipf_weights(num_items, z).cumsum()
+        # Keep only the CDF, built in the weights' array: the weights
+        # would otherwise sit beside the table.
+        cdf = zipf_weights(num_items, z)
+        np.cumsum(cdf, out=cdf)
         cdf /= cdf[-1]
         self.cdf = cdf
-        self.scale = 2 ** max(1, (num_items - 1).bit_length())
-        # guide[j] = #{i : cdf[i] <= j/scale} = #{i : ceil(cdf[i]*scale) <= j}
-        cells = np.ceil(cdf * self.scale).astype(np.int64)
-        self.guide = np.bincount(cells, minlength=self.scale + 1)[
-            : self.scale
-        ].cumsum()
+        self.scale = scale = 2 ** max(1, (num_items - 1).bit_length())
+        # guide[j] = #{i : cdf[i] <= j/scale} = #{i : ceil(cdf[i]*scale) <= j}.
+        # The cells are non-decreasing, so a cell's count is one past the
+        # last entry in it, and a cell no entry falls in inherits the
+        # count of the cell below: a running maximum fills those in.
+        guide = np.zeros(scale + 1, dtype=np.int32 if num_items < 2**31 else np.int64)
+        for start in range(0, num_items, BLOCK):
+            cells = np.ceil(cdf[start : start + BLOCK] * scale).astype(np.intp)
+            last = np.flatnonzero(cells[1:] != cells[:-1])
+            guide[cells[last]] = start + 1 + last
+            guide[cells[-1]] = start + len(cells)
+        np.maximum.accumulate(guide, out=guide)
+        self.guide = guide[:scale]
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``size`` ranks in ``[0, num_items)``, as int64."""
         if size < 0:
             raise ValueError("size must be non-negative")
-        uniforms = rng.random(size)
+        return self.fill(np.empty(size, dtype=np.int64), rng)
+
+    def fill(self, out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Draw ``len(out)`` ranks into ``out`` and return it.
+
+        The uniforms are drawn :data:`BLOCK` at a time, which consumes
+        the generator exactly as one ``rng.random(len(out))`` does, and
+        each block's ranks are written straight into ``out``.
+        """
+        uniforms = np.empty(min(len(out), BLOCK))
+        for start in range(0, len(out), BLOCK):
+            block = rng.random(out=uniforms[: len(out) - start])
+            out[start : start + len(block)] = self._ranks(block)
+        return out
+
+    def _ranks(self, uniforms: np.ndarray) -> np.ndarray:
+        """The right-bisection index of each uniform in :attr:`cdf`."""
         cdf = self.cdf
-        ranks = self.guide[(uniforms * self.scale).astype(np.int64)]
+        ranks = self.guide[(uniforms * self.scale).astype(np.intp)]
         behind = np.flatnonzero(cdf[ranks] <= uniforms)
         for _ in range(self.MAX_STEPS):
             if not behind.size:

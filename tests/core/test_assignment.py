@@ -117,3 +117,11 @@ class TestModuloAssignment:
         r = np.ones((2, 4), dtype=np.int64)
         assignment = modulo_assignment(hist_from_counts(r, r))
         assert assignment.single_owner_map().tolist() == [0, 1, 0, 1]
+
+    def test_single_owner_map_is_built_once_and_read_only(self):
+        r = np.ones((2, 4), dtype=np.int64)
+        assignment = modulo_assignment(hist_from_counts(r, r))
+        owner_map = assignment.single_owner_map()
+        assert assignment.single_owner_map() is owner_map
+        with pytest.raises(ValueError):
+            owner_map[0] = 1

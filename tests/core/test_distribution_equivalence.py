@@ -20,7 +20,11 @@ from repro.core.assignment import (
     assign_partitions,
 )
 from repro.core.compression import CompressionModel
-from repro.core.global_partition import DistributedData, execute_distribution
+from repro.core.global_partition import (
+    DistributedData,
+    execute_distribution,
+    received_histograms,
+)
 from repro.core.histogram import build_histograms, partition_of
 from repro.core.recovery import JoinRecoveryCoordinator
 from repro.core.relation import DistributedRelation, GpuShard
@@ -185,3 +189,101 @@ def test_survivor_assignment_avoids_the_dead_gpu(machine):
     _, _, _, assignment = CASES["heavy-survivors"](machine)
     dead_pos = assignment.gpu_ids.index(5)
     assert all(dead_pos not in owners for owners in assignment.owners)
+
+
+def gather_and_concat_distribution(r, s, histograms, assignment):
+    """The ordered-copy scatter that gathered into lists and concatenated,
+    frozen as the oracle of the received order."""
+    gpu_ids = histograms.gpu_ids
+    num_gpus = len(gpu_ids)
+    received_r = {g: [] for g in gpu_ids}
+    received_s = {g: [] for g in gpu_ids}
+    broadcast_side = assignment.broadcast_side
+    broadcast = list(set(np.nonzero(broadcast_side != NO_BROADCAST)[0].tolist()))
+    slot_of = assignment.single_owner_map().copy()
+    slot_of[broadcast] = num_gpus + np.arange(len(broadcast))
+    num_slots = num_gpus + len(broadcast)
+    r_counts, s_counts = histograms.stacked()
+    for relation, counts, received, moving_marker in (
+        (r, r_counts, received_r, BROADCAST_R),
+        (s, s_counts, received_s, BROADCAST_S),
+    ):
+        for src_pos, src in enumerate(gpu_ids):
+            shard = relation.shard(src)
+            slots = slot_of[partition_of(shard.keys, histograms.num_partitions)]
+            order = np.argsort(slots, kind="stable")
+            sizes = np.bincount(slot_of, weights=counts[src_pos], minlength=num_slots)
+            bounds = np.concatenate(([0], np.cumsum(sizes.astype(np.int64))))
+            keys, ids = shard.keys[order], shard.ids[order]
+            for dst_pos, dst in enumerate(gpu_ids):
+                start, end = bounds[dst_pos], bounds[dst_pos + 1]
+                if start < end:
+                    received[dst].append(GpuShard(keys[start:end], ids[start:end]))
+            for slot, p in enumerate(broadcast, start=num_gpus):
+                start, end = bounds[slot], bounds[slot + 1]
+                if start == end:
+                    continue
+                piece = GpuShard(keys[start:end], ids[start:end])
+                owner_positions = assignment.owners[p]
+                if broadcast_side[p] == moving_marker:
+                    for dst_pos in owner_positions:
+                        received[gpu_ids[dst_pos]].append(piece)
+                elif src_pos in owner_positions:
+                    received[src].append(piece)
+    return DistributedData(
+        r={g: GpuShard.concat(received_r[g]) for g in gpu_ids},
+        s={g: GpuShard.concat(received_s[g]) for g in gpu_ids},
+    )
+
+
+def _spec_plan(machine, real, key_zipf, dead_gpu=None):
+    """MG-Join's own partition count over a generated 8-GPU input."""
+    workload = make_workload(num_gpus=8, real=real, key_zipf=key_zipf, seed=7)
+    histograms = build_histograms(workload.r, workload.s, 4096)
+    assignment = assign_partitions(histograms, machine)
+    if dead_gpu is not None:
+        bridge = JoinRecoveryCoordinator(histograms, assignment, machine, RAW, 1)
+        bridge.on_gpu_dead(dead_gpu)
+        assignment = bridge.final_assignment
+    return workload.r, workload.s, histograms, assignment
+
+
+IN_PLACE_CASES = {
+    # The end-to-end benchmark's join-compute input: 8 x 256 Ki, zipf 0.5.
+    "join-compute": lambda m: _spec_plan(m, 256 << 10, 0.5),
+    # Hundreds of broadcast partitions: more than 256 slots, uint16 digits.
+    "broadcast-heavy": lambda m: _spec_plan(m, 32 << 10, 1.5),
+    "broadcast-heavy-dead-gpu": lambda m: _spec_plan(m, 32 << 10, 1.5, dead_gpu=3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IN_PLACE_CASES))
+def test_in_place_gather_matches_gather_and_concat(machine, case):
+    r, s, histograms, assignment = IN_PLACE_CASES[case](machine)
+    if case.startswith("broadcast-heavy"):
+        assert len(histograms.gpu_ids) + assignment.num_broadcast > 256
+    received = received_histograms(histograms, assignment)
+    got = execute_distribution(r, s, histograms, assignment, received)
+    expected = gather_and_concat_distribution(r, s, histograms, assignment)
+    for side in ("r", "s"):
+        got_side, expected_side = getattr(got, side), getattr(expected, side)
+        assert list(got_side) == list(expected_side)
+        for gpu_id, shard in expected_side.items():
+            assert np.array_equal(got_side[gpu_id].keys, shard.keys), (side, gpu_id)
+            assert np.array_equal(got_side[gpu_id].ids, shard.ids), (side, gpu_id)
+            assert np.array_equal(
+                getattr(received, side)[gpu_id],
+                np.bincount(
+                    partition_of(shard.keys, histograms.num_partitions),
+                    minlength=histograms.num_partitions,
+                ),
+            )
+
+
+def test_received_histograms_that_disagree_are_refused(machine):
+    r, s, histograms, assignment = CASES["zipf1"](machine)
+    received = received_histograms(histograms, assignment)
+    received.r[0] = received.r[0].copy()
+    received.r[0][0] += 1
+    with pytest.raises(ValueError, match="received histograms"):
+        execute_distribution(r, s, histograms, assignment, received)

@@ -773,10 +773,21 @@ def test_shuffle_rejects_an_infinite_size(capsys):
             ["analyze", "--mode", "shuffle", "--gpus", "4", "--hot-gpu", "99"],
             "--hot-gpu must be one of the selected GPUs [0, 1, 2, 3]",
         ),
+        (
+            ["analyze", "--gpus", "2", "--tuples-per-gpu", "64K",
+             "--real-tuples", "4K", "--hot-gpu", "99"],
+            "--hot-gpu applies to --mode shuffle only",
+        ),
+        (
+            ["analyze", "--gpus", "1", "--tuples-per-gpu", "64K",
+             "--real-tuples", "4K", "--chaos", "gpu-crash"],
+            "analyze --chaos needs a workload that shuffles data",
+        ),
     ],
     ids=[
         "gpus", "chaos-scenario", "fuzz-no-shuffle", "serve-no-input",
         "serve-two-inputs", "sweep", "bench-figures", "figure", "hot-gpu",
+        "join-hot-gpu", "analyze-chaos-no-shuffle",
     ],
 )
 def test_bad_input_exits_2(argv, message, capsys, tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.workloads import zipf
 from repro.workloads.zipf import (
     ZipfTable,
     zipf_partition_counts,
@@ -120,3 +121,39 @@ def test_one_table_equals_repeated_samples():
     assert np.array_equal(first, zipf_sample(5000, 3000, 0.75, fresh))
     assert np.array_equal(second, zipf_sample(5000, 4000, 0.75, fresh))
 
+
+def _plain_table(num_items, z, scale):
+    """The weights, CDF and guide table built with full-size temporaries."""
+    weights = np.arange(1, num_items + 1, dtype=np.float64) ** (-z)
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    cells = np.ceil(cdf * scale).astype(np.int64)
+    guide = np.bincount(cells, minlength=scale + 1)[:scale].cumsum()
+    return cdf, guide
+
+
+@pytest.mark.parametrize("z", [0.0, 0.5, 1.0, 3.0])
+@pytest.mark.parametrize("num_items", [1, 2, 7, 2**16 - 1, 2**16 + 1, 3 * 2**15])
+@pytest.mark.parametrize("block", [3, 1 << 16])
+def test_table_equals_the_plain_construction(monkeypatch, block, num_items, z):
+    """The in-place CDF and the block-built guide, value for value."""
+    monkeypatch.setattr(zipf, "BLOCK", block)
+    table = ZipfTable(num_items, z)
+    cdf, guide = _plain_table(num_items, z, table.scale)
+    assert np.array_equal(table.cdf, cdf)
+    assert table.guide.dtype == np.int32
+    assert np.array_equal(table.guide, guide)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000])
+@pytest.mark.parametrize("z", [0.5, 3.0])
+def test_draws_match_across_block_boundaries(monkeypatch, block, z):
+    """Any block size draws what one ``Generator.choice`` call does,
+    into int64 and into a uint32 key column alike."""
+    monkeypatch.setattr(zipf, "BLOCK", block)
+    table = ZipfTable(5000, z)
+    expected = _choice(5000, 4321, z, 8)
+    assert np.array_equal(table.sample(4321, np.random.default_rng(8)), expected)
+    keys = table.fill(np.empty(4321, dtype=np.uint32), np.random.default_rng(8))
+    assert keys.dtype == np.uint32
+    assert np.array_equal(keys, expected)
