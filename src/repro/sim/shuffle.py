@@ -164,6 +164,9 @@ class ShuffleGroup:
         self.fabric = fabric
         self.gpu_ids = gpu_ids
         self.flows = flows
+        #: Bytes the flows owe; the flows never change once the group
+        #: is built, so this is summed once.
+        self.owed_bytes = flows.total_bytes
         #: Serving-layer query name ("" for a solo run); prefixes errors.
         self.query = query
         #: Called once every owed byte has landed (serving sessions).
@@ -333,7 +336,7 @@ class ShuffleGroup:
             return (
                 self._live_bytes(crashed) >= self.coordinator.expected_live_bytes()
             )
-        return self.delivered_bytes - self.dup_bytes >= self.flows.total_bytes
+        return self.delivered_bytes - self.dup_bytes >= self.owed_bytes
 
     def check_conservation(self) -> None:
         """Raise :class:`SimulationError` unless every owed byte landed once.
@@ -356,10 +359,10 @@ class ShuffleGroup:
                     f"{prefix}crash recovery lost data: survivors received "
                     f"{live} of {expected} expected bytes"
                 )
-        elif self.delivered_bytes - dup_bytes != self.flows.total_bytes:
+        elif self.delivered_bytes - dup_bytes != self.owed_bytes:
             raise SimulationError(
                 f"{prefix}shuffle stalled: delivered {self.delivered_bytes} "
-                f"of {self.flows.total_bytes} bytes (possible buffer deadlock)"
+                f"of {self.owed_bytes} bytes (possible buffer deadlock)"
             )
 
     @property
@@ -398,7 +401,7 @@ class ShuffleGroup:
             policy_name=policy_name,
             num_gpus=len(self.gpu_ids),
             elapsed=elapsed,
-            payload_bytes=self.flows.total_bytes,
+            payload_bytes=self.owed_bytes,
             delivered_bytes=self.delivered_bytes,
             wire_bytes=sum(channel.bytes_sent for channel in links.values()),
             packets_delivered=self.packets_delivered,

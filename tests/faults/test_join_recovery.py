@@ -165,6 +165,24 @@ class TestMultiCrash:
         assert_exact(healthy, faulted, {1, 3})
         assert set(faulted.recovery.survivors) == {0, 2}
 
+    def test_compose_refuses_a_gpu_declared_dead_after_the_pass(self, dgx1):
+        """The functional pass and the phase composition must agree on
+        which GPUs died; a declaration landing between them is refused."""
+        workload = make_workload(num_gpus=4)
+        at = MGJoin(dgx1, CFG).run(workload).shuffle_report.elapsed * 0.3
+        join = MGJoin(
+            dgx1, CFG,
+            faults=crash_plan(FaultEvent(kind=FaultKind.GPU_CRASH, at=at, gpu=1)),
+        )
+        plan = join.prepare(workload)
+        report = join._simulate_distribution(plan)
+        joined = join.functional_pass(plan)
+        assert joined.dead_gpus == {1}
+        assert join.compose(joined, report).recovery.dead_gpus == (1,)
+        plan.bridge.on_gpu_dead(3, (0, 2))
+        with pytest.raises(RuntimeError, match="dead GPUs changed"):
+            join.compose(joined, report)
+
     def test_crash_x2_preset_strict(self, dgx1):
         workload = make_workload(num_gpus=4)
         report = run_chaos(dgx1, workload, "gpu-crash-x2", seed=3)  # strict

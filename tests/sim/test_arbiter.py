@@ -1,5 +1,7 @@
 """Per-link bandwidth arbitration between tagged (per-query) flows."""
 
+import random
+
 import pytest
 
 from repro.sim import ARBITRATION_MODES, Engine, LinkArbiter, LinkChannel
@@ -129,3 +131,71 @@ def test_outage_mid_wait_does_not_stall_other_queries():
     outcomes = {tag: delivered for tag, _, delivered in log}
     assert outcomes["a"] is False  # died mid-flight
     assert len(log) == 2  # b still reached a terminal event
+
+
+class ListFormArbiter(LinkArbiter):
+    """The arbiter with its old pick: build the list of every waiting
+    tag, narrow it to the top priority, take the first."""
+
+    def _pick_tag(self):
+        eligible = [tag for tag in self._rotation if self._waiting[tag]]
+        if not eligible:
+            return None
+        if self.mode == "priority":
+            top = max(self.priorities.get(tag, 0) for tag in eligible)
+            eligible = [
+                tag for tag in eligible if self.priorities.get(tag, 0) == top
+            ]
+        tag = eligible[0]
+        self._rotation.remove(tag)
+        self._rotation.append(tag)
+        return tag
+
+
+def random_arbitration(arbiter_cls, mode, seed):
+    """Seeded submits from six tags over 8 ms, some onto an idle wire,
+    most into a backlog; returns every pick with the rotation after it,
+    and the completion log."""
+    rng = random.Random(seed)
+    tags = [f"q{index}" for index in range(6)]
+    priorities = {tag: rng.randrange(3) for tag in tags}
+    engine = Engine()
+    link = make_link(engine)
+    arbiter = link.arbiter = arbiter_cls(link, mode=mode, priorities=priorities)
+    picks = []
+    pick = arbiter._pick_tag
+
+    def recorded_pick():
+        tag = pick()
+        picks.append((engine.now, tag, tuple(arbiter._rotation)))
+        return tag
+
+    arbiter._pick_tag = recorded_pick
+    log = []
+
+    def send(tag, nbytes):
+        event = link.transmit(nbytes, tag=tag)
+        event.add_callback(
+            lambda ev: log.append((tag, engine.now, ev.value))
+        )
+
+    for _ in range(300):
+        engine.schedule(
+            rng.uniform(0.0, 8e-3),
+            send,
+            rng.choice(tags),
+            rng.choice((64 * 1024, MB // 2, 2 * MB)),
+        )
+    engine.run()
+    return picks, log
+
+
+@pytest.mark.parametrize("mode", ARBITRATION_MODES)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pick_equals_the_list_form(mode, seed):
+    picks, log = random_arbitration(LinkArbiter, mode, seed)
+    assert len(log) == 300
+    # The workload must exercise both idle and contended picks.
+    assert any(tag is None for _, tag, _ in picks)
+    assert len({rotation for _, _, rotation in picks}) > 6
+    assert (picks, log) == random_arbitration(ListFormArbiter, mode, seed)
