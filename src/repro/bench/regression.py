@@ -218,19 +218,7 @@ def collect_perf_metrics(
     }
     # Cost-model conformance over the canonical adaptive shuffle: gated
     # on drift_ratio / |residual| p95, tracked on the residual shape.
-    drift = conformance.summary()
-    metrics.update(
-        {
-            "conformance.count": float(drift["count"]),
-            "conformance.drift_ratio": drift["drift_ratio"],
-            "conformance.residual_mean_us": drift["residual_mean_us"],
-            "conformance.residual_p50_us": drift["residual_p50_us"],
-            "conformance.residual_p95_us": drift["residual_p95_us"],
-            "conformance.residual_p99_us": drift["residual_p99_us"],
-            "conformance.abs_residual_p95_us": drift["abs_residual_p95_us"],
-            "conformance.underprediction_share": drift["underprediction_share"],
-        }
-    )
+    metrics.update(conformance.gauges())
     if include_self_time:
         metrics["perf.self_time_seconds"] = time.perf_counter() - started
     return metrics

@@ -925,8 +925,7 @@ def _phase_windows(observer, horizon):
     """Split the shuffle clock at the last route decision: before it
     the global partition pass is still injecting packets, after it the
     network drains into the local partition pass (§4 overlap)."""
-    decisions = observer.spans.find_instants("arm.decision")
-    split = max((instant.time for instant in decisions), default=0.0)
+    split = max((decision.time for decision in observer.decisions), default=0.0)
     if 0.0 < split < horizon:
         return [
             PhaseWindow("inject (global partition overlap)", 0.0, split),
@@ -945,7 +944,7 @@ def _cmd_analyze(args) -> int:
     if args.conformance:
         from repro.obs.conformance import ConformanceProbe
 
-        observer.conformance = ConformanceProbe()
+        observer.conformance = probe = ConformanceProbe()
     sampler = LinkTimelineSampler()
     if args.mode == "join":
         if args.hot_gpu is not None:
@@ -1010,9 +1009,9 @@ def _cmd_analyze(args) -> int:
     print(render_bottleneck_report(bottlenecks, top_links=min(5, args.top)))
     print()
     print(render_regret_table(regret, top=args.top))
-    if observer.conformance is not None:
+    if args.conformance:
         print()
-        print("\n".join(observer.conformance.render()))
+        print("\n".join(probe.render()))
     fault_events = observer.spans.find_instants(category="fault")
     if fault_events:
         print()

@@ -29,6 +29,7 @@ Span/metric naming conventions and exporter formats are documented in
 from __future__ import annotations
 
 from contextlib import contextmanager
+from operator import attrgetter
 
 from repro.obs.meta import (
     RUN_ID_ENV,
@@ -51,6 +52,19 @@ from repro.sim.recorder import Recorder
 
 #: Trace track of fault windows, fault instants and crash detection.
 FAULT_TRACK = "faults"
+
+#: Run-end counters a flow group's components keep: metric name ->
+#: ``"<ShuffleGroup attribute>.<count on that component>"``.
+GROUP_TOTALS = {
+    "faults.retries": "recovery.retries",
+    "faults.reroutes": "recovery.reroutes",
+    "faults.fallbacks": "recovery.fallbacks",
+    "faults.packets_recovered": "recovery.packets_recovered",
+    "integrity.retransmits": "integrity.stats.retransmits",
+    "integrity.checksum_failures": "integrity.stats.checksum_failures",
+    "integrity.dup_dropped": "integrity.stats.dup_dropped",
+    "recovery.crashes_detected": "coordinator.crashes_detected",
+}
 
 
 #: Pipeline phases forwarded to an attached telemetry stream.  Only
@@ -84,10 +98,9 @@ class Observer(Recorder):
 
     Both default to ``None``.  The observer is the last of the
     fabric's recorders (:mod:`repro.sim.recorder`): its hooks below
-    write the per-batch and per-delivery metrics and every recovery,
-    integrity, crash and fault instant, span and stream event.  Totals
-    a component already counts are written once per run by
-    :meth:`~repro.sim.fabric.Fabric.export_metrics`.
+    write every metric, instant, span and stream event of a simulator
+    event or routing decision, and the run's totals once the engine
+    drains.  :attr:`decisions` keeps each decision for the audit.
     """
 
     enabled = True
@@ -97,6 +110,8 @@ class Observer(Recorder):
         self.metrics = MetricsRegistry()
         self.stream = None
         self.conformance = None
+        #: Every routing decision reported, in report order.
+        self.decisions: list = []
 
     # Convenience pass-throughs so instrumented code reads naturally.
 
@@ -133,6 +148,89 @@ class Observer(Recorder):
         return self.metrics.histogram(name, **labels)
 
     # Recorder hooks: what each simulator event becomes.
+
+    def record_fabric(self, fabric) -> None:
+        if self.stream is not None:
+            from repro.obs.stream import LinkPump
+
+            LinkPump(self.stream, fabric.engine, fabric.links)
+
+    def record_drained(self, fabric) -> None:
+        """Write the run's totals, then the conformance probe's summary.
+
+        Each counter is a total some component already keeps:
+        ``link.bytes`` and ``link.transfers`` per link, the board's
+        broadcasts, then :data:`GROUP_TOTALS` and
+        ``shuffle.delivered_bytes`` per GPU summed over every flow group
+        on the fabric.  A total that stays at zero gets no series.
+        """
+        metrics = self.metrics
+        for channel in fabric.links.values():
+            if channel.transfers:
+                label = str(channel.spec)
+                metrics.counter("link.bytes", link=label).inc(channel.bytes_sent)
+                metrics.counter("link.transfers", link=label).inc(
+                    channel.transfers
+                )
+        board = fabric.board
+        if board.broadcast_count:
+            metrics.counter("board.broadcasts").inc(board.broadcast_count)
+        if board.suppressed_count:
+            metrics.counter("board.suppressed").inc(board.suppressed_count)
+        for group in fabric.groups:
+            for name, path in GROUP_TOTALS.items():
+                part, _, count = path.partition(".")
+                component = getattr(group, part)
+                total = attrgetter(count)(component) if component is not None else 0
+                if total:
+                    metrics.counter(name).inc(total)
+            for gpu_id, node in group.nodes.items():
+                if node.stats.delivered_bytes:
+                    metrics.counter("shuffle.delivered_bytes", gpu=gpu_id).inc(
+                        node.stats.delivered_bytes
+                    )
+        probe = self.conformance
+        if probe is not None:
+            if self.stream is not None:
+                self.stream.emit(
+                    "conformance", t=fabric.engine.now, clock="sim",
+                    **probe.summary(),
+                )
+            for name, value in probe.gauges().items():
+                metrics.gauge(name).set(value)
+
+    def record_decision(self, decision) -> None:
+        self.decisions.append(decision)
+        metrics = self.metrics
+        if decision.stale_reads is not None:
+            staleness = metrics.histogram("board.staleness_seconds")
+            for error in decision.stale_reads:
+                staleness.observe(error)
+        src = decision.src
+        chosen = decision.chosen
+        routes = [str(route) for route in decision.routes]
+        attrs = dict(
+            src=src,
+            dst=decision.dst,
+            policy=decision.policy,
+            route=str(chosen),
+            routes=routes,
+            candidates=len(routes),
+            batch_bytes=decision.batch_bytes,
+            packet_bytes=decision.packet_bytes,
+            direct=chosen.is_direct,
+            staleness=decision.staleness,
+            **decision.extra,
+        )
+        if decision.estimates is not None:
+            attrs["est"] = decision.estimates
+        self.spans.instant(
+            "arm.decision", decision.time, track=f"gpu{src}", category="route",
+            **attrs,
+        )
+        metrics.counter("route.decisions", src=src, dst=decision.dst).inc()
+        if not chosen.is_direct:
+            metrics.counter("route.multi_hop_decisions").inc()
 
     def record_injection(self, node, route, batch) -> None:
         self.metrics.counter("shuffle.packets", route=str(route)).inc(len(batch))
@@ -247,7 +345,6 @@ class NullObserver:
     spans = None
     metrics = None
     stream = None
-    conformance = None
 
     _instrument = _NullInstrument()
 

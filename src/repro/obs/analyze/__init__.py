@@ -34,7 +34,6 @@ from repro.obs.analyze.regret import (
     DecisionAudit,
     RegretReport,
     audit_decisions,
-    parse_route,
     realized_arm,
 )
 from repro.obs.analyze.report import (
@@ -74,7 +73,6 @@ __all__ = [
     "flow_latency_rows",
     "heatmap_csv",
     "heatmap_json",
-    "parse_route",
     "realized_arm",
     "regret_csv",
     "render_bottleneck_report",

@@ -1,8 +1,10 @@
 """ARM decision audit: was each routing choice right, in hindsight?
 
-Every routing policy records one ``arm.decision`` instant per batch
-(see :meth:`repro.routing.base.RoutingPolicy.emit_decision`) carrying
-the candidate routes it considered.  This module replays each instant
+Every routing policy reports one
+:class:`~repro.routing.base.RouteDecision` per batch (see
+:meth:`repro.routing.base.RoutingPolicy.emit_decision`) carrying the
+candidate routes it considered; the observer keeps them in
+:attr:`~repro.obs.Observer.decisions`.  This module replays each one
 against the *realized* link timelines captured by a
 :class:`~repro.obs.analyze.timeline.LinkTimelineSampler`: for every
 candidate route it recomputes the ARM cost (Eq. 2) using the queue
@@ -30,11 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.topology.machine import MachineTopology
 
 
-def parse_route(text: str) -> Route:
-    """Inverse of ``str(Route)``: ``"0->3->5"`` -> ``Route((0, 3, 5))``."""
-    return Route(tuple(int(part) for part in text.split("->")))
-
-
 @dataclass(frozen=True)
 class DecisionAudit:
     """One replayed routing decision."""
@@ -49,8 +46,8 @@ class DecisionAudit:
     realized_chosen: float
     realized_best: float
     batch_bytes: int
-    #: Broadcast-board error (seconds) the decider saw, if recorded.
-    staleness: float | None
+    #: Broadcast-board error (seconds) the decider saw.
+    staleness: float
 
     @property
     def regret(self) -> float:
@@ -101,14 +98,10 @@ class RegretReport:
     def staleness_regret_correlation(self) -> float | None:
         """Pearson correlation of board staleness vs regret.
 
-        ``None`` when staleness was not recorded or either series is
-        constant (correlation undefined).
+        ``None`` when either series is constant (correlation
+        undefined).
         """
-        pairs = [
-            (row.staleness, row.regret)
-            for row in self.rows
-            if row.staleness is not None
-        ]
+        pairs = [(row.staleness, row.regret) for row in self.rows]
         if len(pairs) < 2:
             return None
         xs = [p[0] for p in pairs]
@@ -168,44 +161,31 @@ def audit_decisions(
     observer: "Observer",
     sampler: LinkTimelineSampler,
 ) -> RegretReport:
-    """Replay every recorded ``arm.decision`` against the timelines.
-
-    Decisions recorded without a candidate-route list (telemetry from
-    before the observatory landed) are skipped rather than guessed at.
-    """
+    """Replay every decision ``observer`` recorded against the timelines."""
     policy = ""
     rows: list[DecisionAudit] = []
-    interned = route_cache(machine).route
-    routes: dict[str, Route] = {}
-    for instant in observer.spans.find_instants("arm.decision"):
-        attrs = instant.attrs
-        candidates = attrs.get("routes")
-        packet_bytes = attrs.get("packet_bytes")
-        if not candidates or not packet_bytes:
-            continue
-        policy = attrs.get("policy", policy)
-        costs: dict[str, float] = {}
-        for text in candidates:
-            route = routes.get(text)
-            if route is None:
-                route = routes[text] = interned(parse_route(text).gpus)
-            costs[text] = realized_arm(
-                machine, sampler, route, packet_bytes, instant.time
+    for decision in observer.decisions:
+        policy = decision.policy
+        costs = {
+            route: realized_arm(
+                machine, sampler, route, decision.packet_bytes, decision.time
             )
-        chosen = attrs["route"]
-        best = min(costs, key=lambda text: (costs[text], text != chosen))
+            for route in decision.routes
+        }
+        chosen = decision.chosen
+        best = min(costs, key=lambda route: (costs[route], route != chosen))
         rows.append(
             DecisionAudit(
-                time=instant.time,
-                src=attrs["src"],
-                dst=attrs["dst"],
-                policy=attrs.get("policy", ""),
-                chosen=chosen,
-                best=best,
+                time=decision.time,
+                src=decision.src,
+                dst=decision.dst,
+                policy=policy,
+                chosen=str(chosen),
+                best=str(best),
                 realized_chosen=costs[chosen],
                 realized_best=costs[best],
-                batch_bytes=attrs.get("batch_bytes", 0),
-                staleness=attrs.get("staleness"),
+                batch_bytes=decision.batch_bytes,
+                staleness=decision.staleness,
             )
         )
     rows.sort(key=lambda row: row.time)

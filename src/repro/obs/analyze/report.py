@@ -165,12 +165,11 @@ def regret_csv(report: RegretReport) -> str:
         "regret,batch_bytes,staleness\n"
     )
     for row in report.rows:
-        staleness = "" if row.staleness is None else f"{row.staleness:.9f}"
         out.write(
             f"{row.time:.9f},{row.src},{row.dst},{row.policy},"
             f"{row.chosen},{row.best},{row.realized_chosen:.9f},"
             f"{row.realized_best:.9f},{row.regret:.9f},"
-            f"{row.batch_bytes},{staleness}\n"
+            f"{row.batch_bytes},{row.staleness:.9f}\n"
         )
     return out.getvalue()
 

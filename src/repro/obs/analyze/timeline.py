@@ -169,6 +169,9 @@ class LinkTimelineSampler(Recorder):
 
     # -- binding -----------------------------------------------------------
 
+    def record_fabric(self, fabric) -> None:
+        self.bind(fabric.engine, fabric.links)
+
     def bind(self, engine: "Engine", links: dict[int, "LinkChannel"]) -> None:
         """Attach to one run's engine and link channels.
 

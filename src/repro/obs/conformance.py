@@ -9,8 +9,7 @@ simulator then actually did to the packet.  This probe closes the loop:
 * at injection time it re-evaluates the chosen route's ``T_R`` and
   ``D_R`` exactly as the deciding GPU perceived them (own links exact,
   remote links through the last broadcast), through the same
-  ``RoutingContext.dynamic_delay`` rule the ARM metric uses — *without*
-  its staleness-histogram side effect,
+  ``RoutingContext.dynamic_delay`` rule the ARM metric uses,
 * at delivery time it measures the realized latency and records the
   residual ``actual - (T_R + D_R)``,
 * residuals are attributed to the route's *predicted bottleneck link*
@@ -28,6 +27,13 @@ from repro.obs.metrics import stable_float
 from repro.sim.recorder import Recorder
 
 __all__ = ["ConformanceProbe"]
+
+#: The :meth:`ConformanceProbe.summary` fields exported as gauges.
+GAUGED = (
+    "count", "drift_ratio", "residual_mean_us", "residual_p50_us",
+    "residual_p95_us", "residual_p99_us", "abs_residual_p95_us",
+    "underprediction_share",
+)
 
 
 def _percentile(values: list[float], pct: float) -> float:
@@ -69,15 +75,12 @@ class ConformanceProbe(Recorder):
 
         Evaluates the route's record through the same queue-view rule
         as :func:`repro.routing.adaptive.arm_value`
-        (:meth:`RoutingContext.dynamic_delay`), with the staleness
-        observation switched off so instrumenting a run never perturbs
-        the ``board.staleness_seconds`` histogram the decision audit
-        uses.
+        (:meth:`RoutingContext.dynamic_delay`).
         """
         record = context.enumerator.cache.record(route)
         t_r = record.transmission_time(packet_bytes)
         terms: list[float] = []
-        d_r = context.dynamic_delay(record, src, observe=False, terms=terms)
+        d_r = context.dynamic_delay(record, src, terms=terms)
         bottleneck = -1
         worst = -1.0
         for (link_id, _, _), term in zip(record.hops, terms):
@@ -89,6 +92,11 @@ class ConformanceProbe(Recorder):
     def register(self, packet, prediction: tuple[float, float, int]) -> None:
         """Arm the probe for one injected packet."""
         self._pending[id(packet)] = prediction
+
+    def record_decision(self, decision) -> None:
+        """Name the probe after the policy of the first decision."""
+        if not self.policy:
+            self.policy = decision.policy
 
     def record_injection(self, node, route, batch) -> None:
         """Price a routed batch at injection and arm the probe for it.
@@ -178,20 +186,10 @@ class ConformanceProbe(Recorder):
             )
         return out
 
-    def export_metrics(self, observer) -> None:
-        """Land direction-tagged ``conformance.*`` gauges in the registry."""
+    def gauges(self) -> dict[str, float]:
+        """The direction-tagged ``conformance.*`` gauges of :meth:`summary`."""
         summary = self.summary()
-        gauge = observer.metrics.gauge
-        gauge("conformance.count").set(float(summary["count"]))
-        gauge("conformance.drift_ratio").set(summary["drift_ratio"])
-        gauge("conformance.residual_mean_us").set(summary["residual_mean_us"])
-        gauge("conformance.residual_p50_us").set(summary["residual_p50_us"])
-        gauge("conformance.residual_p95_us").set(summary["residual_p95_us"])
-        gauge("conformance.residual_p99_us").set(summary["residual_p99_us"])
-        gauge("conformance.abs_residual_p95_us").set(summary["abs_residual_p95_us"])
-        gauge("conformance.underprediction_share").set(
-            summary["underprediction_share"]
-        )
+        return {f"conformance.{key}": float(summary[key]) for key in GAUGED}
 
     def render(self) -> list[str]:
         """Human section for ``repro analyze --conformance``."""

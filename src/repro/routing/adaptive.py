@@ -26,11 +26,14 @@ def arm_value(
     packet_bytes: int,
     viewer_gpu: int | None = None,
     exact: bool = False,
+    stale_reads: "list[float] | None" = None,
 ) -> float:
     """Compute ARM(R, P) for one route as seen by ``viewer_gpu``.
 
     With ``exact=True`` the ground-truth queue delays are used instead
     of the broadcast view (the centralized baseline's privilege).
+    ``stale_reads``, when given, receives how stale each broadcast read
+    was (:meth:`RoutingContext.dynamic_delay`).
 
     The static parts — the link hops and ``T_R`` — come from the
     route's :class:`repro.topology.routes.RouteRecord`; only the
@@ -40,7 +43,10 @@ def arm_value(
     record = context.enumerator.cache.record(route)
     transmission = record.transmission_time(packet_bytes)
     dynamic_delay = context.dynamic_delay(
-        record, viewer_gpu if viewer_gpu is not None else route.src, exact=exact
+        record,
+        viewer_gpu if viewer_gpu is not None else route.src,
+        exact=exact,
+        stale_reads=stale_reads,
     )
     return transmission + dynamic_delay
 
@@ -75,6 +81,8 @@ class AdaptiveArmPolicy(RoutingPolicy):
         batch_bytes: int,
         packet_bytes: int,
     ) -> Route:
+        recorders = context.recorders
+        stale_reads = [] if recorders and not self.exact_state else None
         scored = [
             (
                 arm_value(
@@ -83,6 +91,7 @@ class AdaptiveArmPolicy(RoutingPolicy):
                     packet_bytes,
                     viewer_gpu=src,
                     exact=self.exact_state,
+                    stale_reads=stale_reads,
                 ),
                 route,
             )
@@ -94,40 +103,15 @@ class AdaptiveArmPolicy(RoutingPolicy):
         turn = self._rotation.get((src, dst), 0)
         self._rotation[(src, dst)] = turn + 1
         chosen = near_best[turn % len(near_best)]
-        observer = context.observer
-        if observer is not None:
-            self._record_decision(
-                context, observer, src, dst, chosen, scored, packet_bytes, batch_bytes
+        if recorders:
+            self.emit_decision(
+                context,
+                src,
+                dst,
+                chosen,
+                batch_bytes=batch_bytes,
+                packet_bytes=packet_bytes,
+                scored=scored,
+                stale_reads=stale_reads,
             )
         return chosen
-
-    def _record_decision(
-        self,
-        context: RoutingContext,
-        observer,
-        src: int,
-        dst: int,
-        chosen: Route,
-        scored: list[tuple[float, Route]],
-        packet_bytes: int,
-        batch_bytes: int,
-    ) -> None:
-        """Emit one ARM decision: the generic auditable instant (all
-        candidate routes + estimates) plus the Eq. 2 terms of the
-        chosen route."""
-        transmission = context.enumerator.cache.record(chosen).transmission_time(
-            packet_bytes
-        )
-        arm = next(score for score, route in scored if route is chosen)
-        self.emit_decision(
-            context,
-            src,
-            dst,
-            chosen,
-            batch_bytes=batch_bytes,
-            packet_bytes=packet_bytes,
-            scored=scored,
-            T_R=transmission,
-            D_R=arm - transmission,
-            arm=arm,
-        )

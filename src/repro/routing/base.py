@@ -10,8 +10,7 @@ route at the source GPU to avoid cross-GPU synchronization (§4.2.2).
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 from repro.sim.engine import Engine
 from repro.sim.linksim import LinkChannel, LinkStateBoard
@@ -22,9 +21,6 @@ from repro.topology.routes import (
     RouteRecord,
     UnroutableError,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs import Histogram, Observer
 
 
 @dataclass
@@ -37,16 +33,11 @@ class RoutingContext:
     links: dict[int, LinkChannel]
     board: LinkStateBoard
     num_gpus: int
-    #: Observability sink for route decisions and state staleness;
-    #: ``None`` = off (policies must guard on it).
-    observer: "Observer | None" = None
     #: Activity recorders (the fabric's
-    #: :attr:`~repro.sim.fabric.Fabric.recorders`); every routed batch
-    #: and every delivered packet is reported to each of them.
+    #: :attr:`~repro.sim.fabric.Fabric.recorders`); every routing
+    #: decision, routed batch and delivered packet is reported to each
+    #: of them.
     recorders: tuple = ()
-
-    #: ``board.staleness_seconds`` histogram, fetched on first use.
-    _staleness: "Histogram | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         # The routing metric indexes the board by link id directly.
@@ -59,8 +50,8 @@ class RoutingContext:
         viewer_gpu: int,
         *,
         exact: bool = False,
-        observe: bool = True,
         terms: "list[float] | None" = None,
+        stale_reads: "list[float] | None" = None,
     ) -> float:
         """``D_R`` of Eq. 4 over ``record`` as GPU ``viewer_gpu`` perceives it.
 
@@ -69,23 +60,16 @@ class RoutingContext:
         expression — and every other link only through the last
         broadcast plus its broadcast fault penalty.  ``exact=True``
         reads every link exactly (the centralized baseline's
-        privilege).  With an observer and ``observe`` set, each remote
-        read records how stale the broadcast was.  ``terms``, when
-        given, receives each link's ``queue + latency`` term in route
-        order.
+        privilege).  ``terms``, when given, receives each link's
+        ``queue + latency`` term in route order; ``stale_reads``, when
+        given, receives how stale each remote read was (``|actual -
+        broadcast|`` queue delay, seconds), in route order.
         """
         now = self.engine.now
         channels = self.links
         board = self.board
         published = board.visible_clear_at
         penalties = board.visible_penalty
-        staleness = None
-        if observe and not exact and self.observer is not None:
-            staleness = self._staleness
-            if staleness is None:
-                staleness = self._staleness = self.observer.metrics.histogram(
-                    "board.staleness_seconds"
-                )
         delay = 0.0
         # ``x if x > 0.0 else 0.0`` is ``max(0.0, x)`` without the
         # builtin call: the same value, signed zeros included.
@@ -101,14 +85,47 @@ class RoutingContext:
             else:
                 queue = published[link_id] - now
                 queue = (queue if queue > 0.0 else 0.0) + penalties[link_id]
-                if staleness is not None:
-                    # How stale is the broadcast view this decision used?
+                if stale_reads is not None:
                     actual = channels[link_id].queue_delay()
-                    staleness.observe(abs(actual - queue))
+                    stale_reads.append(abs(actual - queue))
             if terms is not None:
                 terms.append(queue + latency)
             delay += queue + latency
         return delay
+
+
+@dataclass(frozen=True, slots=True)
+class RouteDecision:
+    """One routing decision, as a policy reports it to the recorders
+    (:meth:`~repro.sim.recorder.Recorder.record_decision`).
+
+    Routes are the enumerator's interned :class:`Route` objects.  The
+    record is what the decision audit (``repro.obs.analyze.regret``)
+    replays against the realized link timelines.
+    """
+
+    time: float
+    src: int
+    dst: int
+    #: Name of the deciding policy.
+    policy: str
+    chosen: Route
+    #: The candidate routes the policy could have picked, in its order.
+    routes: tuple[Route, ...]
+    #: The policy's own cost per candidate when it scored them.
+    estimates: "list[float] | None"
+    batch_bytes: int
+    packet_bytes: int
+    #: Mean ``|actual - broadcast|`` queue delay over the chosen
+    #: route's remote links: how wrong the decider's view was, seconds.
+    staleness: float
+    #: The Eq. 2 terms (``T_R``, ``D_R``, ``arm``) of a scored choice;
+    #: empty otherwise.
+    extra: dict
+    #: How stale each broadcast read while scoring was, in read order
+    #: (:meth:`RoutingContext.dynamic_delay`); ``None`` when the policy
+    #: read no broadcast view (unscored or exact).
+    stale_reads: "list[float] | None" = None
 
 
 class RoutingPolicy(abc.ABC):
@@ -142,72 +159,65 @@ class RoutingPolicy(abc.ABC):
         batch_bytes: int,
         packet_bytes: int,
         scored: "list[tuple[float, Route]] | None" = None,
-        **extra,
+        stale_reads: "list[float] | None" = None,
     ) -> None:
-        """Record one auditable ``arm.decision`` instant.
+        """Report one decision to every recorder as a :class:`RouteDecision`.
 
         Every policy calls this (not just the adaptive one), so the
         decision audit can compare policies on equal footing.  The
-        instant carries the *candidate route set* the policy could have
-        picked — with the policy's own cost estimates when it scored
-        them — plus the broadcast-board staleness over the chosen
-        route's remote links, enabling counterfactual replay against
-        the realized link timelines (``repro.obs.analyze.regret``).
+        record carries the *candidate route set* the policy could have
+        picked — with the policy's own ARM estimates when it ``scored``
+        them, and then the Eq. 2 terms of the chosen route — plus the
+        broadcast-board staleness over the chosen route's remote links,
+        enabling counterfactual replay against the realized link
+        timelines (``repro.obs.analyze.regret``).
         """
-        observer = context.observer
-        if observer is None:
-            return
+        extra = {}
         if scored is not None:
-            routes = [str(route) for _, route in scored]
+            routes = tuple(route for _, route in scored)
             estimates = [score for score, _ in scored]
+            arm = estimates[routes.index(chosen)]
+            transmission = context.enumerator.cache.record(
+                chosen
+            ).transmission_time(packet_bytes)
+            extra = dict(T_R=transmission, D_R=arm - transmission, arm=arm)
         else:
             try:
-                candidates = context.enumerator.routes(src, dst)
+                routes = context.enumerator.routes(src, dst)
             except UnroutableError:
-                # DirectPolicy can still emit its (doomed) direct pick
+                # DirectPolicy can still report its (doomed) direct pick
                 # while the pair has no surviving enumerable route.
-                candidates = [chosen]
-            routes = [str(route) for route in candidates]
+                routes = (chosen,)
             estimates = None
-        attrs = dict(
+        decision = RouteDecision(
+            time=context.engine.now,
             src=src,
             dst=dst,
             policy=self.name,
-            route=str(chosen),
+            chosen=chosen,
             routes=routes,
-            candidates=len(routes),
+            estimates=estimates,
             batch_bytes=batch_bytes,
             packet_bytes=packet_bytes,
-            direct=chosen.is_direct,
-            staleness=self._board_staleness(context, src, chosen),
-            **extra,
+            staleness=self._view_error(context, src, chosen),
+            extra=extra,
+            stale_reads=stale_reads,
         )
-        if estimates is not None:
-            attrs["est"] = estimates
-        observer.instant(
-            "arm.decision",
-            context.engine.now,
-            track=f"gpu{src}",
-            category="route",
-            **attrs,
-        )
-        observer.metrics.counter("route.decisions", src=src, dst=dst).inc()
-        if not chosen.is_direct:
-            observer.metrics.counter("route.multi_hop_decisions").inc()
+        for recorder in context.recorders:
+            recorder.record_decision(decision)
 
     @staticmethod
-    def _board_staleness(
+    def _view_error(
         context: RoutingContext, viewer_gpu: int, route: Route
     ) -> float:
         """Mean |actual - published| queue delay over the route's
         remote links — how wrong the decider's view was, in seconds."""
+        reads: list[float] = []
+        context.dynamic_delay(
+            context.enumerator.cache.record(route), viewer_gpu, stale_reads=reads
+        )
+        # A left-to-right sum: ``sum()`` compensates on Python 3.12+.
         error = 0.0
-        remote = 0
-        for link_id, _, owner in context.enumerator.cache.record(route).hops:
-            if owner == viewer_gpu:
-                continue
-            remote += 1
-            actual = context.links[link_id].queue_delay()
-            published = context.board.published_queue_delay(link_id)
-            error += abs(actual - published)
-        return error / remote if remote else 0.0
+        for read in reads:
+            error += read
+        return error / len(reads) if reads else 0.0

@@ -54,15 +54,14 @@ class CentralizedPolicy(AdaptiveArmPolicy):
                 best_arm = arm
                 best_route = route
         assert best_route is not None
-        if context.observer is not None:
-            self._record_decision(
+        if context.recorders:
+            self.emit_decision(
                 context,
-                context.observer,
                 src,
                 dst,
                 best_route,
-                scored,
-                packet_bytes,
-                batch_bytes,
+                batch_bytes=batch_bytes,
+                packet_bytes=packet_bytes,
+                scored=scored,
             )
         return best_route

@@ -41,16 +41,8 @@ class _StaticPolicy(RoutingPolicy):
         batch_bytes: int,
         packet_bytes: int,
     ) -> Route:
-        # The enumerator version keys the cache so a link failure (which
-        # changes the candidate set) invalidates previously cached picks.
-        chosen = self._best_route(
-            context.enumerator,
-            context.machine,
-            src,
-            dst,
-            context.enumerator.version,
-        )
-        if context.observer is not None:
+        chosen = self._pick(context, src, dst)
+        if context.recorders:
             self.emit_decision(
                 context,
                 src,
@@ -61,25 +53,27 @@ class _StaticPolicy(RoutingPolicy):
             )
         return chosen
 
-    def _best_route(
-        self, enumerator, machine, src: int, dst: int, version: int
-    ) -> Route:
+    def _pick(self, context: RoutingContext, src: int, dst: int) -> Route:
         # Memoized per enumerator via a weak key: a sweep that builds a
         # machine (and enumerator) per configuration must not have its
         # dead topologies pinned by a long-lived policy object — the
         # trap a module-level ``lru_cache`` on this method used to be.
+        enumerator = context.enumerator
         memo: WeakKeyDictionary | None = self.__dict__.get("_route_picks")
         if memo is None:
             memo = self.__dict__["_route_picks"] = WeakKeyDictionary()
         picks = memo.get(enumerator)
         if picks is None:
             picks = memo[enumerator] = {}
-        key = (src, dst, version)
+        # The enumerator version keys the cache so a link failure (which
+        # changes the candidate set) invalidates previously cached picks.
+        key = (src, dst, enumerator.version)
         chosen = picks.get(key)
         if chosen is None:
-            candidates = enumerator.routes(src, dst)
+            machine = context.machine
             chosen = picks[key] = min(
-                candidates, key=lambda route: self._rank(machine, route)
+                enumerator.routes(src, dst),
+                key=lambda route: self._rank(machine, route),
             )
         return chosen
 
@@ -92,21 +86,8 @@ class DirectPolicy(_StaticPolicy):
 
     name = "direct"
 
-    def choose_route(self, context, src, dst, batch_bytes, packet_bytes) -> Route:
-        chosen = context.enumerator.direct_route(src, dst)
-        if context.observer is not None:
-            self.emit_decision(
-                context,
-                src,
-                dst,
-                chosen,
-                batch_bytes=batch_bytes,
-                packet_bytes=packet_bytes,
-            )
-        return chosen
-
-    def _rank(self, machine, route):  # pragma: no cover - not used
-        return route.num_hops
+    def _pick(self, context, src, dst) -> Route:
+        return context.enumerator.direct_route(src, dst)
 
 
 class BandwidthPolicy(_StaticPolicy):

@@ -53,7 +53,7 @@ from typing import Callable, TYPE_CHECKING
 from repro.core.config import MGJoinConfig
 from repro.serve.fabric import QuerySession
 from repro.serve.requests import QueryOutcome, QueryRejected, QueryRequest
-from repro.sim.fabric import Fabric
+from repro.sim.fabric import Fabric, run_recorders
 from repro.workloads.generator import WorkloadSpec, generate_workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -295,7 +295,7 @@ class QueryScheduler:
             self.config.shuffle,
             engine_factory=self.engine_factory,
             arbitration=self.arbitration,
-            observer=self.observer,
+            recorders=run_recorders(self.observer),
         )
         self.fabric = fabric
         if self.faults is not None:
@@ -310,7 +310,7 @@ class QueryScheduler:
         for request in self.requests:
             fabric.engine.schedule(request.arrival, self._arrive, request)
         fabric.engine.run()
-        fabric.export_metrics()
+        fabric.drained()
         for request in self.requests:
             entry = self._entries[request.name]
             if entry.outcome is not None:

@@ -3,8 +3,7 @@
 A :class:`Fabric` owns what cannot be split between concurrent flow
 groups: the event kernel, the queue-delay :class:`LinkStateBoard`, the
 link channels (optionally wrapped in per-link :class:`LinkArbiter`
-instances), the telemetry :class:`~repro.obs.stream.LinkPump`, the
-fault injector and the run's activity recorders
+instances), the fault injector and the run's activity recorders
 (:mod:`repro.sim.recorder`).  A solo shuffle puts one
 :class:`~repro.sim.shuffle.ShuffleGroup` on it; the serving layer puts
 one per admitted query.
@@ -12,7 +11,6 @@ one per admitted query.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.sim.engine import Engine
@@ -27,35 +25,35 @@ from repro.sim.linksim import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
     from repro.faults.plan import FaultPlan
-    from repro.obs import Observer
-    from repro.obs.spans import SpanTracer
     from repro.sim.shuffle import ShuffleConfig
     from repro.topology.machine import MachineTopology
 
-__all__ = ["Fabric"]
+__all__ = ["Fabric", "run_recorders"]
 
-#: Run-end counters a flow group's components keep: metric name ->
-#: ``"<ShuffleGroup attribute>.<count on that component>"``.
-GROUP_TOTALS = {
-    "faults.retries": "recovery.retries",
-    "faults.reroutes": "recovery.reroutes",
-    "faults.fallbacks": "recovery.fallbacks",
-    "faults.packets_recovered": "recovery.packets_recovered",
-    "integrity.retransmits": "integrity.stats.retransmits",
-    "integrity.checksum_failures": "integrity.stats.checksum_failures",
-    "integrity.dup_dropped": "integrity.stats.dup_dropped",
-    "recovery.crashes_detected": "coordinator.crashes_detected",
-}
+
+def run_recorders(observer=None, tracer=None, sampler=None) -> tuple:
+    """The recorders of one run, in call order, leaving out what is off.
+
+    ``sampler`` is a :class:`~repro.obs.analyze.LinkTimelineSampler`;
+    ``tracer`` is a span store that receives one ``"transfer"`` span per
+    link transfer (:class:`~repro.sim.linksim.LinkLanes`); then come
+    ``observer``'s conformance probe and ``observer`` itself.
+    """
+    lanes = LinkLanes(tracer) if tracer is not None else None
+    conformance = observer.conformance if observer is not None else None
+    return tuple(
+        recorder
+        for recorder in (sampler, lanes, conformance, observer)
+        if recorder is not None
+    )
 
 
 class Fabric:
     """Everything concurrent flow groups share: clock, links, board, faults.
 
-    ``tracer`` is a span store that receives one ``"transfer"`` span per
-    link transfer (:class:`~repro.sim.linksim.LinkLanes`); ``sampler``
-    is a :class:`~repro.obs.analyze.LinkTimelineSampler`.  With the
-    observer's conformance probe and the observer itself they form
-    :attr:`recorders`, the one tuple the whole simulator reports to.
+    ``recorders`` is the one tuple the whole simulator reports to
+    (:func:`run_recorders`); each is told when the fabric is built and
+    when its engine has drained (:meth:`drained`).
     """
 
     def __init__(
@@ -65,9 +63,7 @@ class Fabric:
         *,
         engine_factory=None,
         arbitration: str | None = None,
-        tracer: "SpanTracer | None" = None,
-        observer: "Observer | None" = None,
-        sampler=None,
+        recorders: tuple = (),
     ) -> None:
         from repro.sim.shuffle import ShuffleConfig
 
@@ -78,7 +74,6 @@ class Fabric:
             )
         self.machine = machine
         self.config = config or ShuffleConfig()
-        self.observer = observer
         factory = engine_factory if engine_factory is not None else Engine
         self.engine: Engine = factory()
         self.board = LinkStateBoard(
@@ -87,14 +82,8 @@ class Fabric:
             threshold=self.config.broadcast_threshold,
             quantum=self.config.broadcast_quantum,
         )
-        lanes = LinkLanes(tracer) if tracer is not None else None
-        conformance = observer.conformance if observer is not None else None
         #: Activity recorders, in call order.
-        self.recorders: tuple = tuple(
-            recorder
-            for recorder in (sampler, lanes, conformance, observer)
-            if recorder is not None
-        )
+        self.recorders = recorders
         #: Every flow group placed on the fabric, finished or not.
         self.groups: list = []
         self.links: dict[int, LinkChannel] = {
@@ -106,14 +95,9 @@ class Fabric:
         if arbitration is not None:
             for channel in self.links.values():
                 channel.arbiter = LinkArbiter(channel, mode=arbitration)
-        if sampler is not None:
-            sampler.bind(self.engine, self.links)
         self.injector: "FaultInjector | None" = None
-        self.stream = observer.stream if observer is not None else None
-        if self.stream is not None:
-            from repro.obs.stream import LinkPump
-
-            LinkPump(self.stream, self.engine, self.links)
+        for recorder in recorders:
+            recorder.record_fabric(self)
 
     def bind_faults(self, plan: "FaultPlan", gpu_universe: set[int]) -> None:
         """Arm the fault injector and schedule every fault of ``plan``.
@@ -135,43 +119,10 @@ class Fabric:
             gpu_universe=gpu_universe,
         )
 
-    def export_metrics(self) -> None:
-        """Write the run's totals to the observer's metrics.
-
-        Called once, when the engine has drained.  Each counter is a
-        total some component already keeps: ``link.bytes`` and
-        ``link.transfers`` per link, the board's broadcasts, then
-        :data:`GROUP_TOTALS` and ``shuffle.delivered_bytes`` per GPU
-        summed over every flow group on the fabric.  A total that stays
-        at zero gets no series.
-        """
-        if self.observer is None:
-            return
-        metrics = self.observer.metrics
-        for channel in self.links.values():
-            if channel.transfers:
-                label = str(channel.spec)
-                metrics.counter("link.bytes", link=label).inc(channel.bytes_sent)
-                metrics.counter("link.transfers", link=label).inc(
-                    channel.transfers
-                )
-        board = self.board
-        if board.broadcast_count:
-            metrics.counter("board.broadcasts").inc(board.broadcast_count)
-        if board.suppressed_count:
-            metrics.counter("board.suppressed").inc(board.suppressed_count)
-        for group in self.groups:
-            for name, path in GROUP_TOTALS.items():
-                part, _, count = path.partition(".")
-                component = getattr(group, part)
-                total = attrgetter(count)(component) if component is not None else 0
-                if total:
-                    metrics.counter(name).inc(total)
-            for gpu_id, node in group.nodes.items():
-                if node.stats.delivered_bytes:
-                    metrics.counter("shuffle.delivered_bytes", gpu=gpu_id).inc(
-                        node.stats.delivered_bytes
-                    )
+    def drained(self) -> None:
+        """Tell every recorder the engine has drained."""
+        for recorder in self.recorders:
+            recorder.record_drained(self)
 
     def set_priority(self, tag: int, priority: int) -> None:
         """Record one query's arbitration priority on every shared link."""

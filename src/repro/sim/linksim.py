@@ -24,8 +24,9 @@ transfer to its :attr:`LinkChannel.recorders`, the fabric's tuple of
 :class:`~repro.sim.recorder.Recorder` objects (``record_queue`` and
 ``record_transfer``).  :class:`LinkLanes` is the recorder behind
 per-link trace lanes.  Totals the channel and the board already keep
-(bytes, transfers, broadcasts) are exported to metrics once per run by
-:meth:`~repro.sim.fabric.Fabric.export_metrics`.
+(bytes, transfers, broadcasts) are exported to metrics once per run,
+when the fabric reports its engine drained
+(:meth:`~repro.sim.recorder.Recorder.record_drained`).
 """
 
 from __future__ import annotations

@@ -1,15 +1,16 @@
 """The one instrumentation seam of the simulator.
 
 The simulator reports what happens to links, packets, recovery, the
-integrity layer and the fault injector by calling one hook per event on
-every recorder of the run: the tuple :class:`~repro.sim.fabric.Fabric`
-builds, in call order sampler, trace lanes, conformance probe,
-observer.  Link channels and the fault injector get it from the fabric,
-GPU nodes from their routing context, and a flow group's recovery
-manager, integrity layer and crash coordinator where the group builds
-them.  Every hook of :class:`Recorder` does nothing, so a recorder
-overrides only the events it reads; the simulator knows no metric
-name, trace track or stream schema.
+integrity layer, the fault injector and the routing policies by
+calling one hook per event on every recorder of the run: the tuple
+:func:`~repro.sim.fabric.run_recorders` builds, in call order sampler,
+trace lanes, conformance probe, observer.  The fabric hands it to link
+channels and the fault injector, GPU nodes and policies get it from
+their routing context, and a flow group's recovery manager, integrity
+layer and crash coordinator where the group builds them.  Every hook
+of :class:`Recorder` does nothing, so a recorder overrides only the
+events it reads; the fabric and what it drives know no metric name,
+trace track or stream schema.
 """
 
 from __future__ import annotations
@@ -19,6 +20,18 @@ __all__ = ["Recorder"]
 
 class Recorder:
     """Base of every activity recorder: one no-op hook per event."""
+
+    def record_fabric(self, fabric) -> None:
+        """``fabric`` was built: its engine, board and link channels
+        exist and no event has run yet."""
+
+    def record_drained(self, fabric) -> None:
+        """The engine of ``fabric`` has drained; every total its
+        components keep is final."""
+
+    def record_decision(self, decision) -> None:
+        """A routing policy fixed a batch's route; ``decision`` is a
+        :class:`~repro.routing.base.RouteDecision`."""
 
     def record_queue(self, channel) -> None:
         """A link channel's queue changed (a commit or a fulfil)."""

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.routing.base import RoutingContext, RoutingPolicy
 from repro.sim.engine import SimulationError
-from repro.sim.fabric import Fabric
+from repro.sim.fabric import Fabric, run_recorders
 from repro.sim.gpusim import GpuNode, Packet
 from repro.sim.integrity import TransportIntegrity
 from repro.sim.recovery import (
@@ -178,15 +178,11 @@ class ShuffleGroup:
         config = config or fabric.config
         engine = fabric.engine
         machine = fabric.machine
-        observer = fabric.observer
         self.enumerator = RouteEnumerator(
             machine,
             allowed_gpus=gpu_ids,
             max_intermediates=config.max_intermediates,
         )
-        conformance = observer.conformance if observer is not None else None
-        if conformance is not None and not conformance.policy:
-            conformance.policy = policy.name
         recorders = fabric.recorders
         context = RoutingContext(
             engine=engine,
@@ -195,7 +191,6 @@ class ShuffleGroup:
             links=fabric.links,
             board=fabric.board,
             num_gpus=len(gpu_ids),
-            observer=observer,
             recorders=recorders,
         )
         self.recovery: RecoveryManager | None = None
@@ -506,12 +501,10 @@ class ShuffleSimulator:
             self.machine,
             self.config,
             engine_factory=self.engine_factory,
-            tracer=self.tracer,
-            observer=self.observer,
-            sampler=self.sampler,
+            recorders=run_recorders(self.observer, self.tracer, self.sampler),
         )
         engine = fabric.engine
-        stream = fabric.stream
+        stream = self.observer.stream if self.observer is not None else None
         if stream is not None:
             stream.emit(
                 "run.started",
@@ -536,20 +529,12 @@ class ShuffleSimulator:
             fabric.bind_faults(self.faults, set(group.gpu_ids))
         group.start()
         engine.run()
-        fabric.export_metrics()
-        conformance = (
-            self.observer.conformance if self.observer is not None else None
-        )
         if stream is not None:
             stream.emit("kernel", t=engine.now, clock="sim", stats=engine.stats)
-            if conformance is not None:
-                stream.emit(
-                    "conformance", t=engine.now, clock="sim", **conformance.summary()
-                )
+        fabric.drained()
+        if stream is not None:
             stream.emit("run.finished", t=engine.now, clock="sim", elapsed=engine.now)
             stream.flush()
-        if conformance is not None:
-            conformance.export_metrics(self.observer)
         report = group.report(policy.name)
         if self.observer is not None:
             metrics = self.observer.metrics

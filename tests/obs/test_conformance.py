@@ -68,6 +68,15 @@ class TestProbeAccounting:
         probe.record_delivery(packet, now=0.015)
         assert probe.drift_ratio == pytest.approx(0.5)
 
+    def test_policy_comes_from_the_first_decision(self):
+        probe = ConformanceProbe()
+        probe.record_decision(SimpleNamespace(policy="direct"))
+        probe.record_decision(SimpleNamespace(policy="mg-join"))
+        assert probe.policy == "direct"
+        named = ConformanceProbe(policy="given")
+        named.record_decision(SimpleNamespace(policy="direct"))
+        assert named.policy == "given"
+
     def test_summary_and_render_empty(self):
         probe = ConformanceProbe()
         summary = probe.summary()
@@ -107,7 +116,7 @@ class TestSimulatorIntegration:
         probe = observer.conformance
         assert probe.count > 0
         assert not probe._pending, "packets armed but never delivered"
-        assert probe.policy  # stamped from the routing policy
+        assert probe.policy == "mg-join"  # from the first decision
 
     def test_probe_does_not_perturb_the_simulation(self, instrumented):
         baseline, report, _ = instrumented

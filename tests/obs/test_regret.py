@@ -2,15 +2,8 @@
 
 import pytest
 
-from repro.obs.analyze import RegretReport, audit_decisions, parse_route
+from repro.obs.analyze import RegretReport, audit_decisions
 from repro.obs.analyze.regret import DecisionAudit, realized_arm
-from repro.topology.routes import Route
-
-
-def test_parse_route_round_trips():
-    for hops in ((0, 1), (5, 7, 3, 2), (0, 4, 6)):
-        route = Route(hops)
-        assert parse_route(str(route)) == route
 
 
 def test_audit_covers_every_decision(adaptive_run):
@@ -43,13 +36,17 @@ def test_realized_cost_of_chosen_route_matches_replay(adaptive_run):
         adaptive_run.machine, adaptive_run.observer, adaptive_run.sampler
     )
     row = audit.rows[len(audit.rows) // 2]
-    decisions = adaptive_run.observer.spans.find_instants("arm.decision")
-    instant = next(i for i in decisions if i.time == row.time)
+    decision = next(
+        d
+        for d in adaptive_run.observer.decisions
+        if (d.time, d.src, d.dst, str(d.chosen))
+        == (row.time, row.src, row.dst, row.chosen)
+    )
     cost = realized_arm(
         adaptive_run.machine,
         adaptive_run.sampler,
-        parse_route(row.chosen),
-        instant.attrs["packet_bytes"],
+        decision.chosen,
+        decision.packet_bytes,
         row.time,
     )
     assert cost == pytest.approx(row.realized_chosen)

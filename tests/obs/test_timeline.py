@@ -55,7 +55,7 @@ def test_rejects_nonpositive_interval():
 
 def test_bind_attaches_and_schedules_probe(dgx1):
     sampler = LinkTimelineSampler(sample_interval=1e-4)
-    fabric = Fabric(dgx1, sampler=sampler)
+    fabric = Fabric(dgx1, recorders=(sampler,))
     assert fabric.links
     assert all(sampler in channel.recorders for channel in fabric.links.values())
     assert sampler.engine is fabric.engine

@@ -22,13 +22,19 @@ from repro.core.mgjoin import MGJoin
 from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.faults.chaos import run_chaos
 from repro.obs import SIM, Observer
-from repro.obs.analyze import LinkTimelineSampler
+from repro.obs.analyze import LinkTimelineSampler, audit_decisions
 from repro.obs.analyze.report import ascii_heatmap, heatmap_csv
 from repro.obs.conformance import ConformanceProbe
 from repro.obs.stream import TelemetryStream
-from repro.routing import AdaptiveArmPolicy
+from repro.routing import (
+    AdaptiveArmPolicy,
+    BandwidthPolicy,
+    CentralizedPolicy,
+    DirectPolicy,
+)
 from repro.serve import QueryScheduler, synthetic_requests
-from repro.sim import FlowMatrix, ShuffleSimulator
+from repro.sim import Fabric, FlowMatrix, ShuffleGroup, ShuffleSimulator
+from repro.sim.recorder import Recorder
 
 MB = 1024 * 1024
 
@@ -491,3 +497,49 @@ def test_served_counters_sum_over_queries(observed):
     assert len(delivered) == 4 and sum(delivered.values()) > 0
     for gpu, nbytes in delivered.items():
         assert metrics.value("shuffle.delivered_bytes", gpu=gpu) == nbytes
+
+
+@pytest.mark.parametrize("name", ["sampled-join", "served-queries"])
+def test_decision_views_agree(observed, dgx1, name):
+    """The audit, the ``arm.decision`` instants and the
+    ``route.decisions`` counters count the same decisions."""
+    run = observed(name)
+    # A served batch has no timeline; an empty one still replays every
+    # decision.
+    sampler = run.sampler if run.sampler is not None else LinkTimelineSampler()
+    audit = audit_decisions(dgx1, run.observer, sampler)
+    instants = run.observer.spans.find_instants("arm.decision")
+    counted = run.observer.metrics.total("route.decisions")
+    assert audit.decisions == len(instants) == counted > 0
+
+
+class DecisionLog(Recorder):
+    """Overrides one hook: keeps what each decision reports."""
+
+    def __init__(self):
+        self.decisions = []
+
+    def record_decision(self, decision):
+        self.decisions.append(decision)
+
+
+@pytest.mark.parametrize(
+    "policy", [DirectPolicy, BandwidthPolicy, AdaptiveArmPolicy, CentralizedPolicy]
+)
+def test_decision_recorder_gets_the_enumerators_routes(dgx1, policy):
+    log = DecisionLog()
+    fabric = Fabric(dgx1, recorders=(log,))
+    gpu_ids = (0, 1, 2, 3)
+    group = ShuffleGroup(
+        fabric, gpu_ids, FlowMatrix.all_to_all(gpu_ids, 4 * MB), policy()
+    )
+    group.start()
+    fabric.engine.run()
+    assert log.decisions
+    enumerator = group.enumerator
+    for decision in log.decisions:
+        assert decision.policy == policy.name
+        candidates = enumerator.routes(decision.src, decision.dst)
+        assert len(decision.routes) == len(candidates)
+        assert all(ours is theirs for ours, theirs in zip(decision.routes, candidates))
+        assert any(decision.chosen is route for route in candidates)

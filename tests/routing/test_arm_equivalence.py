@@ -12,6 +12,7 @@ import random
 import pytest
 
 from repro.obs import Observer
+from repro.routing import AdaptiveArmPolicy, CentralizedPolicy
 from repro.routing.adaptive import arm_value
 from repro.routing.base import RoutingContext
 from repro.sim import Engine, LinkChannel, LinkStateBoard
@@ -53,7 +54,7 @@ def reference_arm(context, route, packet_bytes, viewer_gpu=None, exact=False,
     return transmission + dynamic_delay
 
 
-def make_context(machine, observer=None):
+def make_context(machine, recorders=()):
     engine = Engine()
     board = LinkStateBoard(engine, broadcast_latency=5e-6, quantum=20e-6)
     links = {
@@ -66,7 +67,7 @@ def make_context(machine, observer=None):
         links=links,
         board=board,
         num_gpus=len(machine.gpu_ids),
-        observer=observer,
+        recorders=recorders,
     )
 
 
@@ -124,20 +125,25 @@ def test_arm_value_matches_reference_rule(seed):
 
 
 def test_observed_staleness_matches_reference_order():
-    """An observed evaluation records one staleness sample per remote
-    link, in route order, with the reference values."""
+    """An observed adaptive decision records one staleness sample per
+    remote link it read, in candidate and route order, with the
+    reference values."""
     rng = random.Random(7)
     observer = Observer()
-    context = make_context(dgx1_topology(), observer=observer)
+    context = make_context(dgx1_topology(), recorders=(observer,))
+    policy = AdaptiveArmPolicy()
     expected: list[float] = []
     for _ in range(4):
         scramble(context, rng)
-        for route in candidate_routes(context, rng):
-            viewer = rng.choice((None, route.src))
-            assert arm_value(context, route, PACKET, viewer_gpu=viewer) == (
-                reference_arm(context, route, PACKET, viewer_gpu=viewer,
+        for _ in range(6):
+            src, dst = rng.sample(context.machine.gpu_ids, 2)
+            reference = [
+                reference_arm(context, route, PACKET, viewer_gpu=src,
                               observations=expected)
-            )
+                for route in context.enumerator.routes(src, dst)
+            ]
+            policy.choose_route(context, src, dst, PACKET, PACKET)
+            assert observer.decisions[-1].estimates == reference
     histogram = observer.metrics.histogram("board.staleness_seconds")
     assert histogram.samples == expected[: len(histogram.samples)]
     assert histogram.count == len(expected) > 0
@@ -149,11 +155,18 @@ def test_observed_staleness_matches_reference_order():
 
 def test_exact_evaluation_never_observes_staleness():
     observer = Observer()
-    context = make_context(dgx1_topology(), observer=observer)
+    context = make_context(dgx1_topology(), recorders=(observer,))
     scramble(context, random.Random(3))
+    reads: list[float] = []
     for route in context.enumerator.routes(0, 5):
-        arm_value(context, route, PACKET, exact=True)
-    assert observer.metrics.histogram("board.staleness_seconds").count == 0
+        arm_value(context, route, PACKET, exact=True, stale_reads=reads)
+    assert reads == []
+    CentralizedPolicy().choose_route(context, 0, 5, PACKET, PACKET)
+    (decision,) = observer.decisions
+    assert decision.estimates and decision.stale_reads is None
+    assert "board.staleness_seconds" not in {
+        instrument.name for instrument in observer.metrics.instruments()
+    }
 
 
 class ReferenceBoard:

@@ -15,7 +15,7 @@ from repro.obs.export import to_chrome_trace, to_csv, summary
 from repro.obs.spans import SpanTracer
 from repro.routing import DirectPolicy
 from repro.sim import FlowMatrix, ShuffleConfig, ShuffleSimulator
-from repro.sim.fabric import Fabric
+from repro.sim.fabric import Fabric, run_recorders
 from repro.sim.linksim import LinkLanes
 
 MB = 1024 * 1024
@@ -92,7 +92,7 @@ def test_ascii_gantt_renders(traced_run):
 
 def test_empty_tracer(tiny_machine):
     spans = SpanTracer()
-    fabric = Fabric(tiny_machine, tracer=spans)
+    fabric = Fabric(tiny_machine, recorders=run_recorders(tracer=spans))
     assert isinstance(_lane_recorder(fabric), LinkLanes)
     fabric.engine.run()
     assert _lanes(spans) == []
@@ -104,7 +104,7 @@ def test_empty_tracer(tiny_machine):
 
 def test_event_cap_counts_drops_and_warns_once(tiny_machine):
     spans = SpanTracer(max_records=2)
-    fabric = Fabric(tiny_machine, tracer=spans)
+    fabric = Fabric(tiny_machine, recorders=run_recorders(tracer=spans))
     lanes = _lane_recorder(fabric)
     channel = next(iter(fabric.links.values()))
     assert spans.dropped == 0
@@ -123,7 +123,9 @@ def test_event_cap_counts_drops_and_warns_once(tiny_machine):
 
 def test_csv_footer_reports_drops(tiny_machine):
     observer = Observer(max_records=1)
-    fabric = Fabric(tiny_machine, tracer=observer.spans)
+    fabric = Fabric(
+        tiny_machine, recorders=run_recorders(tracer=observer.spans)
+    )
     lanes = _lane_recorder(fabric)
     channel = next(iter(fabric.links.values()))
     with pytest.warns(RuntimeWarning):
@@ -137,7 +139,9 @@ def test_shared_span_store_merges_and_respects_its_cap(tiny_machine):
     observer = Observer(max_records=2)
     with observer.spans.span("setup"):
         pass
-    fabric = Fabric(tiny_machine, tracer=observer.spans)
+    fabric = Fabric(
+        tiny_machine, recorders=run_recorders(tracer=observer.spans)
+    )
     lanes = _lane_recorder(fabric)
     channel = next(iter(fabric.links.values()))
     with pytest.warns(RuntimeWarning, match="max_records"):
@@ -154,7 +158,7 @@ def test_shared_span_store_merges_and_respects_its_cap(tiny_machine):
 
 def test_events_are_views_over_spans(tiny_machine):
     spans = SpanTracer()
-    fabric = Fabric(tiny_machine, tracer=spans)
+    fabric = Fabric(tiny_machine, recorders=run_recorders(tracer=spans))
     lanes = _lane_recorder(fabric)
     channel = next(iter(fabric.links.values()))
     lanes.record_transfer(channel, 0.25, 0.5, 0.75, 128)
