@@ -55,8 +55,10 @@ class ConformanceProbe(Recorder):
     def __init__(self, max_samples: int = 100_000, policy: str = "") -> None:
         self.max_samples = max_samples
         self.policy = policy
-        #: id(packet) -> (t_r, d_r, bottleneck_link_id)
-        self._pending: dict[int, tuple[float, float, int]] = {}
+        #: id(packet) -> (packet, (t_r, d_r, bottleneck_link_id)); the
+        #: entry holds the packet so that a packet a fault discards is
+        #: never freed and its id never reused by a later packet.
+        self._pending: dict[int, tuple[object, tuple[float, float, int]]] = {}
         self._residuals: list[float] = []
         self._predicted: list[float] = []
         self.count = 0
@@ -91,7 +93,7 @@ class ConformanceProbe(Recorder):
 
     def register(self, packet, prediction: tuple[float, float, int]) -> None:
         """Arm the probe for one injected packet."""
-        self._pending[id(packet)] = prediction
+        self._pending[id(packet)] = (packet, prediction)
 
     def record_decision(self, decision) -> None:
         """Name the probe after the policy of the first decision."""
@@ -113,7 +115,7 @@ class ConformanceProbe(Recorder):
         entry = self._pending.pop(id(packet), None)
         if entry is None:
             return
-        t_r, d_r, bottleneck = entry
+        t_r, d_r, bottleneck = entry[1]
         predicted = t_r + d_r
         actual = now - packet.created_at
         residual = actual - predicted

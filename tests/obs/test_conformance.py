@@ -44,6 +44,16 @@ class TestProbeAccounting:
         probe.record_delivery(fake_packet(), now=1.0)
         assert probe.count == 0
 
+    def test_undelivered_packet_never_scores_a_later_one(self):
+        # A packet a crash discards is registered but never delivered.
+        # Once it is dropped, a later packet may take its id; that packet
+        # was never registered and must not count as a transfer.
+        probe = ConformanceProbe()
+        for _ in range(64):
+            probe.register(fake_packet(), (0.001, 0.0, 1))
+            probe.record_delivery(fake_packet(created_at=0.5), now=1.0)
+        assert probe.count == 0
+
     def test_retried_packets_counted(self):
         probe = ConformanceProbe()
         packet = fake_packet(created_at=0.0, attempts=2)
