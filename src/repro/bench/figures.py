@@ -15,13 +15,13 @@ from repro.bench.harness import (
     PAPER_TUPLES_PER_GPU,
     FigureResult,
     bench_workload,
-    run_observed,
 )
 from repro.core import MGJoin, MGJoinConfig
 from repro.core.assignment import assign_partitions
 from repro.core.compression import shard_compression_model
 from repro.core.global_partition import plan_flows
 from repro.core.histogram import build_histograms, max_partitions
+from repro.obs import Observer
 from repro.relational import (
     DPRJQueryEngine,
     MGJoinQueryEngine,
@@ -397,14 +397,14 @@ def fig12_breakdown(real_tuples: int = BENCH_REAL_TUPLES) -> FigureResult:
         workload = bench_workload(
             tuple(range(num_gpus)), real_tuples_per_gpu=real_tuples
         )
-        for algo in (DPRJJoin(machine), MGJoin(machine)):
-            if num_gpus == 8:
-                # Keep the full-machine runs' telemetry (per-link bytes,
-                # route decisions, skew handling) next to the figure.
-                run, observer = run_observed(algo, workload)
-                result.attach_metrics(f"{algo.algorithm}-8gpus", observer)
-            else:
-                run = algo.run(workload)
+        for algorithm in (DPRJJoin, MGJoin):
+            # Keep the full-machine runs' telemetry (per-link bytes,
+            # route decisions, skew handling) next to the figure.
+            observer = Observer() if num_gpus == 8 else None
+            run = algorithm(machine, observer=observer).run(workload)
+            if observer is not None:
+                label = f"{run.algorithm}-8gpus"
+                result.metric_snapshots[label] = observer.metrics.snapshot()
             share = run.breakdown.distribution_share
             result.add(
                 algorithm=run.algorithm,

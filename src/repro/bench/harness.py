@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from repro.core.relation import JoinWorkload
-from repro.obs import Observer
 from repro.obs.meta import config_hash
 from repro.workloads import WorkloadSpec, generate_workload
 
@@ -49,14 +48,6 @@ class FigureResult:
     def note(self, text: str) -> None:
         self.notes.append(text)
 
-    def attach_metrics(self, label: str, observer: Observer) -> None:
-        """Keep one observed run's metrics under ``label``.
-
-        The snapshot rides into ``bench_results/<figure>.json``, so a
-        regenerated figure carries the telemetry that explains it.
-        """
-        self.metric_snapshots[label] = observer.metrics.snapshot()
-
     def series(self, key: str, value) -> list[dict]:
         """Rows whose ``key`` column equals ``value``."""
         return [row for row in self.rows if row.get(key) == value]
@@ -78,24 +69,6 @@ class FigureResult:
         body = format_markdown_table(self.rows)
         notes = "".join(f"\n> {note}" for note in self.notes)
         return header + body + notes
-
-
-def run_observed(algorithm, workload: JoinWorkload):
-    """Run one join under a fresh :class:`Observer`.
-
-    Returns ``(JoinResult, Observer)``; the algorithm's previous
-    observer (usually ``None``) is restored afterwards, so benchmark
-    loops can observe individual runs without paying the recording
-    cost on the others.
-    """
-    observer = Observer()
-    previous = algorithm.observer
-    algorithm.observer = observer
-    try:
-        result = algorithm.run(workload)
-    finally:
-        algorithm.observer = previous
-    return result, observer
 
 
 @lru_cache(maxsize=32)

@@ -27,8 +27,8 @@ import json
 import pathlib
 from dataclasses import dataclass, field
 
-from repro.obs import Observer, run_metadata
-from repro.obs.analyze import LinkTimelineSampler, audit_decisions
+from repro.obs import run_metadata
+from repro.obs.analyze import ObservedRun
 from repro.routing import AdaptiveArmPolicy, DirectPolicy
 from repro.sim import FlowMatrix, ShuffleSimulator
 
@@ -130,17 +130,6 @@ def skewed_flows(gpu_ids: tuple[int, ...], hot_gpu: int | None = None,
     return flows
 
 
-def _shuffle_with_audit(machine, gpu_ids, policy, conformance=None):
-    observer = Observer()
-    observer.conformance = conformance
-    sampler = LinkTimelineSampler()
-    simulator = ShuffleSimulator(machine, gpu_ids, observer=observer,
-                                 sampler=sampler)
-    report = simulator.run(skewed_flows(gpu_ids), policy)
-    audit = audit_decisions(machine, observer, sampler)
-    return report, audit
-
-
 def collect_perf_metrics(
     num_gpus: int | None = None,
     seed: int | None = None,
@@ -183,13 +172,15 @@ def collect_perf_metrics(
     machine = _perf_machine(workload)
     gpu_ids = tuple(machine.gpu_ids[:num_gpus])
 
-    from repro.obs.conformance import ConformanceProbe
-
-    conformance = ConformanceProbe()
-    adaptive_report, adaptive_audit = _shuffle_with_audit(
-        machine, gpu_ids, AdaptiveArmPolicy(), conformance=conformance
+    adaptive = ObservedRun(conformance=True)
+    adaptive_report = ShuffleSimulator(machine, gpu_ids, **adaptive.wiring).run(
+        skewed_flows(gpu_ids), AdaptiveArmPolicy()
     )
-    _, direct_audit = _shuffle_with_audit(machine, gpu_ids, DirectPolicy())
+    adaptive_audit = adaptive.audit(machine)
+    direct = ObservedRun()
+    ShuffleSimulator(machine, gpu_ids, **direct.wiring).run(
+        skewed_flows(gpu_ids), DirectPolicy()
+    )
 
     workload = generate_workload(
         WorkloadSpec(
@@ -213,12 +204,12 @@ def collect_perf_metrics(
         "arm.p95_regret_us": adaptive_audit.percentile_regret(95) * 1e6,
         "arm.p99_regret_us": adaptive_audit.percentile_regret(99) * 1e6,
         "arm.optimal_share": adaptive_audit.optimal_share,
-        "arm.direct_mean_regret_us": direct_audit.mean_regret * 1e6,
+        "arm.direct_mean_regret_us": direct.audit(machine).mean_regret * 1e6,
         "join.throughput_btps": join_result.throughput / 1e9,
     }
     # Cost-model conformance over the canonical adaptive shuffle: gated
     # on drift_ratio / |residual| p95, tracked on the residual shape.
-    metrics.update(conformance.gauges())
+    metrics.update(adaptive.observer.conformance.gauges())
     if include_self_time:
         metrics["perf.self_time_seconds"] = time.perf_counter() - started
     return metrics

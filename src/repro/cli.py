@@ -65,9 +65,8 @@ from repro.bench.regression import PERF_WORKLOADS, skewed_flows
 from repro.core import MGJoin
 from repro.obs import Observer, run_metadata
 from repro.obs.analyze import (
-    LinkTimelineSampler, PhaseWindow, ascii_heatmap, attribute,
-    audit_decisions, render_bottleneck_report, render_regret_table,
-    write_analysis,
+    LinkTimelineSampler, ObservedRun, ascii_heatmap,
+    render_bottleneck_report, render_regret_table, write_analysis,
 )
 from repro.routing import POLICIES
 from repro.sim import ARBITRATION_MODES, FlowMatrix, ShuffleSimulator
@@ -921,31 +920,13 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _phase_windows(observer, horizon):
-    """Split the shuffle clock at the last route decision: before it
-    the global partition pass is still injecting packets, after it the
-    network drains into the local partition pass (§4 overlap)."""
-    split = max((decision.time for decision in observer.decisions), default=0.0)
-    if 0.0 < split < horizon:
-        return [
-            PhaseWindow("inject (global partition overlap)", 0.0, split),
-            PhaseWindow("drain (local partition overlap)", split, horizon),
-        ]
-    return None
-
-
 def _cmd_analyze(args) -> int:
     """One sampled run -> heatmap + bottleneck attribution + regret."""
     from repro.faults import resolve_plan
 
     machine = MACHINES[args.machine]()
     gpu_ids = _select_gpus(machine, args.gpus)
-    observer = Observer()
-    if args.conformance:
-        from repro.obs.conformance import ConformanceProbe
-
-        observer.conformance = probe = ConformanceProbe()
-    sampler = LinkTimelineSampler()
+    observed = ObservedRun(conformance=args.conformance)
     if args.mode == "join":
         if args.hot_gpu is not None:
             raise BadInput("--hot-gpu applies to --mode shuffle only")
@@ -954,9 +935,9 @@ def _cmd_analyze(args) -> int:
             key_zipf=args.zipf_keys,
         )
 
-        def run(**observed):
+        def run(**wiring):
             result = MGJoin(
-                machine, policy=POLICIES[args.policy](), **observed
+                machine, policy=POLICIES[args.policy](), **wiring
             ).run(workload)
             return result, result.shuffle_report
     else:
@@ -972,8 +953,8 @@ def _cmd_analyze(args) -> int:
                 f"--hot-gpu must be one of the selected GPUs {list(gpu_ids)}"
             )
 
-        def run(**observed):
-            simulator = ShuffleSimulator(machine, gpu_ids, **observed)
+        def run(**wiring):
+            simulator = ShuffleSimulator(machine, gpu_ids, **wiring)
             return None, simulator.run(flows, POLICIES[args.policy]())
 
     faults = None
@@ -985,7 +966,7 @@ def _cmd_analyze(args) -> int:
         faults = resolve_plan(
             args.chaos, machine, healthy.elapsed, args.seed, gpu_ids
         )
-    result, report = run(observer=observer, sampler=sampler, faults=faults)
+    result, report = run(**observed.wiring, faults=faults)
     if result is not None:
         print(f"algorithm : {result.algorithm}  ({len(gpu_ids)} GPUs)")
         print(f"total time: {result.total_time * 1e3:.2f} ms")
@@ -999,10 +980,9 @@ def _cmd_analyze(args) -> int:
         f" (a->b {report.bisection_utilization_ab * 100:.1f}%"
         f" / b->a {report.bisection_utilization_ba * 100:.1f}%)"
     )
-    timeline = sampler.timeline(args.buckets)
-    phases = _phase_windows(observer, sampler.horizon)
-    bottlenecks = attribute(sampler, report.cut, phases=phases, top=args.top)
-    regret = audit_decisions(machine, observer, sampler)
+    timeline = observed.sampler.timeline(args.buckets)
+    bottlenecks = observed.bottlenecks(report.cut, top=args.top)
+    regret = observed.audit(machine)
     print()
     print(ascii_heatmap(timeline, top=args.top))
     print()
@@ -1011,8 +991,8 @@ def _cmd_analyze(args) -> int:
     print(render_regret_table(regret, top=args.top))
     if args.conformance:
         print()
-        print("\n".join(probe.render()))
-    fault_events = observer.spans.find_instants(category="fault")
+        print("\n".join(observed.observer.conformance.render()))
+    fault_events = observed.observer.spans.find_instants(category="fault")
     if fault_events:
         print()
         print(f"fault / recovery events ({len(fault_events)}):")

@@ -10,10 +10,12 @@ simulation run into answers the end-of-run aggregates cannot give:
   phase, the minimum-bisection's share of the phase, and per-flow
   queueing-vs-transmission splits (:func:`attribute`),
 * :mod:`repro.obs.analyze.regret` — per-batch routing regret from
-  replaying ``arm.decision`` telemetry against the realized timelines
+  replaying ``Observer.decisions`` against the realized timelines
   (:func:`audit_decisions`),
 * :mod:`repro.obs.analyze.report` — ASCII/CSV/JSON heatmaps and
-  terminal reports (:func:`ascii_heatmap`, :func:`write_analysis`).
+  terminal reports (:func:`ascii_heatmap`, :func:`write_analysis`),
+* :mod:`repro.obs.analyze.observed` — :class:`ObservedRun`, the one
+  builder that wires a run's recorders and runs the two passes above.
 
 The CLI front-end is ``python -m repro analyze``; the perf-regression
 gate (``repro perf``) persists the headline numbers into committed
@@ -30,6 +32,7 @@ from repro.obs.analyze.attribution import (
     attribute_phase,
     flow_latency_rows,
 )
+from repro.obs.analyze.observed import ObservedRun
 from repro.obs.analyze.regret import (
     DecisionAudit,
     RegretReport,
@@ -62,6 +65,7 @@ __all__ = [
     "LinkSeries",
     "LinkTimeline",
     "LinkTimelineSampler",
+    "ObservedRun",
     "PhaseAttribution",
     "PhaseWindow",
     "RegretReport",

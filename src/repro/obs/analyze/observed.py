@@ -1,0 +1,47 @@
+"""One analysed run: its recorders and the analyses that read them."""
+
+from __future__ import annotations
+
+from repro.obs import Observer
+from repro.obs.analyze.attribution import BottleneckReport, PhaseWindow, attribute
+from repro.obs.analyze.regret import RegretReport, audit_decisions
+from repro.obs.analyze.timeline import LinkTimelineSampler
+from repro.obs.conformance import ConformanceProbe
+
+
+class ObservedRun:
+    """The observer, link sampler and optional conformance probe of a run.
+
+    Hand :attr:`wiring` to ``ShuffleSimulator`` or ``MGJoin``, run it,
+    then read :attr:`observer` and :attr:`sampler` directly or ask for
+    the decision :meth:`audit` and the link :meth:`bottlenecks`.
+    """
+
+    def __init__(self, *, conformance: bool = False) -> None:
+        self.observer = Observer()
+        if conformance:
+            self.observer.conformance = ConformanceProbe()
+        self.sampler = LinkTimelineSampler()
+
+    @property
+    def wiring(self) -> dict:
+        """The ``observer=``/``sampler=`` keywords a simulated run takes."""
+        return {"observer": self.observer, "sampler": self.sampler}
+
+    def audit(self, machine) -> RegretReport:
+        """Replay every routing decision against the sampled timelines."""
+        return audit_decisions(machine, self.observer, self.sampler)
+
+    def bottlenecks(self, cut, top: int | None = None) -> BottleneckReport:
+        """Attribute link time per phase, split at the last route decision:
+        before it the global partition pass is still injecting packets,
+        after it the network drains into the local partition pass (§4)."""
+        horizon = self.sampler.horizon
+        split = max((decision.time for decision in self.observer.decisions), default=0.0)
+        phases = None
+        if 0.0 < split < horizon:
+            phases = [
+                PhaseWindow("inject (global partition overlap)", 0.0, split),
+                PhaseWindow("drain (local partition overlap)", split, horizon),
+            ]
+        return attribute(self.sampler, cut, phases=phases, top=top)

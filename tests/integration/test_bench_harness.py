@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bench.harness import FigureResult, bench_workload, run_observed
+from repro.bench.harness import FigureResult, bench_workload
 from repro.bench.reporting import format_markdown_table, save_figure_result
 
 
@@ -65,7 +65,7 @@ class TestSaveFigureResult:
         result.add(a=1)
         observer = Observer()
         observer.counter("probe.matches", gpu=0).inc(5)
-        result.attach_metrics("mgjoin-8gpus", observer)
+        result.metric_snapshots["mgjoin-8gpus"] = observer.metrics.snapshot()
         path = save_figure_result(result, tmp_path)
         data = json.loads(path.read_text())
         snapshot = data["metrics"]["mgjoin-8gpus"]
@@ -76,20 +76,6 @@ class TestSaveFigureResult:
         result.add(a=1)
         data = json.loads(save_figure_result(result, tmp_path).read_text())
         assert "metrics" not in data
-
-
-class TestRunObserved:
-    def test_observer_attached_then_restored(self, dgx1):
-        from helpers import make_workload
-        from repro.core.mgjoin import MGJoin
-
-        algorithm = MGJoin(dgx1)
-        workload = make_workload(num_gpus=2, real=512, logical=1 << 14)
-        result, observer = run_observed(algorithm, workload)
-        assert algorithm.observer is None  # restored
-        assert result.matches_real > 0
-        assert observer.spans.find("join")
-        assert observer.metrics.total("probe.matches") == result.matches_real
 
 
 class TestBenchWorkload:

@@ -9,35 +9,24 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs import Observer
-from repro.obs.analyze import LinkTimelineSampler
+from repro.bench.regression import skewed_flows
+from repro.obs.analyze import ObservedRun
 from repro.routing import AdaptiveArmPolicy, DirectPolicy
-from repro.sim import FlowMatrix, ShuffleSimulator
+from repro.sim import ShuffleSimulator
 
 MB = 1024 * 1024
 
 
-def skewed_flows(gpu_ids, hot_gpu):
-    flows = FlowMatrix()
-    for src in gpu_ids:
-        for dst in gpu_ids:
-            if src != dst:
-                flows.add(src, dst, 24 * MB if dst == hot_gpu else 4 * MB)
-    return flows
-
-
-class SampledRun:
+class SampledRun(ObservedRun):
     """One observed + sampled shuffle and everything it recorded."""
 
     def __init__(self, machine, policy):
+        super().__init__()
         self.machine = machine
-        self.observer = Observer()
-        self.sampler = LinkTimelineSampler()
         gpu_ids = tuple(machine.gpu_ids)[:8]
-        simulator = ShuffleSimulator(
-            machine, gpu_ids, observer=self.observer, sampler=self.sampler
+        self.report = ShuffleSimulator(machine, gpu_ids, **self.wiring).run(
+            skewed_flows(gpu_ids, gpu_ids[0], 24 * MB, 4 * MB), policy
         )
-        self.report = simulator.run(skewed_flows(gpu_ids, gpu_ids[0]), policy)
 
 
 @pytest.fixture(scope="session")

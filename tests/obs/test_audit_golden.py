@@ -17,24 +17,19 @@ import json
 import pytest
 
 from repro.bench.regression import skewed_flows
-from repro.obs import Observer
-from repro.obs.analyze import LinkTimelineSampler, audit_decisions
-from repro.obs.conformance import ConformanceProbe
+from repro.obs.analyze import ObservedRun
 from repro.routing import AdaptiveArmPolicy, CentralizedPolicy, DirectPolicy
 from repro.sim import ShuffleSimulator
 from repro.topology import dgx1_topology, multi_node_dgx1
 
 
 def audited_shuffle(machine, num_gpus, policy, *, conformance=False):
-    observer = Observer()
-    if conformance:
-        observer.conformance = ConformanceProbe()
-    sampler = LinkTimelineSampler()
+    run = ObservedRun(conformance=conformance)
     gpu_ids = tuple(machine.gpu_ids[:num_gpus])
-    ShuffleSimulator(machine, gpu_ids, observer=observer, sampler=sampler).run(
+    ShuffleSimulator(machine, gpu_ids, **run.wiring).run(
         skewed_flows(gpu_ids), policy
     )
-    return audit_decisions(machine, observer, sampler)
+    return run.audit(machine)
 
 
 RUNS = {

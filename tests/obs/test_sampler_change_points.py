@@ -18,9 +18,7 @@ import pytest
 
 from repro.bench.regression import skewed_flows
 from repro.faults.plan import FaultKind, build_preset
-from repro.obs import Observer
-from repro.obs.analyze import LinkTimelineSampler
-from repro.obs.conformance import ConformanceProbe
+from repro.obs.analyze import LinkTimelineSampler, ObservedRun
 from repro.routing import AdaptiveArmPolicy
 from repro.sim import ShuffleConfig, ShuffleSimulator
 
@@ -45,15 +43,14 @@ class AppendEveryTick(LinkTimelineSampler):
 
 def observed_shuffle(machine, sampler_type, faults=None):
     """The ``skewed-shuffle`` view run, optionally under ``faults``."""
-    observer = Observer()
-    observer.conformance = ConformanceProbe()
-    sampler = sampler_type()
+    run = ObservedRun(conformance=True)
+    run.sampler = sampler_type()
     gpu_ids = tuple(machine.gpu_ids)[:8]
     flows = skewed_flows(gpu_ids, hot_bytes=24 * MB, base_bytes=4 * MB)
-    report = ShuffleSimulator(
-        machine, gpu_ids, observer=observer, sampler=sampler, faults=faults
-    ).run(flows, AdaptiveArmPolicy())
-    return report, observer, sampler
+    report = ShuffleSimulator(machine, gpu_ids, **run.wiring, faults=faults).run(
+        flows, AdaptiveArmPolicy()
+    )
+    return report, run.observer, run.sampler
 
 
 def brownout(machine):

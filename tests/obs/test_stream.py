@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.obs import Observer
-from repro.obs.analyze import LinkTimelineSampler
+from repro.obs.analyze import ObservedRun
 from repro.obs.stream import (
     EVENT_TYPES,
     STREAM_SCHEMA_VERSION,
@@ -129,12 +129,10 @@ class TestValidateEvent:
         )
 
 
-def _run_shuffle(machine, observer=None, sampler=None):
+def _run_shuffle(machine, **wiring):
     gpu_ids = tuple(machine.gpu_ids)
     flows = FlowMatrix.all_to_all(gpu_ids, 8 * MB)
-    simulator = ShuffleSimulator(
-        machine, gpu_ids, observer=observer, sampler=sampler
-    )
+    simulator = ShuffleSimulator(machine, gpu_ids, **wiring)
     return simulator.run(flows, AdaptiveArmPolicy())
 
 
@@ -172,12 +170,11 @@ class TestSimulatorIntegration:
     def test_two_periodic_probes_coexist(self, dgx1):
         """Stream pump + timeline sampler must not keep each other alive."""
         baseline = _run_shuffle(dgx1)
-        observer = Observer()
-        observer.stream = TelemetryStream(io.StringIO())
-        sampler = LinkTimelineSampler()
-        report = _run_shuffle(dgx1, observer=observer, sampler=sampler)
+        run = ObservedRun()
+        run.observer.stream = TelemetryStream(io.StringIO())
+        report = _run_shuffle(dgx1, **run.wiring)
         assert report.elapsed == baseline.elapsed
-        assert sampler.horizon == pytest.approx(report.elapsed)
+        assert run.sampler.horizon == pytest.approx(report.elapsed)
 
 
 def test_event_types_registry_is_consistent():

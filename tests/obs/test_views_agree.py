@@ -18,13 +18,13 @@ import json
 import pytest
 
 from helpers import make_workload
+from repro.bench.regression import skewed_flows
 from repro.core.mgjoin import MGJoin
 from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.faults.chaos import run_chaos
 from repro.obs import SIM, Observer
-from repro.obs.analyze import LinkTimelineSampler, audit_decisions
+from repro.obs.analyze import LinkTimelineSampler, ObservedRun, audit_decisions
 from repro.obs.analyze.report import ascii_heatmap, heatmap_csv
-from repro.obs.conformance import ConformanceProbe
 from repro.obs.stream import TelemetryStream
 from repro.routing import (
     AdaptiveArmPolicy,
@@ -39,18 +39,21 @@ from repro.sim.recorder import Recorder
 MB = 1024 * 1024
 
 
-class ObservedRun:
-    """One run's observer, optional sampler and collected stream events."""
+class ViewedRun:
+    """One run's observer, optional sampler and collected stream events.
 
-    def __init__(self, *, sampler=False, stream=False, conformance=False):
-        self.observer = Observer()
-        self.sampler = LinkTimelineSampler() if sampler else None
+    ``observed`` is the :class:`ObservedRun` of a sampled, probed run;
+    without one the run has an observer only.
+    """
+
+    def __init__(self, observed: ObservedRun | None = None, *, stream=False):
+        self.observed = observed
+        self.observer = Observer() if observed is None else observed.observer
+        self.sampler = None if observed is None else observed.sampler
         self.events: list[dict] = []
         if stream:
             self.observer.stream = TelemetryStream(None)
             self.observer.stream.subscribe(self.events.append)
-        if conformance:
-            self.observer.conformance = ConformanceProbe()
         self.result = None
 
     def lanes(self) -> list:
@@ -122,47 +125,41 @@ def join_workload(**kwargs):
     return make_workload(num_gpus=8, real=4096, logical=1 << 25, **kwargs)
 
 
-def sampled_join(machine) -> ObservedRun:
+def sampled_join(machine) -> ViewedRun:
     """Observed, sampled, streamed, conformance-probed join."""
-    run = ObservedRun(sampler=True, stream=True, conformance=True)
-    run.result = MGJoin(
-        machine, observer=run.observer, sampler=run.sampler
-    ).run(join_workload())
+    run = ViewedRun(ObservedRun(conformance=True), stream=True)
+    run.result = MGJoin(machine, **run.observed.wiring).run(join_workload())
     return run
 
 
-def plain_join(machine) -> ObservedRun:
-    run = ObservedRun()
+def plain_join(machine) -> ViewedRun:
+    run = ViewedRun()
     run.result = MGJoin(machine, observer=run.observer).run(
         join_workload(key_zipf=1.0, seed=7)
     )
     return run
 
 
-def blackout_chaos(machine) -> ObservedRun:
-    run = ObservedRun(stream=True)
+def blackout_chaos(machine) -> ViewedRun:
+    run = ViewedRun(stream=True)
     run.result = run_chaos(
         machine, join_workload(), "link-blackout", observer=run.observer
     )
     return run
 
 
-def skewed_shuffle(machine) -> ObservedRun:
-    run = ObservedRun(sampler=True, conformance=True)
+def skewed_shuffle(machine) -> ViewedRun:
+    run = ViewedRun(ObservedRun(conformance=True))
     gpu_ids = tuple(machine.gpu_ids)[:8]
-    flows = FlowMatrix()
-    for src in gpu_ids:
-        for dst in gpu_ids:
-            if src != dst:
-                flows.add(src, dst, 24 * MB if dst == gpu_ids[0] else 4 * MB)
-    run.result = ShuffleSimulator(
-        machine, gpu_ids, observer=run.observer, sampler=run.sampler
-    ).run(flows, AdaptiveArmPolicy())
+    run.result = ShuffleSimulator(machine, gpu_ids, **run.observed.wiring).run(
+        skewed_flows(gpu_ids, hot_bytes=24 * MB, base_bytes=4 * MB),
+        AdaptiveArmPolicy(),
+    )
     return run
 
 
-def served_queries(machine) -> ObservedRun:
-    run = ObservedRun(stream=True)
+def served_queries(machine) -> ViewedRun:
+    run = ViewedRun(stream=True)
     run.result = QueryScheduler(
         machine,
         synthetic_requests(4, gpus=4, tuples=1024),
@@ -174,25 +171,25 @@ def served_queries(machine) -> ObservedRun:
     return run
 
 
-def crash_chaos(machine) -> ObservedRun:
-    run = ObservedRun(stream=True)
+def crash_chaos(machine) -> ViewedRun:
+    run = ViewedRun(stream=True)
     run.result = run_chaos(
         machine, join_workload(), "gpu-crash", observer=run.observer
     )
     return run
 
 
-def corrupt_chaos(machine) -> ObservedRun:
-    run = ObservedRun(stream=True)
+def corrupt_chaos(machine) -> ViewedRun:
+    run = ViewedRun(stream=True)
     run.result = run_chaos(
         machine, join_workload(), "payload-corrupt", observer=run.observer
     )
     return run
 
 
-def served_crash(machine) -> ObservedRun:
+def served_crash(machine) -> ViewedRun:
     """Twelve queries in flight while one GPU crashes."""
-    run = ObservedRun(stream=True)
+    run = ViewedRun(stream=True)
     run.result = run_chaos(
         machine,
         synthetic_requests(12, gpus=4, tuples=4096),
@@ -376,9 +373,9 @@ GOLDEN: dict[str, dict[str, str]] = {
 @pytest.fixture(scope="module")
 def observed(dgx1):
     """Each run of :data:`RUNS`, simulated once on first use."""
-    cache: dict[str, ObservedRun] = {}
+    cache: dict[str, ViewedRun] = {}
 
-    def get(name: str) -> ObservedRun:
+    def get(name: str) -> ViewedRun:
         if name not in cache:
             cache[name] = RUNS[name](dgx1)
         return cache[name]
@@ -458,7 +455,7 @@ def test_link_events_fire_only_on_transitions(dgx1):
             ),
         ),
     )
-    run = ObservedRun(stream=True)
+    run = ViewedRun(stream=True)
     ShuffleSimulator(
         dgx1, gpu_ids, observer=run.observer, faults=plan
     ).run(flows, AdaptiveArmPolicy())
