@@ -57,7 +57,8 @@ class ConformanceProbe(Recorder):
         self.policy = policy
         #: id(packet) -> (packet, (t_r, d_r, bottleneck_link_id)); the
         #: entry holds the packet so that a packet a fault discards is
-        #: never freed and its id never reused by a later packet.
+        #: not freed, and its id not reused by a later packet, before
+        #: :meth:`record_drained` drops it.
         self._pending: dict[int, tuple[object, tuple[float, float, int]]] = {}
         self._residuals: list[float] = []
         self._predicted: list[float] = []
@@ -109,6 +110,11 @@ class ConformanceProbe(Recorder):
         prediction = self.predict(node.context, node.gpu_id, route, node.packet_size)
         for packet in batch:
             self.register(packet, prediction)
+
+    def record_drained(self, fabric) -> None:
+        """Drop every still-pending entry: the engine has run dry, so a
+        packet a crash discarded can no longer be delivered."""
+        self._pending.clear()
 
     def record_delivery(self, packet, now: float) -> None:
         """Close the loop for a delivered packet (no-op if unregistered)."""

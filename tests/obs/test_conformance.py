@@ -156,3 +156,29 @@ class TestSimulatorIntegration:
         text = "\n".join(observer.conformance.render())
         assert "cost-model conformance" in text
         assert "drift by predicted bottleneck link" in text
+
+
+def test_drain_drops_entries_a_crash_left_pending(monkeypatch, capsys):
+    """Packets a crash discarded are never delivered; once the engine
+    has drained, their entries (and the packets they hold) are dropped
+    while every delivered transfer is still scored."""
+    import repro.cli as cli
+    from repro.obs.analyze import ObservedRun
+
+    runs = []
+
+    class Recorded(ObservedRun):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            runs.append(self)
+
+    monkeypatch.setattr(cli, "ObservedRun", Recorded)
+    assert cli.main([
+        "analyze", "--mode", "join", "--gpus", "4", "--tuples-per-gpu", "1M",
+        "--real-tuples", "4K", "--conformance", "--chaos", "gpu-crash",
+    ]) == 0
+    capsys.readouterr()
+    (run,) = runs
+    probe = run.observer.conformance
+    assert probe.count == 14
+    assert probe._pending == {}
