@@ -992,42 +992,13 @@ def _cmd_analyze(args) -> int:
     if args.conformance:
         print()
         print("\n".join(observed.observer.conformance.render()))
-    fault_events = observed.observer.spans.find_instants(category="fault")
+    fault_events = observed.render_fault_events(2 * args.top)
     if fault_events:
         print()
-        print(f"fault / recovery events ({len(fault_events)}):")
-        for instant in fault_events[: 2 * args.top]:
-            attrs = " ".join(
-                f"{key}={value}"
-                for key, value in sorted(instant.attrs.items())
-            )
-            print(
-                f"  {instant.time * 1e3:9.3f} ms  {instant.name:<15} {attrs}"
-            )
-        shown = 2 * args.top
-        if len(fault_events) > shown:
-            print(f"  ... {len(fault_events) - shown} more")
+        print("\n".join(fault_events))
     if report.recovery is not None:
-        rec = report.recovery
-        dead = ", ".join(f"gpu{g}" for g in rec.crashed_gpus)
         print()
-        print("join-level recovery:")
-        print(f"  dead GPUs          : {dead}")
-        print(
-            f"  detection latency  : {rec.max_detection_latency * 1e3:.3f} ms"
-            f" (max over {len(rec.crashed_gpus)} crash(es))"
-        )
-        print(f"  re-shuffled        : {rec.reshuffled_bytes / 1e6:.2f} MB")
-        print(f"  host re-sent       : {rec.host_resent_bytes / 1e6:.2f} MB")
-        print(
-            f"  checkpoint restored: "
-            f"{rec.checkpoint_restored_bytes / 1e6:.2f} MB"
-        )
-        print(
-            f"  recovery elapsed   : {rec.recovery_elapsed * 1e3:.3f} ms"
-            f" ({rec.recovery_share(report.elapsed) * 100:.1f}% of the"
-            f" shuffle)"
-        )
+        print("\n".join(report.recovery.render(report.elapsed)))
     if args.out_dir:
         paths = write_analysis(
             args.out_dir,

@@ -45,3 +45,19 @@ class ObservedRun:
                 PhaseWindow("drain (local partition overlap)", split, horizon),
             ]
         return attribute(self.sampler, cut, phases=phases, top=top)
+
+    def render_fault_events(self, shown: int) -> list[str]:
+        """The ``fault / recovery events`` section of ``repro analyze``:
+        the first ``shown`` fault instants; empty without any."""
+        events = self.observer.spans.find_instants(category="fault")
+        if not events:
+            return []
+        lines = [f"fault / recovery events ({len(events)}):"]
+        for instant in events[:shown]:
+            attrs = " ".join(
+                f"{key}={value}" for key, value in sorted(instant.attrs.items())
+            )
+            lines.append(f"  {instant.time * 1e3:9.3f} ms  {instant.name:<15} {attrs}")
+        if len(events) > shown:
+            lines.append(f"  ... {len(events) - shown} more")
+        return lines

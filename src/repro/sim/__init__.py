@@ -1,7 +1,7 @@
 """Discrete-event simulation of the multi-GPU machine.
 
 This package is the time-domain substrate of the reproduction: a small
-process-based discrete-event kernel (:mod:`repro.sim.engine`), link
+callback-based discrete-event kernel (:mod:`repro.sim.engine`), link
 channels with FIFO queueing (:mod:`repro.sim.linksim`), GPU sender /
 receiver / relay machinery with DMA-engine limits and credit-managed
 routing buffers (:mod:`repro.sim.gpusim`), the shared fabric every flow
@@ -11,9 +11,9 @@ simulator that run a flow matrix under a routing policy
 (:mod:`repro.sim.compute`).
 """
 
-from repro.sim.engine import Engine, Process, SimEvent, SimulationError
+from repro.sim.engine import Engine, SimulationError
 from repro.sim.integrity import IntegrityStats, PacketTamperer, TransportIntegrity
-from repro.sim.resources import RoutingBuffer, Store
+from repro.sim.resources import RoutingBuffer
 from repro.sim.linksim import (
     ARBITRATION_MODES,
     LinkArbiter,
@@ -40,7 +40,6 @@ __all__ = [
     "LinkStateBoard",
     "LinkStats",
     "PacketTamperer",
-    "Process",
     "RecoveryConfig",
     "RecoveryStats",
     "RetryPolicy",
@@ -49,9 +48,7 @@ __all__ = [
     "ShuffleGroup",
     "ShuffleReport",
     "ShuffleSimulator",
-    "SimEvent",
     "SimulationError",
-    "Store",
     "TransportIntegrity",
     "V100",
     "bisection_cut",

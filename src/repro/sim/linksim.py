@@ -35,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from repro.sim.engine import Engine, SimEvent
+from repro.sim.engine import Engine
 from repro.sim.recorder import Recorder
 from repro.topology.links import LinkSpec
 
@@ -161,18 +161,17 @@ class LinkChannel:
         self,
         nbytes: int,
         tag: "object | None" = None,
-        then: "Callable[[bool], None] | None" = None,
-    ) -> SimEvent | None:
+        *,
+        then: "Callable[[bool], None]",
+    ) -> None:
         """Enqueue a transfer and report its outcome at completion.
 
         The outcome is ``True`` when the bytes crossed the wire and
         ``False`` when the link was down at submission or failed before
         the transfer completed (the packet is lost).  It is passed to
         ``then(outcome)``, called straight from the completion callback;
-        without ``then`` a fresh event is returned and ``then`` is its
-        :meth:`~repro.sim.engine.SimEvent.succeed`.  A caller that
-        passes ``then`` and wants to resume where a waiting process
-        would must re-enter through ``engine._defer`` itself.
+        a caller that wants to resume in the deferred slot re-enters
+        through ``engine._defer`` itself.
 
         ``tag`` identifies the submitting query to the per-link
         :class:`LinkArbiter` when one is installed; untagged transfers
@@ -181,10 +180,6 @@ class LinkChannel:
         """
         if nbytes <= 0:
             raise ValueError(f"transfer size must be positive, got {nbytes}")
-        event = None
-        if then is None:
-            event = SimEvent(self.engine)
-            then = event.succeed
         if self.arbiter is not None and tag is not None:
             self.arbiter.submit(nbytes, tag, then)
         elif not self.up:
@@ -193,7 +188,6 @@ class LinkChannel:
             self.engine.schedule(self.spec.latency, then, False)
         else:
             self._book(nbytes, self.service_time(nbytes), then)
-        return event
 
     def _book(
         self, nbytes: int, service: float, then: "Callable[[bool], None]"

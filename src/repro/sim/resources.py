@@ -1,4 +1,4 @@
-"""Simulation resources: FIFO stores and credit-managed routing buffers.
+"""Credit-managed routing buffers.
 
 The :class:`RoutingBuffer` implements the paper's §4.1 buffer design:
 each GPU keeps one circular packet buffer *per neighbouring GPU*, shared
@@ -11,39 +11,10 @@ round-trip latency) when its local view reaches zero slots.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Generator
+from functools import partial
+from typing import Callable
 
-from repro.sim.engine import Engine, SimEvent, SimulationError
-
-
-class Store:
-    """An unbounded FIFO channel between processes.
-
-    ``put`` never blocks; ``get`` returns an event that triggers when an
-    item is available (immediately if the store is non-empty).
-    """
-
-    def __init__(self, engine: Engine) -> None:
-        self._engine = engine
-        self._items: deque[Any] = deque()
-        self._getters: deque[SimEvent] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> SimEvent:
-        event = self._engine.event()
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
+from repro.sim.engine import Engine, SimulationError
 
 
 class RoutingBuffer:
@@ -57,10 +28,9 @@ class RoutingBuffer:
     releases a slot.
 
     A sender claims a slot with :meth:`try_acquire`; only when that
-    fails (credits out) does it drive the :meth:`acquire` generator,
-    with :meth:`Engine.drive` from a callback sender or ``yield from``
-    inside a process.  The receiver calls :meth:`release` as packets
-    are consumed or forwarded.
+    fails (credits out) does it call :meth:`acquire`, which reports the
+    outcome to a continuation.  The receiver calls :meth:`release` as
+    packets are consumed or forwarded.
     """
 
     def __init__(self, engine: Engine, slots: int, sync_latency: float) -> None:
@@ -73,7 +43,7 @@ class RoutingBuffer:
         self._sync_latency = sync_latency
         self._occupied = 0
         self._credits = slots
-        self._waiters: deque[SimEvent] = deque()
+        self._waiters: deque[_Waiter] = deque()
         #: Number of sender/receiver credit synchronizations performed.
         self.sync_count = 0
         #: Set when the owning GPU is declared dead: acquisition fails
@@ -97,15 +67,15 @@ class RoutingBuffer:
         """Declare the owning GPU dead; fail waiters and future acquires."""
         self.dead = True
         while self._waiters:
-            self._waiters.popleft().succeed()
+            self._waiters.popleft().wake()
 
     def try_acquire(self) -> bool:
         """Claim one slot if local credits allow it, without blocking.
 
         This is the sender's fast path: while its (possibly stale)
-        credit view is positive, :meth:`acquire` would yield nothing
-        anyway, so the whole generator round-trip can be skipped.  The
-        credit/occupancy bookkeeping is identical to :meth:`acquire`.
+        credit view is positive, :meth:`acquire` would claim the slot
+        at once anyway.  The credit/occupancy bookkeeping is identical
+        to :meth:`acquire`.
         """
         if self.dead or self._credits <= 0:
             return False
@@ -113,50 +83,71 @@ class RoutingBuffer:
         self._occupied += 1
         return True
 
-    def acquire(self, timeout: float | None = None) -> Generator[SimEvent, Any, bool]:
+    def acquire(
+        self, timeout: float | None, then: Callable[[bool], None]
+    ) -> None:
         """Claim one slot, synchronizing / blocking as needed.
 
-        Returns ``True`` once a slot is claimed.  With a ``timeout``
-        (seconds), gives up after waiting that long for a free slot and
-        returns ``False`` instead — letting a sender re-route around a
-        receiver that will never drain (e.g. a crashed GPU) rather than
-        deadlocking on its credits.
+        Calls ``then(True)`` once a slot is claimed: at once while
+        credits last, else after a credit sync and, if the buffer is
+        full, a release.  With a ``timeout`` (seconds), gives up after
+        waiting that long for a free slot and calls ``then(False)``
+        instead — letting a sender re-route around a receiver that will
+        never drain (e.g. a crashed GPU) rather than deadlocking on its
+        credits.  A dead buffer refuses with ``then(False)`` at once.
         """
         if self.dead:
-            return False
+            then(False)
+            return
         deadline = None if timeout is None else self._engine.now + timeout
-        while self._credits <= 0:
-            yield self._engine.sleep(self._sync_latency)
-            self.sync_count += 1
-            if self.dead:
-                return False
+        self._claim(deadline, then)
+
+    def _claim(self, deadline: float | None, then: Callable[[bool], None]) -> None:
+        if self._credits > 0:
+            self._credits -= 1
+            self._occupied += 1
+            then(True)
+            return
+        engine = self._engine
+        engine.schedule(
+            self._sync_latency, engine._defer,
+            partial(self._synced, deadline, then), None,
+        )
+
+    def _synced(
+        self, deadline: float | None, then: Callable[[bool], None], _: None
+    ) -> None:
+        self.sync_count += 1
+        if self.dead:
+            then(False)
+            return
+        self._credits = self.free
+        if self._credits > 0:
+            self._claim(deadline, then)
+            return
+        engine = self._engine
+        waiter = _Waiter(self, deadline, then)
+        if deadline is not None:
+            remaining = deadline - engine.now
+            if remaining <= 0:
+                then(False)
+                return
+            engine.schedule(remaining, engine._defer, waiter.settle, None)
+        self._waiters.append(waiter)
+
+    def _resumed(self, waiter: "_Waiter") -> None:
+        if not waiter.woken:
+            # Timed out before any release reached us.
+            self._waiters.remove(waiter)
+            waiter.then(False)
+        elif self.dead:
+            # Woken by mark_dead(), not a real slot release.
+            waiter.then(False)
+        else:
+            # A release happened; refresh the credit view and retry
+            # (another DMA engine may have raced us to the slot).
             self._credits = self.free
-            if self._credits <= 0:
-                waiter = self._engine.event()
-                self._waiters.append(waiter)
-                if deadline is None:
-                    yield waiter
-                else:
-                    remaining = deadline - self._engine.now
-                    if remaining <= 0:
-                        self._waiters.remove(waiter)
-                        return False
-                    yield self._engine.any_of(
-                        [waiter, self._engine.timeout(remaining)]
-                    )
-                    if not waiter.triggered:
-                        # Timed out before any release reached us.
-                        self._waiters.remove(waiter)
-                        return False
-                if self.dead:
-                    # Woken by mark_dead(), not a real slot release.
-                    return False
-                # A release happened; refresh the credit view and retry
-                # (another DMA engine may have raced us to the slot).
-                self._credits = self.free
-        self._credits -= 1
-        self._occupied += 1
-        return True
+            self._claim(waiter.deadline, waiter.then)
 
     def release(self) -> None:
         """Free one slot (packet consumed or forwarded onward)."""
@@ -164,4 +155,45 @@ class RoutingBuffer:
             raise SimulationError("released a slot that was never acquired")
         self._occupied -= 1
         if self._waiters:
-            self._waiters.popleft().succeed()
+            self._waiters.popleft().wake()
+
+
+class _Waiter:
+    """One :meth:`RoutingBuffer.acquire` blocked on a full buffer.
+
+    A release (or ``mark_dead``) pops the waiter, sets ``woken`` at once
+    and re-enters through ``engine._defer``.  Without a deadline that
+    hop resumes the acquire.  With one, the release and the deadline
+    timer race: each takes a deferred hop to :meth:`settle`, the first
+    to arrive settles the wait, and the resume is one more deferred hop.
+    The resumed acquire then reads ``woken``, not which side settled,
+    so a release that lands in the deadline's instant after the timer
+    settled the wait still claims the slot.
+    """
+
+    __slots__ = ("buffer", "deadline", "then", "woken", "settled")
+
+    def __init__(
+        self,
+        buffer: RoutingBuffer,
+        deadline: float | None,
+        then: Callable[[bool], None],
+    ) -> None:
+        self.buffer = buffer
+        self.deadline = deadline
+        self.then = then
+        self.woken = False
+        self.settled = False
+
+    def wake(self) -> None:
+        self.woken = True
+        step = self.resume if self.deadline is None else self.settle
+        self.buffer._engine._defer(step, None)
+
+    def settle(self, _: None) -> None:
+        if not self.settled:
+            self.settled = True
+            self.buffer._engine._defer(self.resume, None)
+
+    def resume(self, _: None) -> None:
+        self.buffer._resumed(self)

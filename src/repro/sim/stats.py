@@ -154,6 +154,22 @@ class RecoveryStats:
             return 0.0
         return min(1.0, self.recovery_elapsed / elapsed)
 
+    def render(self, elapsed: float) -> list[str]:
+        """The ``join-level recovery`` section of ``repro analyze``;
+        ``elapsed`` is the shuffle's simulated time."""
+        dead = ", ".join(f"gpu{g}" for g in self.crashed_gpus)
+        return [
+            "join-level recovery:",
+            f"  dead GPUs          : {dead}",
+            f"  detection latency  : {self.max_detection_latency * 1e3:.3f} ms"
+            f" (max over {len(self.crashed_gpus)} crash(es))",
+            f"  re-shuffled        : {self.reshuffled_bytes / 1e6:.2f} MB",
+            f"  host re-sent       : {self.host_resent_bytes / 1e6:.2f} MB",
+            f"  checkpoint restored: {self.checkpoint_restored_bytes / 1e6:.2f} MB",
+            f"  recovery elapsed   : {self.recovery_elapsed * 1e3:.3f} ms"
+            f" ({self.recovery_share(elapsed) * 100:.1f}% of the shuffle)",
+        ]
+
 
 @dataclass
 class ShuffleReport:

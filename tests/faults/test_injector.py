@@ -41,18 +41,20 @@ class TestLinkFaultPrimitives:
         engine = Engine()
         link = make_link(engine)
         link.take_down()
-        event = link.transmit(MB)
+        outcome = []
+        link.transmit(MB, then=outcome.append)
         engine.run()
-        assert event.value is False
+        assert outcome == [False]
         assert link.transfers_lost == 1
 
     def test_take_down_loses_in_flight_transfer(self):
         engine = Engine()
         link = make_link(engine)
-        event = link.transmit(25_000_000)  # ~1 ms of service
+        outcome = []
+        link.transmit(25_000_000, then=outcome.append)  # ~1 ms of service
         engine.schedule(0.5e-3, link.take_down)
         engine.run()
-        assert event.value is False
+        assert outcome == [False]
         assert link.transfers_lost == 1
 
     def test_bring_up_restores_service(self):
@@ -60,9 +62,10 @@ class TestLinkFaultPrimitives:
         link = make_link(engine)
         link.take_down()
         link.bring_up()
-        event = link.transmit(MB)
+        outcome = []
+        link.transmit(MB, then=outcome.append)
         engine.run()
-        assert event.value is True
+        assert outcome == [True]
         assert link.transfers_lost == 0
 
     def test_transfer_spanning_a_blackout_is_lost(self):
@@ -70,11 +73,12 @@ class TestLinkFaultPrimitives:
         the outage epoch changed under it."""
         engine = Engine()
         link = make_link(engine)
-        event = link.transmit(25_000_000)
+        outcome = []
+        link.transmit(25_000_000, then=outcome.append)
         engine.schedule(0.3e-3, link.take_down)
         engine.schedule(0.4e-3, link.bring_up)
         engine.run()
-        assert event.value is False
+        assert outcome == [False]
 
     def test_degraded_bandwidth_stretches_service_time(self):
         engine = Engine()

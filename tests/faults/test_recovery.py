@@ -45,41 +45,36 @@ class TestRetryPolicy:
 
 
 class TestAcquireTimeout:
-    """RoutingBuffer.acquire(timeout=...) — the crashed-receiver escape."""
+    """RoutingBuffer.acquire(timeout, then) — the crashed-receiver escape."""
+
+    @staticmethod
+    def start(engine, buffer, timeout, outcome, name=None, delay=0.0):
+        """Start one acquire ``delay`` seconds from now; log its result."""
+
+        def claimed(ok):
+            outcome.append((engine.now, ok) if name is None else (name, engine.now, ok))
+
+        def step(_):
+            buffer.acquire(timeout, claimed)
+
+        engine.schedule(delay, engine._defer, step, None)
 
     def test_timeout_returns_false_at_deadline(self):
         engine = Engine()
         buffer = RoutingBuffer(engine, slots=1, sync_latency=0.0)
-        outcome = []
-
-        def holder():
-            ok = yield from buffer.acquire()
-            assert ok
-
-        def waiter():
-            ok = yield from buffer.acquire(timeout=0.5)
-            outcome.append((engine.now, ok))
-
-        engine.process(holder())
-        engine.process(waiter())
+        held, outcome = [], []
+        self.start(engine, buffer, None, held)
+        self.start(engine, buffer, 0.5, outcome)
         engine.run()
+        assert held == [(0.0, True)]
         assert outcome == [(0.5, False)]
 
     def test_release_before_deadline_returns_true(self):
         engine = Engine()
         buffer = RoutingBuffer(engine, slots=1, sync_latency=0.0)
-        outcome = []
-
-        def holder():
-            ok = yield from buffer.acquire()
-            assert ok
-
-        def waiter():
-            ok = yield from buffer.acquire(timeout=0.5)
-            outcome.append((engine.now, ok))
-
-        engine.process(holder())
-        engine.process(waiter())
+        held, outcome = [], []
+        self.start(engine, buffer, None, held)
+        self.start(engine, buffer, 0.5, outcome)
         engine.schedule(0.2, buffer.release)
         engine.run()
         assert outcome == [(0.2, True)]
@@ -89,24 +84,10 @@ class TestAcquireTimeout:
         the slot has to go to the next live acquirer."""
         engine = Engine()
         buffer = RoutingBuffer(engine, slots=1, sync_latency=0.0)
-        outcome = []
-
-        def holder():
-            ok = yield from buffer.acquire()
-            assert ok
-
-        def impatient():
-            ok = yield from buffer.acquire(timeout=0.1)
-            outcome.append(("impatient", engine.now, ok))
-
-        def late():
-            yield engine.timeout(2.0)
-            ok = yield from buffer.acquire(timeout=5.0)
-            outcome.append(("late", engine.now, ok))
-
-        engine.process(holder())
-        engine.process(impatient())
-        engine.process(late())
+        held, outcome = [], []
+        self.start(engine, buffer, None, held)
+        self.start(engine, buffer, 0.1, outcome, "impatient")
+        self.start(engine, buffer, 5.0, outcome, "late", delay=2.0)
         engine.schedule(1.0, buffer.release)
         engine.run()
         assert outcome == [
@@ -118,11 +99,6 @@ class TestAcquireTimeout:
         engine = Engine()
         buffer = RoutingBuffer(engine, slots=2, sync_latency=0.0)
         outcome = []
-
-        def grabber():
-            ok = yield from buffer.acquire(timeout=1e-9)
-            outcome.append((engine.now, ok))
-
-        engine.process(grabber())
+        self.start(engine, buffer, 1e-9, outcome)
         engine.run()
         assert outcome == [(0.0, True)]

@@ -139,12 +139,15 @@ def test_engine_time_never_goes_backwards(delays):
     engine = Engine()
     observed = []
 
-    def waiter():
-        for delay in delays:
-            yield engine.timeout(delay)
-            observed.append(engine.now)
+    def wait(index):
+        if index < len(delays):
+            engine.schedule(delays[index], woke, index)
 
-    engine.process(waiter())
+    def woke(index):
+        observed.append(engine.now)
+        wait(index + 1)
+
+    wait(0)
     engine.run()
     assert observed == sorted(observed)
     assert engine.now == sum(delays) or abs(engine.now - sum(delays)) < 1e-9

@@ -217,16 +217,16 @@ RUNS = {
 GOLDEN: dict[str, dict[str, str]] = {
     "sampled-join": {
         "metrics": (
-            "eea3662f02823b6ba70432fa6a83b1e5"
-            "1ad1c67c140f83f954be383c0598bbb4"
+            "bc3e17afa754ea1cd32f510e300903d4"
+            "69c2010c4a0dac73dbee27bef3e1ea7c"
         ),
         "lanes": (
             "405ad3f609180c426586a51683475690"
             "4a0330948aac5d5c46e1bf8853bd082a"
         ),
         "stream": (
-            "db1c5719cfea12361f819a4c63862ea1"
-            "9d5ff992743983e0c931fa53768f8efd"
+            "26628a50cc4219e5cca1f625297237a3"
+            "b8a5f656604103f46e6763f18351122a"
         ),
         "events": (
             "63e803fc160899f9443a47182c84cd7c"
@@ -239,8 +239,8 @@ GOLDEN: dict[str, dict[str, str]] = {
     },
     "plain-join": {
         "metrics": (
-            "0727e261afeacc151da6e271aa23a594"
-            "c28593cbeecad491fa7475b240ff0ed2"
+            "7ea03ea309fae8346311679bae1f8a9c"
+            "f627a053ad6d54bf5f8cd86af3919faa"
         ),
         "lanes": (
             "ce9ac896c829f78bd9e4a885fa2ec97a"
@@ -257,16 +257,16 @@ GOLDEN: dict[str, dict[str, str]] = {
     },
     "blackout-chaos": {
         "metrics": (
-            "e62e9162329ec3b539adc7a8a8dafa3b"
-            "ef2c089851f4d60c5bc3077e2b863e79"
+            "62ebb4b390690b9d78bae497a0e04c95"
+            "d02fc55aa68ed414ade8ba50d3e84975"
         ),
         "lanes": (
             "9bf2acee513df954eb94f1a7aca858a0"
             "66567f28bf0b9b7207833d05a1195397"
         ),
         "stream": (
-            "2d358f22d7ea602c030aa5f918dfe1d8"
-            "9eec5e02211e599442576f65b6cf82aa"
+            "9e7a840edcb30f62dde2f704a2ce1cff"
+            "5e1fb65b86a02535577094ad54738080"
         ),
         "events": (
             "aaa82307f58dfa163957fff791720063"
@@ -275,8 +275,8 @@ GOLDEN: dict[str, dict[str, str]] = {
     },
     "skewed-shuffle": {
         "metrics": (
-            "82f6b8dc9085d3381e3ad91b7f94419d"
-            "f891e37e8ea3009c1418617d41cd9b5a"
+            "08c06c25fd901bad970a587909de183d"
+            "cc70ff9278f85b130b94cea243c1bcf8"
         ),
         "lanes": (
             "4f53cda18c2baa0c0354bb5f9a3ecbe5"
@@ -315,16 +315,16 @@ GOLDEN: dict[str, dict[str, str]] = {
     },
     "crash-chaos": {
         "metrics": (
-            "c4be3c79fb463e75552fd687749243ed"
-            "d28d25f8c077f20f1d92e67ff3c51e4a"
+            "2a2fafab810925ea0a12cf6f7d900046"
+            "ea2be064e4fb7bc61f02d2d9cac77c54"
         ),
         "lanes": (
             "874fa00745415e0c82b59469668d7586"
             "85e3548bb86c70621292a3c71374d124"
         ),
         "stream": (
-            "94e15344c39f6778123a0bccca368f52"
-            "52de44f8aeef7a06044788c64d39bd43"
+            "05cb63913ee3dd1983e20497ec7ec00c"
+            "2b1508ab8e3a66254e91ce1d60ac0ea4"
         ),
         "events": (
             "f9d8c4ddaca88ab7646f6724c4fa4d0a"
@@ -333,16 +333,16 @@ GOLDEN: dict[str, dict[str, str]] = {
     },
     "corrupt-chaos": {
         "metrics": (
-            "f04434906354738abf71518fd34f8749"
-            "70a756dd7c205f28affcd77725e0dbfa"
+            "776b7574c080f951381ad83fd563b924"
+            "ed27ee5e69dda5d327f0ecc63f9b142d"
         ),
         "lanes": (
             "8a687d5eb1215b14f43418c3b39f6d63"
             "e96fe51548e48cc90d52f737aeaecd4d"
         ),
         "stream": (
-            "aceb675f25398fb5d56f202cd85f2a6e"
-            "5f082480d75e0f0687659e9d40220d59"
+            "375ac0103ea84d1ef1209e2fd34ee8e3"
+            "e376bbc5267f6253b81a2a62b917d5bf"
         ),
         "events": (
             "733e25b6d6c900e9376211777ab3adf8"

@@ -83,7 +83,7 @@ def scramble(context, rng):
         channel = rng.choice(channels)
         action = rng.random()
         if action < 0.4:
-            channel.transmit(rng.randint(1, 8) * 256 * 1024)
+            channel.transmit(rng.randint(1, 8) * 256 * 1024, then=lambda ok: None)
         elif action < 0.7:
             channel.commit(rng.randint(1, 8) * 256 * 1024)
         elif action < 0.85:

@@ -23,9 +23,9 @@ def submit_all(engine, link, labelled):
     """Submit (tag, nbytes) pairs; returns the completion log."""
     log = []
     for tag, nbytes in labelled:
-        event = link.transmit(nbytes, tag=tag)
-        event.add_callback(
-            lambda ev, tag=tag: log.append((tag, engine.now, ev.value))
+        link.transmit(
+            nbytes, tag=tag,
+            then=lambda ok, tag=tag: log.append((tag, engine.now, ok)),
         )
     return log
 
@@ -100,8 +100,8 @@ def test_waiting_requests_count_toward_queue_delay():
     plain = make_link(engine)
     arbitrated = make_link(engine, mode="fair")
     for link, tag in ((plain, None), (arbitrated, "q")):
-        link.transmit(MB, tag=tag)
-        link.transmit(MB, tag=tag)
+        link.transmit(MB, tag=tag, then=lambda ok: None)
+        link.transmit(MB, tag=tag, then=lambda ok: None)
     assert arbitrated.queue_delay() == pytest.approx(plain.queue_delay())
 
 
@@ -174,9 +174,8 @@ def random_arbitration(arbiter_cls, mode, seed):
     log = []
 
     def send(tag, nbytes):
-        event = link.transmit(nbytes, tag=tag)
-        event.add_callback(
-            lambda ev: log.append((tag, engine.now, ev.value))
+        link.transmit(
+            nbytes, tag=tag, then=lambda ok: log.append((tag, engine.now, ok))
         )
 
     for _ in range(300):

@@ -1,8 +1,41 @@
-"""The discrete-event kernel: events, timeouts, processes."""
+"""The discrete-event kernel: schedules, deferred steps, continuations.
+
+A component that waits is a chain of callbacks: a sleep is
+``engine.schedule(delay, engine._defer, step, None)`` and a wake-up by
+another component is ``engine._defer(step, None)``.  :class:`Sleeper`
+below is built that way, as every waiting piece of the simulator is.
+"""
 
 import pytest
 
 from repro.sim import Engine, SimulationError
+
+
+class Sleeper:
+    """Sleeps through ``delays`` in turn, calling ``woke(index)`` after
+    each, then sets ``value`` to ``result``; it starts one deferred hop
+    after it is made."""
+
+    def __init__(self, engine, delays, woke, result=None):
+        self.engine = engine
+        self.delays = list(delays)
+        self.woke = woke
+        self.result = result
+        self.index = 0
+        self.value = None
+        engine._defer(self.step, None)
+
+    def step(self, _):
+        if self.index == len(self.delays):
+            self.value = self.result
+            return
+        engine = self.engine
+        engine.schedule(self.delays[self.index], engine._defer, self.resume, None)
+
+    def resume(self, _):
+        self.woke(self.index)
+        self.index += 1
+        self.step(None)
 
 
 def test_clock_starts_at_zero():
@@ -11,7 +44,7 @@ def test_clock_starts_at_zero():
 
 def test_timeout_advances_clock():
     engine = Engine()
-    engine.timeout(2.5)
+    engine.schedule(2.5, lambda: None)
     assert engine.run() == pytest.approx(2.5)
 
 
@@ -42,96 +75,31 @@ def test_negative_delay_rejected():
 def test_process_waits_on_timeouts():
     engine = Engine()
     trace = []
-
-    def worker():
-        trace.append(("start", engine.now))
-        yield engine.timeout(1.5)
-        trace.append(("mid", engine.now))
-        yield engine.timeout(0.5)
-        trace.append(("end", engine.now))
-        return "done"
-
-    process = engine.process(worker())
+    sleeper = Sleeper(
+        engine, [1.5, 0.5], lambda i: trace.append((i, engine.now)), "done"
+    )
     engine.run()
-    assert trace == [("start", 0.0), ("mid", 1.5), ("end", 2.0)]
-    assert process.triggered and process.value == "done"
+    assert trace == [(0, 1.5), (1, 2.0)]
+    assert sleeper.value == "done"
 
 
 def test_timeout_value_passed_to_process():
     engine = Engine()
     received = []
-
-    def worker():
-        value = yield engine.timeout(1.0, "payload")
-        received.append(value)
-
-    engine.process(worker())
+    engine.schedule(1.0, engine._defer, received.append, "payload")
     engine.run()
     assert received == ["payload"]
 
 
 def test_process_waiting_on_manual_event():
+    """A parked continuation runs in the instant another component
+    wakes it, one deferred hop later."""
     engine = Engine()
-    gate = engine.event()
     log = []
-
-    def waiter():
-        value = yield gate
-        log.append((engine.now, value))
-
-    engine.process(waiter())
-    engine.schedule(4.0, gate.succeed, 42)
+    parked = [lambda value: log.append((engine.now, value))]
+    engine.schedule(4.0, lambda: engine._defer(parked.pop(), 42))
     engine.run()
     assert log == [(4.0, 42)]
-
-
-def test_event_cannot_trigger_twice():
-    engine = Engine()
-    event = engine.event()
-    event.succeed()
-    with pytest.raises(SimulationError):
-        event.succeed()
-
-
-def test_callback_on_already_triggered_event_still_fires():
-    engine = Engine()
-    event = engine.event()
-    event.succeed("x")
-    got = []
-    event.add_callback(lambda ev: got.append(ev.value))
-    engine.run()
-    assert got == ["x"]
-
-
-def test_yielding_non_event_is_an_error():
-    engine = Engine()
-
-    def broken():
-        yield 42
-
-    engine.process(broken())
-    with pytest.raises(SimulationError):
-        engine.run()
-
-
-def test_all_of_waits_for_every_event():
-    engine = Engine()
-    events = [engine.timeout(t, t) for t in (1.0, 3.0, 2.0)]
-    done = engine.all_of(events)
-    finished_at = []
-
-    def waiter():
-        values = yield done
-        finished_at.append((engine.now, values))
-
-    engine.process(waiter())
-    engine.run()
-    assert finished_at == [(3.0, [1.0, 3.0, 2.0])]
-
-
-def test_all_of_empty_triggers_immediately():
-    engine = Engine()
-    assert engine.all_of([]).triggered
 
 
 def test_run_until_stops_early():
@@ -145,77 +113,29 @@ def test_run_until_stops_early():
 def test_processes_interleave():
     engine = Engine()
     order = []
-
-    def ticker(name, period):
-        for _ in range(3):
-            yield engine.timeout(period)
-            order.append((name, engine.now))
-
-    engine.process(ticker("a", 1.0))
-    engine.process(ticker("b", 1.5))
+    Sleeper(engine, [1.0] * 3, lambda i: order.append(("a", engine.now)))
+    Sleeper(engine, [1.5] * 3, lambda i: order.append(("b", engine.now)))
     engine.run()
-    # At t=3.0 both fire; b's timeout was enqueued first (at t=1.5).
+    # At t=3.0 both fire; b's sleep was scheduled first (at t=1.5).
     assert order == [
         ("a", 1.0), ("b", 1.5), ("a", 2.0), ("b", 3.0), ("a", 3.0), ("b", 4.5)
     ]
 
 
-def test_any_of_returns_the_first_event():
-    engine = Engine()
-    slow = engine.timeout(3.0, "slow")
-    fast = engine.timeout(1.0, "fast")
-    winners = []
-
-    def waiter():
-        winner = yield engine.any_of([slow, fast])
-        winners.append((engine.now, winner))
-
-    engine.process(waiter())
-    engine.run()
-    assert winners == [(1.0, fast)]
-    assert winners[0][1].value == "fast"
-
-
-def test_any_of_ignores_later_completions():
-    engine = Engine()
-    first = engine.timeout(1.0)
-    second = engine.timeout(2.0)
-    done = engine.any_of([first, second])
-    engine.run()
-    assert done.value is first
-    assert second.triggered  # raced event still completes on its own
-
-
-def test_any_of_with_already_triggered_event():
-    engine = Engine()
-    ready = engine.event()
-    ready.succeed("now")
-    done = engine.any_of([ready, engine.timeout(5.0)])
-    engine.run(until=0.1)
-    assert done.triggered and done.value is ready
-
-
-def test_any_of_empty_is_an_error():
-    with pytest.raises(SimulationError):
-        Engine().any_of([])
-
-
 @pytest.mark.parametrize("fast", [True, False])
 def test_succeed_and_zero_delay_schedules_interleave_fifo(fast):
-    """Triggered-event callbacks are zero-delay schedules: the two kinds
-    must interleave in strict registration (sequence) order, in both the
+    """Deferred steps are zero-delay schedules: the two kinds must
+    interleave in strict registration (sequence) order, in both the
     deque fast path and the all-heap reference mode."""
     engine = Engine(fast=fast)
     seen = []
-    gate = engine.event()
-    gate.add_callback(lambda ev: seen.append("cb1"))
     engine.schedule(0.0, lambda: seen.append("s1"))
-    gate.succeed()  # defers cb1 *now*, after s1
+    engine._defer(seen.append, "d1")
     engine.schedule(0.0, lambda: seen.append("s2"))
-    gate.add_callback(lambda ev: seen.append("cb2"))  # already triggered
+    engine._defer(seen.append, "d2")
     engine.schedule(0.0, lambda: seen.append("s3"))
     engine.run()
-    assert seen == ["s1", "cb1", "s2", "cb2", "s3"]
+    assert seen == ["s1", "d1", "s2", "d2", "s3"]
 
 
 @pytest.mark.parametrize("fast", [True, False])
@@ -245,66 +165,18 @@ def test_fast_and_reference_mode_execute_identically():
         engine = Engine(fast=fast)
         trace = []
 
-        def worker(name, period, rounds):
-            for index in range(rounds):
-                yield engine.timeout(period)
-                trace.append((name, index, engine.now))
-                if index % 2 == 0:
-                    engine.schedule(
-                        0.0, lambda n=name, i=index: trace.append((n, i, "echo"))
-                    )
+        def woke(name, index):
+            trace.append((name, index, engine.now))
+            if index % 2 == 0:
+                engine.schedule(0.0, lambda: trace.append((name, index, "echo")))
 
-        gate = engine.event()
-        gate.add_callback(lambda ev: trace.append(("gate", ev.value)))
-        engine.process(worker("a", 0.5, 4))
-        engine.process(worker("b", 1.0, 3))
-        engine.schedule(1.0, gate.succeed, "open")
+        Sleeper(engine, [0.5] * 4, lambda i: woke("a", i))
+        Sleeper(engine, [1.0] * 3, lambda i: woke("b", i))
+        engine.schedule(1.0, engine._defer, trace.append, ("gate", "open"))
         engine.run()
         return trace
 
     assert trace_for(True) == trace_for(False)
-
-
-def test_sleep_recycles_timeout_events():
-    engine = Engine()
-    observed = []
-
-    def pacer():
-        for _ in range(5):
-            event = engine.sleep(0.1)
-            observed.append(id(event))
-            yield event
-
-    engine.process(pacer())
-    engine.run()
-    # A consumed sleep event is released only after the resumed process
-    # registers its next wait, so the pool lags one allocation behind:
-    # two objects alternate, everything after them is recycled.
-    assert len(set(observed)) == 2
-    assert engine.stats["timeout_pool_hits"] == 3
-
-
-def test_sleep_event_with_second_consumer_is_not_pooled():
-    """Retaining a sleep event (e.g. inside any_of) demotes it to a
-    normal one-shot: it must keep its identity and triggered state."""
-    engine = Engine()
-    kept = []
-
-    def waiter():
-        event = engine.sleep(0.1, "tick")
-        event.add_callback(lambda ev: kept.append(ev.value))  # 2nd consumer
-        value = yield event
-        kept.append(value)
-        follow_up = engine.sleep(0.1)
-        yield follow_up
-        kept.append(follow_up is event)
-
-    engine.process(waiter())
-    engine.run()
-    demoted, resumed, recycled_into = kept
-    assert {demoted, resumed} == {"tick"}
-    assert recycled_into is False  # never entered the pool
-    assert engine.stats["timeout_pool_hits"] == 0
 
 
 def test_engine_stats_count_dispatch_paths():
@@ -312,10 +184,11 @@ def test_engine_stats_count_dispatch_paths():
     engine.schedule(0.0, lambda: None)
     engine.schedule(1.0, lambda: None)
     engine.run()
-    stats = engine.stats
-    assert stats["events_scheduled"] == 2
-    assert stats["ready_dispatches"] == 1
-    assert stats["heap_dispatches"] == 1
+    assert engine.stats == {
+        "events_scheduled": 2,
+        "ready_dispatches": 1,
+        "heap_dispatches": 1,
+    }
 
 
 class TestEvery:

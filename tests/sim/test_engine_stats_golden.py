@@ -3,7 +3,7 @@
 ``test_fastpath_equivalence.py`` proves the fast and the reference
 kernel agree, but a change that moves both the same way (an extra or a
 missing deferred hop, a reordered same-instant tie) passes it.  Here
-each scenario pins all four ``engine.stats`` counters and the simulated
+each scenario pins all three ``engine.stats`` counters and the simulated
 elapsed time to constants, so any change to how many callbacks the
 per-packet path schedules, or in which order they run, fails loudly.
 
@@ -152,26 +152,25 @@ def served_fair(dgx1):
     return capture.engine.stats, tuple(o.join_time for o in report.outcomes)
 
 
-def stats(events, ready, heap, pool_hits):
+def stats(events, ready, heap):
     return {
         "events_scheduled": events,
         "ready_dispatches": ready,
         "heap_dispatches": heap,
-        "timeout_pool_hits": pool_hits,
     }
 
 
 #: scenario -> (engine.stats, simulated elapsed), recorded on the
 #: generator-based packet path these counters must never move from.
 GOLDEN = {
-    adaptive_skewed: (stats(1388, 765, 623, 0), 0.0013671982500000003),
-    multinode_nic: (stats(6170, 2997, 3173, 0), 0.008716608104999989),
-    credit_bound: (stats(1140, 614, 526, 118), 0.023197102079999997),
-    crash_credit_timeout: (stats(1138, 631, 507, 87), 0.02219046944),
-    packet_reorder: (stats(794, 370, 424, 0), 0.0026204076250000014),
-    staged_tamper: (stats(363, 159, 204, 23), 0.003618250625),
+    adaptive_skewed: (stats(1388, 765, 623), 0.0013671982500000003),
+    multinode_nic: (stats(6170, 2997, 3173), 0.008716608104999989),
+    credit_bound: (stats(1140, 614, 526), 0.023197102079999997),
+    crash_credit_timeout: (stats(1138, 631, 507), 0.02219046944),
+    packet_reorder: (stats(794, 370, 424), 0.0026204076250000014),
+    staged_tamper: (stats(363, 159, 204), 0.003618250625),
     served_fair: (
-        stats(664, 408, 256, 31),
+        stats(664, 408, 256),
         (
             2.8651273304473305e-05,
             2.9973473304473304e-05,

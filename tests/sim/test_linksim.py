@@ -7,6 +7,10 @@ from repro.topology.links import LinkSpec, LinkType
 from repro.topology.nodes import gpu
 
 
+def ignore(delivered):
+    """A transfer continuation for tests that only read link state."""
+
+
 def make_link(engine, board=None, lanes=1):
     spec = LinkSpec(0, gpu(0), gpu(1), LinkType.NVLINK, lanes=lanes)
     return LinkChannel(engine, spec, board)
@@ -23,12 +27,7 @@ def test_single_transfer_completes_after_service_time():
     engine = Engine()
     link = make_link(engine)
     done = []
-
-    def sender():
-        yield link.transmit(1_000_000)
-        done.append(engine.now)
-
-    engine.process(sender())
+    link.transmit(1_000_000, then=lambda ok: done.append(engine.now))
     engine.run()
     assert done[0] == pytest.approx(link.service_time(1_000_000))
 
@@ -37,13 +36,10 @@ def test_fifo_queueing_serializes_transfers():
     engine = Engine()
     link = make_link(engine)
     finishes = []
-
-    def sender(name):
-        yield link.transmit(1_000_000)
-        finishes.append((name, engine.now))
-
-    engine.process(sender("first"))
-    engine.process(sender("second"))
+    for name in ("first", "second"):
+        link.transmit(
+            1_000_000, then=lambda ok, n=name: finishes.append((n, engine.now))
+        )
     engine.run()
     service = link.service_time(1_000_000)
     assert finishes[0][1] == pytest.approx(service)
@@ -53,8 +49,8 @@ def test_fifo_queueing_serializes_transfers():
 def test_queue_delay_reflects_backlog():
     engine = Engine()
     link = make_link(engine)
-    link.transmit(1_000_000)
-    link.transmit(1_000_000)
+    link.transmit(1_000_000, then=ignore)
+    link.transmit(1_000_000, then=ignore)
     assert link.queue_delay() == pytest.approx(2 * link.service_time(1_000_000))
 
 
@@ -96,8 +92,8 @@ def test_queue_delay_is_the_clamped_sum_bit_for_bit(
 def test_busy_time_and_bytes_accumulate():
     engine = Engine()
     link = make_link(engine)
-    link.transmit(500_000)
-    link.transmit(500_000)
+    link.transmit(500_000, then=ignore)
+    link.transmit(500_000, then=ignore)
     engine.run()
     assert link.bytes_sent == 1_000_000
     assert link.transfers == 2
@@ -108,7 +104,7 @@ def test_zero_byte_transfer_rejected():
     engine = Engine()
     link = make_link(engine)
     with pytest.raises(ValueError):
-        link.transmit(0)
+        link.transmit(0, then=ignore)
 
 
 class TestLinkStateBoard:
@@ -116,7 +112,7 @@ class TestLinkStateBoard:
         engine = Engine()
         board = LinkStateBoard(engine, broadcast_latency=1e-3, quantum=1e-9)
         link = make_link(engine, board)
-        link.transmit(250_000_000)  # 10 ms of service
+        link.transmit(250_000_000, then=ignore)  # 10 ms of service
         # Immediately: nothing published yet.
         assert board.published_queue_delay(link.spec.link_id) == 0.0
         engine.run(until=2e-3)  # past the 1 ms broadcast latency
@@ -126,14 +122,14 @@ class TestLinkStateBoard:
         engine = Engine()
         board = LinkStateBoard(engine, broadcast_latency=0.0, quantum=1.0)
         link = make_link(engine, board)
-        link.transmit(1_000)  # microseconds of service << 1 s quantum
+        link.transmit(1_000, then=ignore)  # microseconds of service << 1 s quantum
         assert board.broadcast_count == 0
 
     def test_published_delay_decays_with_time(self):
         engine = Engine()
         board = LinkStateBoard(engine, broadcast_latency=0.0, quantum=1e-9)
         link = make_link(engine, board)
-        link.transmit(25_000_000)
+        link.transmit(25_000_000, then=ignore)
         engine.run(until=1e-4)
         early = board.published_queue_delay(link.spec.link_id)
         engine.run(until=9e-4)
@@ -145,7 +141,7 @@ class TestLinkStateBoard:
         board = LinkStateBoard(engine, broadcast_latency=0.0, quantum=1e-9)
         link = make_link(engine, board)
         for _ in range(5):
-            link.transmit(25_000_000)
+            link.transmit(25_000_000, then=ignore)
         assert board.broadcast_count == 5
 
     def test_inflight_broadcast_coalesces_to_latest_value(self):
@@ -158,9 +154,9 @@ class TestLinkStateBoard:
         engine = Engine()
         board = LinkStateBoard(engine, broadcast_latency=1e-3, quantum=1e-9)
         link = make_link(engine, board)
-        link.transmit(25_000_000)  # ~1 ms of service
+        link.transmit(25_000_000, then=ignore)  # ~1 ms of service
         engine.run(until=0.5e-3)
-        link.transmit(25_000_000)  # second broadcast while first in flight
+        link.transmit(25_000_000, then=ignore)  # second broadcast while first in flight
         engine.run(until=1.1e-3)  # only the first delivery has landed
         published = board.published_queue_delay(link.spec.link_id)
         assert published == pytest.approx(link.queue_delay())
@@ -172,9 +168,9 @@ class TestLinkStateBoard:
         engine = Engine()
         board = LinkStateBoard(engine, broadcast_latency=1e-3, quantum=1e-9)
         link = make_link(engine, board)
-        link.transmit(25_000_000)
+        link.transmit(25_000_000, then=ignore)
         engine.run(until=0.9e-3)
-        link.transmit(250_000_000)  # much larger backlog, lands at 1.9 ms
+        link.transmit(250_000_000, then=ignore)  # much larger backlog, lands at 1.9 ms
         engine.run(until=2.5e-3)
         # Whatever order deliveries ran in, the surviving published
         # value reflects the latest local truth.

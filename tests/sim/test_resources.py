@@ -1,71 +1,39 @@
-"""Stores and credit-managed routing buffers (§4.1)."""
+"""Credit-managed routing buffers (§4.1)."""
 
 import pytest
 
-from repro.sim import Engine, RoutingBuffer, Store
+from repro.sim import Engine, RoutingBuffer
 from repro.sim.engine import SimulationError
 
 
-def drive(engine, generator):
-    """Run a generator as a process and return the process."""
-    return engine.process(generator)
+class Sender:
+    """Acquires ``count`` slots one after another, logging the time and
+    outcome of each acquire in ``acquired``."""
 
+    def __init__(self, engine, buffer, count, name=None, timeout=None):
+        self.engine = engine
+        self.buffer = buffer
+        self.left = count
+        self.name = name
+        self.timeout = timeout
+        self.acquired = []
+        engine._defer(self.step, None)
 
-class TestStore:
-    def test_get_after_put(self):
-        engine = Engine()
-        store = Store(engine)
-        store.put("item")
-        got = []
+    def step(self, _=None):
+        if self.left:
+            self.left -= 1
+            self.buffer.acquire(self.timeout, self.claimed)
 
-        def getter():
-            value = yield store.get()
-            got.append(value)
-
-        drive(engine, getter())
-        engine.run()
-        assert got == ["item"]
-
-    def test_get_blocks_until_put(self):
-        engine = Engine()
-        store = Store(engine)
-        got = []
-
-        def getter():
-            value = yield store.get()
-            got.append((engine.now, value))
-
-        drive(engine, getter())
-        engine.schedule(2.0, store.put, "late")
-        engine.run()
-        assert got == [(2.0, "late")]
-
-    def test_fifo_order(self):
-        engine = Engine()
-        store = Store(engine)
-        for index in range(3):
-            store.put(index)
-        got = []
-
-        def getter():
-            for _ in range(3):
-                got.append((yield store.get()))
-
-        drive(engine, getter())
-        engine.run()
-        assert got == [0, 1, 2]
+    def claimed(self, ok):
+        self.acquired.append((self.name, self.engine.now, ok))
+        self.step()
 
 
 class TestRoutingBuffer:
     def test_acquire_within_credits_is_instant(self):
         engine = Engine()
         buffer = RoutingBuffer(engine, slots=4, sync_latency=1.0)
-
-        def sender():
-            for _ in range(4):
-                yield from buffer.acquire()
-
-        drive(engine, sender())
+        Sender(engine, buffer, 4)
         engine.run()
         assert engine.now == 0.0
         assert buffer.occupied == 4
@@ -77,13 +45,7 @@ class TestRoutingBuffer:
         # Release happens before the sender runs out, so the sync
         # refreshes credits successfully.
         engine.schedule(0.5, buffer.release)
-
-        def sender():
-            yield from buffer.acquire()
-            yield from buffer.acquire()
-            yield from buffer.acquire()  # out of credits -> sync
-
-        drive(engine, sender())
+        Sender(engine, buffer, 3)  # the third is out of credits -> sync
         engine.run()
         assert buffer.sync_count == 1
         assert engine.now == pytest.approx(1.0)
@@ -91,17 +53,10 @@ class TestRoutingBuffer:
     def test_blocks_until_receiver_releases(self):
         engine = Engine()
         buffer = RoutingBuffer(engine, slots=1, sync_latency=0.1)
-        times = []
-
-        def sender():
-            yield from buffer.acquire()
-            yield from buffer.acquire()
-            times.append(engine.now)
-
-        drive(engine, sender())
+        sender = Sender(engine, buffer, 2)
         engine.schedule(5.0, buffer.release)
         engine.run()
-        assert times and times[0] >= 5.0
+        assert sender.acquired[-1][1] >= 5.0
 
     def test_release_without_acquire_fails(self):
         engine = Engine()
@@ -112,15 +67,9 @@ class TestRoutingBuffer:
     def test_two_senders_share_slots(self):
         engine = Engine()
         buffer = RoutingBuffer(engine, slots=2, sync_latency=0.1)
-        acquired = []
-
-        def sender(name):
-            yield from buffer.acquire()
-            acquired.append(name)
-
-        drive(engine, sender("a"))
-        drive(engine, sender("b"))
+        senders = [Sender(engine, buffer, 1, name) for name in ("a", "b")]
         engine.run()
+        acquired = [name for s in senders for name, _, ok in s.acquired if ok]
         assert sorted(acquired) == ["a", "b"]
         assert buffer.free == 0
 
