@@ -493,21 +493,8 @@ class MGJoin:
         recovery_report = None
         if dead:
             recovery_report = bridge.build_report(sim_recovery, distribution_time)
-        if self.observer is not None:
-            self._emit_simulated_timeline(
-                self.observer,
-                breakdown,
-                joined.global_pass_time,
-                distribution_time,
-                gpu_ids=gpu_ids,
-                crashed_at=(
-                    dict(sim_recovery.crashed_at)
-                    if dead and sim_recovery is not None
-                    else None
-                ),
-            )
         compute = self.config.compute
-        return JoinResult(
+        result = JoinResult(
             algorithm=self.algorithm,
             num_gpus=len(gpu_ids),
             logical_tuples=joined.logical_tuples,
@@ -525,127 +512,9 @@ class MGJoin:
             match_digest=joined.match_digest,
             recovery=recovery_report,
         )
-
-    def _emit_simulated_timeline(
-        self,
-        observer: Observer,
-        breakdown: PhaseBreakdown,
-        global_pass_time: float,
-        distribution_time: float,
-        gpu_ids: tuple[int, ...] = (),
-        crashed_at: dict[int, float] | None = None,
-    ) -> None:
-        """Append the modelled phase schedule as simulated-clock spans.
-
-        This is the "where does simulated time go" view (Figure 12):
-        compute phases on one track, the (overlapped) distribution on a
-        second, so Perfetto shows how much transfer hid under compute.
-        """
-        t_hist = breakdown.histogram
-        t_global_end = t_hist + global_pass_time
-        local_total = breakdown.partition_compute - global_pass_time
-        track = "pipeline (sim)"
-        observer.add_span(
-            "histogram", 0.0, t_hist, track=track, category="phase"
-        )
-        observer.add_span(
-            "global_partition", t_hist, t_global_end, track=track, category="phase"
-        )
-        if self.overlap_distribution:
-            # Distribution runs concurrently with the compute chain;
-            # only its un-hidden slice extends the critical path.
-            distribution_start = t_hist
-            local_start = t_global_end
-        else:
-            # Transfer-then-compute: the full transfer sits between the
-            # global and local passes.
-            distribution_start = t_global_end
-            local_start = t_global_end + breakdown.distribution_exposed
-        observer.add_span(
-            "local_partition",
-            local_start,
-            local_start + local_total,
-            track=track,
-            category="phase",
-        )
-        if distribution_time > 0:
-            observer.add_span(
-                "distribution",
-                distribution_start,
-                distribution_start + distribution_time,
-                track="network (sim)",
-                category="phase",
-                exposed_seconds=breakdown.distribution_exposed,
-                overlapped=self.overlap_distribution,
-            )
-        probe_start = (
-            t_hist + breakdown.partition_compute + breakdown.distribution_exposed
-        )
-        observer.add_span(
-            "probe",
-            probe_start,
-            probe_start + breakdown.probe,
-            track=track,
-            category="phase",
-        )
-        if crashed_at:
-            self._emit_crash_timeline(
-                observer,
-                gpu_ids,
-                crashed_at,
-                distribution_start,
-                local_start,
-                local_start + local_total,
-                probe_start,
-                probe_start + breakdown.probe,
-            )
-
-    @staticmethod
-    def _emit_crash_timeline(
-        observer: Observer,
-        gpu_ids: tuple[int, ...],
-        crashed_at: dict[int, float],
-        distribution_start: float,
-        local_start: float,
-        local_end: float,
-        probe_start: float,
-        probe_end: float,
-    ) -> None:
-        """Per-GPU phase spans for a crash-recovered run.
-
-        Crash times live on the shuffle engine clock, which starts at
-        ``distribution_start`` of the pipeline timeline.  Spans of a
-        crashed GPU are clamped to end at its crash instant — the trace
-        shows, per GPU, that no compute happened after the crash.
-        """
-        for gpu_id in gpu_ids:
-            track = f"gpu{gpu_id} (sim)"
-            cutoff = None
-            if gpu_id in crashed_at:
-                cutoff = distribution_start + crashed_at[gpu_id]
-                observer.instant(
-                    "gpu.crashed",
-                    cutoff,
-                    track=track,
-                    category="fault",
-                    gpu=gpu_id,
-                )
-            for name, start, end in (
-                ("local_partition", local_start, local_end),
-                ("probe", probe_start, probe_end),
-            ):
-                if cutoff is not None:
-                    if start >= cutoff:
-                        continue
-                    end = min(end, cutoff)
-                observer.add_span(
-                    name,
-                    start,
-                    end,
-                    track=track,
-                    category="phase",
-                    crashed=cutoff is not None,
-                )
+        if self.observer is not None:
+            self.observer.record_join(result, joined, self.overlap_distribution)
+        return result
 
     # ------------------------------------------------------------------
     # Pieces (template hooks overridden by the baselines)

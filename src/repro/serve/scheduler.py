@@ -37,7 +37,7 @@ contract:
 
 Everything lands in a :class:`ServeReport`: one terminal
 :class:`~repro.serve.requests.QueryOutcome` per request, per-tenant SLA
-metrics through the observer, and an exit code: 0 = served, 1 = at
+metrics through the recorders' ``record_serve``, and an exit code: 0 = served, 1 = at
 least one admitted query was lost, 3 = a completed query's unverified
 transport delivered corrupt or duplicate data (the code ``repro chaos``
 uses; it wins over 1).  Each completed outcome carries its shuffle's
@@ -265,7 +265,9 @@ class QueryScheduler:
         self.recovery = recovery
         self.retry_budget = retry_budget
         self.engine_factory = engine_factory
-        self.observer = observer
+        #: The recorders of the run (:func:`run_recorders`): the
+        #: ``observer``, if any, and its conformance probe.
+        self.recorders = run_recorders(observer)
         self._entries: dict[str, _Entry] = {}
         self._queue: deque[_Entry] = deque()
         self._in_flight = 0
@@ -295,7 +297,7 @@ class QueryScheduler:
             self.config.shuffle,
             engine_factory=self.engine_factory,
             arbitration=self.arbitration,
-            recorders=run_recorders(self.observer),
+            recorders=self.recorders,
         )
         self.fabric = fabric
         if self.faults is not None:
@@ -321,7 +323,7 @@ class QueryScheduler:
                     f"unsettled; this is a bug"
                 )
             self._settle(entry)
-            self._emit_query(
+            self._record_query(
                 "completed", request.name, latency=entry.outcome.latency
             )
         outcomes = tuple(
@@ -344,9 +346,8 @@ class QueryScheduler:
             arbitration=self.arbitration,
             policy_name=self._policy_name(),
         )
-        self._export_metrics(report)
-        if self.observer is not None and self.observer.stream is not None:
-            self.observer.stream.flush()
+        for recorder in self.recorders:
+            recorder.record_serve(report)
         return report
 
     # ------------------------------------------------------------------
@@ -359,7 +360,7 @@ class QueryScheduler:
 
     def _arrive(self, request: QueryRequest) -> None:
         entry = self._entries[request.name]
-        self._emit_query("submitted", request.name, gpus=len(entry.gpu_ids))
+        self._record_query("submitted", request.name, gpus=len(entry.gpu_ids))
         if self.max_in_flight == 0:
             self._reject(entry, "no-capacity", "the scheduler admits nothing")
             return
@@ -377,7 +378,7 @@ class QueryScheduler:
         if len(self._queue) < self.queue_depth:
             self._queue.append(entry)
             self._queue_peak = max(self._queue_peak, len(self._queue))
-            self._emit_query(
+            self._record_query(
                 "queued", request.name, depth=len(self._queue)
             )
             return
@@ -408,9 +409,7 @@ class QueryScheduler:
             rejection=rejection,
             detail=message,
         )
-        self._emit_query("rejected", entry.request.name, reason=reason)
-        if self.observer is not None:
-            self.observer.metrics.counter("serve.shed", reason=reason).inc()
+        self._record_query("rejected", entry.request.name, reason=reason)
 
     def _admit(self, entry: _Entry) -> None:
         request = entry.request
@@ -424,7 +423,7 @@ class QueryScheduler:
                 entry, "deadline-expired", now,
                 detail="deadline expired while queued",
             )
-            self._emit_query("deadline-expired", request.name, queued=True)
+            self._record_query("deadline-expired", request.name, queued=True)
             return
         tag = self._next_tag
         self._next_tag += 1
@@ -447,7 +446,7 @@ class QueryScheduler:
         self._in_flight += 1
         self._in_flight_peak = max(self._in_flight_peak, self._in_flight)
         session.start()
-        self._emit_query(
+        self._record_query(
             "admitted",
             request.name,
             tag=tag,
@@ -473,7 +472,7 @@ class QueryScheduler:
         self._in_flight -= 1
         now = self.fabric.engine.now
         if session.state == "delivered":
-            self._emit_query(
+            self._record_query(
                 "delivered", session.name, elapsed=now - entry.admitted_at
             )
             # Join the landed data now, before the freed slot admits
@@ -491,7 +490,7 @@ class QueryScheduler:
                     else "deadline expired in flight"
                 ),
             )
-            self._emit_query(session.state, session.name)
+            self._record_query(session.state, session.name)
         while self._queue and self._in_flight < self.max_in_flight:
             queued = self._queue.popleft()
             blocked = set(queued.gpu_ids) & self.fabric.crashed_gpus
@@ -564,45 +563,7 @@ class QueryScheduler:
         )
         entry.outcome.result = result
 
-    # ------------------------------------------------------------------
-    # Telemetry
-    # ------------------------------------------------------------------
-
-    def _emit_query(self, action: str, name: str, **fields) -> None:
-        observer = self.observer
-        if observer is None or observer.stream is None:
-            return
-        observer.stream.emit(
-            "query",
-            t=self.fabric.engine.now,
-            clock="sim",
-            action=action,
-            query=name,
-            **fields,
-        )
-
-    def _export_metrics(self, report: ServeReport) -> None:
-        observer = self.observer
-        if observer is None:
-            return
-        metrics = observer.metrics
-        metrics.gauge("serve.elapsed_seconds").set(report.elapsed)
-        metrics.gauge("serve.completed").set(report.completed)
-        metrics.gauge("serve.rejected").set(report.rejected)
-        metrics.gauge("serve.failed").set(report.failed)
-        metrics.gauge("serve.in_flight_peak").set(report.in_flight_peak)
-        metrics.gauge("serve.queue_peak").set(report.queue_peak)
-        admitted = [o for o in report.outcomes if o.admitted_at is not None]
-        if admitted:
-            metrics.gauge("serve.retention_ratio").set(
-                sum(1 for o in admitted if o.status == "completed")
-                / len(admitted)
-            )
-        for outcome in report.outcomes:
-            if outcome.latency is not None:
-                metrics.gauge(
-                    "serve.latency_seconds", query=outcome.name
-                ).set(outcome.latency)
-            metrics.gauge(
-                "serve.queue_wait_seconds", query=outcome.name
-            ).set(outcome.queue_wait)
+    def _record_query(self, action: str, name: str, **fields) -> None:
+        now = self.fabric.engine.now
+        for recorder in self.recorders:
+            recorder.record_query(action, name, now, **fields)

@@ -7,10 +7,13 @@ calling one hook per event on every recorder of the run: the tuple
 trace lanes, conformance probe, observer.  The fabric hands it to link
 channels and the fault injector, GPU nodes and policies get it from
 their routing context, and a flow group's recovery manager, integrity
-layer and crash coordinator where the group builds them.  Every hook
-of :class:`Recorder` does nothing, so a recorder overrides only the
-events it reads; the fabric and what it drives know no metric name,
-trace track or stream schema.
+layer and crash coordinator where the group builds them.  The run's
+results take the same road: a solo shuffle reports its start and its
+:class:`~repro.sim.stats.ShuffleReport`, the query scheduler each
+query's lifecycle step and its ``ServeReport``, and ``MGJoin`` its
+finished join.  Every hook of :class:`Recorder` does nothing, so a
+recorder overrides only the events it reads; the fabric and what it
+drives know no metric name, trace track or stream schema.
 """
 
 from __future__ import annotations
@@ -73,3 +76,28 @@ class Recorder:
     def record_link_health(self, name, channel, now) -> None:
         """A link channel really went down (``"link.down"``) or came
         back up (``"link.up"``)."""
+
+    # Run-level results.
+
+    def record_shuffle_started(self, fabric, gpus, policy, faulted) -> None:
+        """A solo shuffle of ``gpus`` GPUs under the policy named
+        ``policy`` starts on ``fabric``, with a fault plan bound if
+        ``faulted``."""
+
+    def record_report(self, fabric, report) -> None:
+        """A solo shuffle on the drained ``fabric`` built its
+        :class:`~repro.sim.stats.ShuffleReport`."""
+
+    def record_query(self, action, name, now, **fields) -> None:
+        """Served query ``name`` took lifecycle step ``action``
+        (``"submitted"``, ``"admitted"``, ``"rejected"``, ...)."""
+
+    def record_serve(self, report) -> None:
+        """A query scheduler run ended with
+        :class:`~repro.serve.scheduler.ServeReport` ``report``."""
+
+    def record_join(self, result, joined, overlapped) -> None:
+        """A join composed ``result`` (a
+        :class:`~repro.core.mgjoin.JoinResult`) from the functional pass
+        ``joined``; ``overlapped`` says whether its distribution step
+        hid under the partitioning passes."""

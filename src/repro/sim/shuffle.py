@@ -466,13 +466,10 @@ class ShuffleSimulator:
         #: ``lambda: Engine(fast=False)`` to pin the all-heap
         #: reference kernel (the equivalence tests do exactly that).
         self.engine_factory = engine_factory
-        #: Span store that receives one ``"transfer"`` span per link
-        #: transfer (per-link trace lanes); ``None`` = off.
-        self.tracer = tracer
-        #: Observability sink (spans/metrics); ``None`` = off.
-        self.observer = observer
-        #: Link-timeline sampler (repro.obs.analyze); ``None`` = off.
-        self.sampler = sampler
+        #: The recorders of every run (:func:`run_recorders`): the
+        #: ``sampler`` (link timelines), the ``tracer`` span store (one
+        #: ``"transfer"`` span per link transfer) and the ``observer``.
+        self.recorders = run_recorders(observer, tracer, sampler)
         #: Fault plan injected into the run; ``None`` = healthy fabric.
         self.faults = faults
         #: Retry/backoff/fallback knobs (used only when faults are on).
@@ -501,19 +498,11 @@ class ShuffleSimulator:
             self.machine,
             self.config,
             engine_factory=self.engine_factory,
-            recorders=run_recorders(self.observer, self.tracer, self.sampler),
+            recorders=self.recorders,
         )
-        engine = fabric.engine
-        stream = self.observer.stream if self.observer is not None else None
-        if stream is not None:
-            stream.emit(
-                "run.started",
-                t=engine.now,
-                clock="sim",
-                gpus=len(self.gpu_ids),
-                links=len(fabric.links),
-                policy=policy.name,
-                faulted=self.faults is not None,
+        for recorder in self.recorders:
+            recorder.record_shuffle_started(
+                fabric, len(self.gpu_ids), policy.name, self.faults is not None
             )
         group = ShuffleGroup(
             fabric,
@@ -528,47 +517,9 @@ class ShuffleSimulator:
         if self.faults is not None:
             fabric.bind_faults(self.faults, set(group.gpu_ids))
         group.start()
-        engine.run()
-        if stream is not None:
-            stream.emit("kernel", t=engine.now, clock="sim", stats=engine.stats)
+        fabric.engine.run()
         fabric.drained()
-        if stream is not None:
-            stream.emit("run.finished", t=engine.now, clock="sim", elapsed=engine.now)
-            stream.flush()
         report = group.report(policy.name)
-        if self.observer is not None:
-            metrics = self.observer.metrics
-            metrics.gauge("shuffle.elapsed_seconds").set(report.elapsed)
-            metrics.gauge("shuffle.payload_bytes").set(report.payload_bytes)
-            metrics.gauge("shuffle.wire_bytes").set(report.wire_bytes)
-            metrics.gauge("shuffle.buffer_syncs").set(report.buffer_sync_count)
-            metrics.gauge("shuffle.board_broadcasts").set(
-                report.board_broadcast_count
-            )
-            for name, value in engine.stats.items():
-                metrics.gauge(f"engine.{name}").set(value)
-            if report.recovery is not None:
-                rec = report.recovery
-                metrics.gauge("recovery.crashed_gpus").set(len(rec.crashed_gpus))
-                metrics.gauge("recovery.detection_latency_seconds").set(
-                    rec.max_detection_latency
-                )
-                metrics.gauge("recovery.reshuffled_bytes").set(
-                    rec.reshuffled_bytes
-                )
-                metrics.gauge("recovery.host_resent_bytes").set(
-                    rec.host_resent_bytes
-                )
-                metrics.gauge("recovery.checkpoint_restored_bytes").set(
-                    rec.checkpoint_restored_bytes
-                )
-                metrics.gauge("recovery.bytes_discarded").set(
-                    rec.bytes_discarded
-                )
-                metrics.gauge("recovery.elapsed_seconds").set(
-                    rec.recovery_elapsed
-                )
-                metrics.gauge("recovery.time_share").set(
-                    rec.recovery_share(report.elapsed)
-                )
+        for recorder in self.recorders:
+            recorder.record_report(fabric, report)
         return report

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -43,12 +44,17 @@ class ViewedRun:
     """One run's observer, optional sampler and collected stream events.
 
     ``observed`` is the :class:`ObservedRun` of a sampled, probed run;
-    without one the run has an observer only.
+    without one the run has ``observer`` (a new :class:`Observer` by
+    default) only.
     """
 
-    def __init__(self, observed: ObservedRun | None = None, *, stream=False):
+    def __init__(
+        self, observed: ObservedRun | None = None, *, stream=False, observer=None
+    ):
         self.observed = observed
-        self.observer = Observer() if observed is None else observed.observer
+        if observed is not None:
+            observer = observed.observer
+        self.observer = Observer() if observer is None else observer
         self.sampler = None if observed is None else observed.sampler
         self.events: list[dict] = []
         if stream:
@@ -158,8 +164,8 @@ def skewed_shuffle(machine) -> ViewedRun:
     return run
 
 
-def served_queries(machine) -> ViewedRun:
-    run = ViewedRun(stream=True)
+def served_queries(machine, observer=None) -> ViewedRun:
+    run = ViewedRun(stream=True, observer=observer)
     run.result = QueryScheduler(
         machine,
         synthetic_requests(4, gpus=4, tuples=1024),
@@ -540,3 +546,58 @@ def test_decision_recorder_gets_the_enumerators_routes(dgx1, policy):
         assert len(decision.routes) == len(candidates)
         assert all(ours is theirs for ours, theirs in zip(decision.routes, candidates))
         assert any(decision.chosen is route for route in candidates)
+
+
+class HookCount(Observer):
+    """An observer that counts its run-level hook calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = Counter()
+
+    def record_shuffle_started(self, fabric, gpus, policy, faulted):
+        self.calls["record_shuffle_started"] += 1
+        super().record_shuffle_started(fabric, gpus, policy, faulted)
+
+    def record_report(self, fabric, report):
+        self.calls["record_report"] += 1
+        super().record_report(fabric, report)
+
+    def record_query(self, action, name, now, **fields):
+        self.calls["record_query"] += 1
+        super().record_query(action, name, now, **fields)
+
+    def record_serve(self, report):
+        self.calls["record_serve"] += 1
+        super().record_serve(report)
+
+    def record_join(self, result, joined, overlapped):
+        self.calls["record_join"] += 1
+        super().record_join(result, joined, overlapped)
+
+
+def test_run_level_hooks_fire_once_per_result(dgx1):
+    """A result reaches the observer once: one report per solo shuffle
+    (the simulator builds its recorders once and reuses them), one
+    serve report per scheduler run, one query hook per query event."""
+    observer = HookCount()
+    run = ViewedRun(stream=True, observer=observer)
+    gpu_ids = (0, 1, 2, 3)
+    simulator = ShuffleSimulator(dgx1, gpu_ids, observer=observer)
+    for _ in range(2):
+        simulator.run(FlowMatrix.all_to_all(gpu_ids, 4 * MB), DirectPolicy())
+    assert observer.calls == {"record_shuffle_started": 2, "record_report": 2}
+    types = [event["type"] for event in run.events]
+    assert types.count("run.started") == types.count("run.finished") == 2
+    assert types.count("kernel") == 2
+
+    served = served_queries(dgx1, observer=HookCount())
+    queries = [
+        event for event in served.events
+        if event["type"] == "query" and event["action"] != "retry"
+    ]
+    calls = served.observer.calls
+    assert calls["record_serve"] == 1
+    assert calls["record_query"] == len(queries) > 0
+    assert set(calls) == {"record_serve", "record_query"}
+    assert served.digests() == GOLDEN["served-queries"]
