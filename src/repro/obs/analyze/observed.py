@@ -34,15 +34,21 @@ class ObservedRun:
 
     def bottlenecks(self, cut, top: int | None = None) -> BottleneckReport:
         """Attribute link time per phase, split at the last route decision:
-        before it the global partition pass is still injecting packets,
-        after it the network drains into the local partition pass (§4)."""
+        before it packets are still injected, after it the network drains.
+        In a join (the observer recorded one) the global partition pass
+        injects and the local partition pass drains (§4), and the
+        windows say so; a bare shuffle has no partition pass."""
         horizon = self.sampler.horizon
         split = max((decision.time for decision in self.observer.decisions), default=0.0)
         phases = None
         if 0.0 < split < horizon:
+            inject, drain = "inject", "drain"
+            if self.observer.joins:
+                inject += " (global partition overlap)"
+                drain += " (local partition overlap)"
             phases = [
-                PhaseWindow("inject (global partition overlap)", 0.0, split),
-                PhaseWindow("drain (local partition overlap)", split, horizon),
+                PhaseWindow(inject, 0.0, split),
+                PhaseWindow(drain, split, horizon),
             ]
         return attribute(self.sampler, cut, phases=phases, top=top)
 

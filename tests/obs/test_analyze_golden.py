@@ -55,8 +55,8 @@ GOLDEN = {
     },
     "shuffle-hot-direct-conformance": {
         "stdout": (
-            "95bc66fc627f194819caa3e0143847e3"
-            "6b30c7e60317caeaa27f30fafe076795"
+            "1b70aeb7b935767951a13eec0fa16c84"
+            "ba37955c42d4f0d546ef99da266e32ea"
         ),
         "heatmap.csv": (
             "400cfaf682cd6868bb8ea1c50f35533e"
@@ -71,8 +71,8 @@ GOLDEN = {
             "0ab4f0bc2f13e244a3bab44477473a10"
         ),
         "bottlenecks.json": (
-            "41ce1940b8e32c6f82f5532e247014e8"
-            "bf1054f884de4bc7551cf6f3779c87dd"
+            "bae69edfd8b69bbcca4d14b38282f991"
+            "95b89e863565ada70d5bb56b5e7c14c4"
         ),
     },
 }
