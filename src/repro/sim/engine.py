@@ -21,20 +21,11 @@ Example::
     engine.run()
     assert trace == [0.0, 2.0]
 
-Inside the simulator a waiting step re-enters through
-:meth:`Engine._defer`: a sleep is ``engine.schedule(delay,
-engine._defer, step, None)`` and a wake-up by another component is
-``engine._defer(step, None)``.  That extra same-instant hop is the
-slot in the dispatch order where a resumed SimPy-style process used to
-run, so same-instant ties, and the kernel counters, are those of the
-generator-based kernel this one replaced.
-
 Fast path
 ---------
 
 By default the engine runs with ``fast=True``: work scheduled for the
-*current* instant (deferred steps and zero-delay schedules) goes onto a
-FIFO ready deque instead of round-tripping through the time heap.
+*current* instant (zero-delay schedules) goes onto a FIFO ready deque instead of round-tripping through the time heap.
 Ready entries and heap entries share one global sequence counter, and
 the run loop always dispatches the lowest sequence number among the
 work runnable *now* — so the execution order is provably identical to
@@ -103,8 +94,7 @@ class Engine:
         """Kernel self-time counters (how hard the event loop worked).
 
         ``ready_dispatches`` / ``heap_dispatches`` split executed
-        callbacks by path; ``events_scheduled`` counts every schedule
-        and deferred step.
+        callbacks by path; ``events_scheduled`` counts every schedule.
         """
         return {
             "events_scheduled": self._events_scheduled,
@@ -153,21 +143,6 @@ class Engine:
 
         self._housekeeping += 1
         self.schedule(interval, tick)
-
-    def _defer(self, callback: Callable[[Any], None], arg: Any) -> None:
-        """Run ``callback(arg)`` at the current instant.
-
-        Semantically a zero-delay schedule, ordered FIFO (by the shared
-        sequence counter) with everything else runnable now; it is the
-        one way a waiting step re-enters (see the module docstring).
-        """
-        self._events_scheduled += 1
-        if self._fast:
-            self._ready.append((next(self._sequence), callback, (arg,)))
-        else:
-            heapq.heappush(
-                self._heap, (self._now, next(self._sequence), callback, (arg,))
-            )
 
     def run(self, until: float | None = None) -> float:
         """Process events until both queues drain (or ``until`` is hit).

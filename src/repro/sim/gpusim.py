@@ -18,17 +18,14 @@ Each participating GPU runs, inside the discrete-event engine:
   once the packet has fully left this GPU.
 
 Injectors, senders, the walk over a staged hop's onward links and a
-lost packet's retry are engine callbacks.  Each wake-up — a pacing or
-back-off delay, new work, a credit, a finished transfer — re-enters
-through the engine's deferred slot, so the dispatch order is the one a
-resumed SimPy-style process had (see :mod:`repro.sim.engine`).
+lost packet's retry are engine callbacks: a pacing or back-off delay
+schedules the next step, and a finished transfer or a credit calls it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from repro.sim.engine import Engine, SimulationError
@@ -183,7 +180,7 @@ class GpuNode:
         self._buffer_slots = buffer_slots
         self._buffer_sync_latency = buffer_sync_latency
         #: ``run`` methods of DMA engines parked for lack of work.
-        self._idle_senders: deque[Callable[[None], None]] = deque()
+        self._idle_senders: deque[Callable[[], None]] = deque()
         self._rr_order: deque[int] = deque()
         #: DMA engines currently transmitting toward each next hop.
         self._active_sends: dict[int, int] = {}
@@ -281,7 +278,8 @@ class GpuNode:
             self._rr_order.append(next_gpu)
         self._queues[next_gpu].append(packet)
         if self._idle_senders:
-            self.engine._defer(self._idle_senders.popleft(), None)
+            # Woken one step later, not inside the caller's own step.
+            self.engine.schedule(0.0, self._idle_senders.popleft())
 
     def _pick_batch(self) -> list[Packet] | None:
         """Weighted round-robin queue selection (paper §4.1).
@@ -504,18 +502,12 @@ class GpuNode:
         if packet.attempts >= recovery.policy.max_attempts:
             recovery.fallback(self, packet, reason=f"{reason}:retries-exhausted")
             return
-        self.engine._defer(partial(self._back_off, packet, reason), None)
-
-    def _back_off(self, packet: Packet, reason: str, _: None) -> None:
-        """One deferred hop after the loss, draw the back-off (a jittered
-        delay takes the recovery rng's next value) and sleep it out."""
-        engine = self.engine
-        engine.schedule(
-            self.recovery.retry_delay(packet.attempts - 1),
-            engine._defer, partial(self._retry, packet, reason), None,
+        # A jittered back-off takes the recovery rng's next value.
+        self.engine.schedule(
+            recovery.retry_delay(packet.attempts - 1), self._retry, packet, reason
         )
 
-    def _retry(self, packet: Packet, reason: str, _: None) -> None:
+    def _retry(self, packet: Packet, reason: str) -> None:
         recovery = self.recovery
         if self.cancelled:
             self._discard(packet)
@@ -653,7 +645,7 @@ class _Injector:
     the policy and its packets are queued toward their next hop.  A
     policy's per-batch sync cost and the partition kernel's pacing are
     sleeps, and a crash or a cancelled query stops the injector at its
-    next step.  It starts one deferred hop after :meth:`GpuNode.start_flows`.
+    next step.
     """
 
     __slots__ = ("node", "flows", "remaining", "order", "index", "sequence")
@@ -667,9 +659,10 @@ class _Injector:
         self.order: list[int] = []
         self.index = 0
         self.sequence = 0
-        node.engine._defer(self._start, None)
+        # Started one step later, so every GPU's flows are in place first.
+        node.engine.schedule(0.0, self._start)
 
-    def _start(self, _: None) -> None:
+    def _start(self) -> None:
         node = self.node
         self.remaining = {
             dst: int(nbytes)
@@ -680,11 +673,7 @@ class _Injector:
             node._active_remaining.append(self.remaining)
         self.run()
 
-    def _sleep(self, delay: float, step: Callable[[None], None]) -> None:
-        engine = self.node.engine
-        engine.schedule(delay, engine._defer, step, None)
-
-    def run(self, _: None = None) -> None:
+    def run(self) -> None:
         """Inject batches until one sleeps or every flow is injected."""
         node = self.node
         remaining = self.remaining
@@ -730,18 +719,16 @@ class _Injector:
             sync_cost = node.policy.batch_overhead(node.context)
             if sync_cost > 0:
                 node.stats.sync_time += sync_cost
-                self._sleep(
-                    sync_cost, partial(self._after_sync, dst, batch, batch_payload)
+                node.engine.schedule(
+                    sync_cost, self._after_sync, dst, batch, batch_payload
                 )
                 return
             pace = self._route(dst, batch, batch_payload)
             if pace is not None:
-                self._sleep(pace, self.run)
+                node.engine.schedule(pace, self.run)
                 return
 
-    def _after_sync(
-        self, dst: int, batch: list[Packet], batch_payload: int, _: None
-    ) -> None:
+    def _after_sync(self, dst: int, batch: list[Packet], batch_payload: int) -> None:
         node = self.node
         if node.crashed or node.cancelled:
             return
@@ -749,7 +736,7 @@ class _Injector:
         if pace is None:
             self.run()
         else:
-            self._sleep(pace, self.run)
+            node.engine.schedule(pace, self.run)
 
     def _route(self, dst: int, batch: list[Packet], batch_payload: int) -> float | None:
         """Route and queue one batch; returns the pacing delay, if any."""
@@ -809,12 +796,12 @@ class _Sender:
     link finishes; onward links of a staged hop are walked by a detached
     :class:`_StagedHop`, so the next packet pipelines behind.
 
-    Each wake-up (new work, a credit, a finished transfer) re-enters
-    through ``engine._defer``.  A credit shortage hands
-    :meth:`RoutingBuffer.acquire` the continuation :meth:`_acquired`.
+    A credit shortage hands :meth:`RoutingBuffer.acquire` the
+    continuation :meth:`_acquired`, and the link calls :meth:`_sent`
+    when the transfer ends.
     """
 
-    __slots__ = ("node", "batch", "index", "next_gpu", "wiring", "_sent_later")
+    __slots__ = ("node", "batch", "index", "next_gpu", "wiring")
 
     def __init__(self, node: GpuNode) -> None:
         self.node = node
@@ -824,10 +811,9 @@ class _Sender:
         self.index = 0
         self.next_gpu = 0
         self.wiring: tuple = ()
-        self._sent_later = partial(node.engine._defer, self._sent)
-        node.engine._defer(self.run, None)
+        node._idle_senders.append(self.run)
 
-    def run(self, _: None = None) -> None:
+    def run(self) -> None:
         """Send until a packet waits on a credit or the wire, or work runs out."""
         node = self.node
         while True:
@@ -889,7 +875,7 @@ class _Sender:
         _, inbound, _, first_link = self.wiring
         packet.held_buffer = inbound
         node._fulfill_link(packet, first_link)
-        first_link.transmit(packet.wire_bytes, node.query_tag, then=self._sent_later)
+        first_link.transmit(packet.wire_bytes, node.query_tag, then=self._sent)
 
     def _sent(self, delivered: bool) -> None:
         node = self.node
@@ -901,7 +887,8 @@ class _Sender:
                 delay = first_link.tamper.apply(node, packet, receiver)
             if onward:
                 walk = _StagedHop(node, packet, receiver, onward)
-                node.engine._defer(walk.start, delay)
+                # Started one step later, behind this engine's next send.
+                node.engine.schedule(0.0, walk.start, delay)
             else:
                 node.engine.schedule(delay, receiver.on_arrival, packet)
         self.run()
@@ -910,11 +897,11 @@ class _Sender:
 class _StagedHop:
     """One packet crossing the onward links of a staged (multi-link) hop.
 
-    Its start, every transfer completion and the end of every tamper
-    delay or hold re-enter through ``engine._defer``.
+    Each link calls :meth:`_sent` when its transfer ends; a tamper delay
+    or hold schedules the next link's step.
     """
 
-    __slots__ = ("node", "packet", "receiver", "links", "index", "_sent_later")
+    __slots__ = ("node", "packet", "receiver", "links", "index")
 
     def __init__(
         self,
@@ -928,27 +915,22 @@ class _StagedHop:
         self.receiver = receiver
         self.links = links
         self.index = 0
-        self._sent_later = partial(node.engine._defer, self._sent)
 
     def start(self, delay: float) -> None:
         """First step, after the first link's tamper ``delay`` (if any)."""
         if delay > 0.0:
-            self._sleep(delay)
+            self.node.engine.schedule(delay, self._next)
         else:
             self._next()
 
-    def _sleep(self, delay: float) -> None:
-        engine = self.node.engine
-        engine.schedule(delay, engine._defer, self._next, None)
-
-    def _next(self, _: None = None) -> None:
+    def _next(self) -> None:
         if self.index == len(self.links):
             self.receiver.on_arrival(self.packet)
             return
         node = self.node
         link = self.links[self.index]
         node._fulfill_link(self.packet, link)
-        link.transmit(self.packet.wire_bytes, node.query_tag, then=self._sent_later)
+        link.transmit(self.packet.wire_bytes, node.query_tag, then=self._sent)
 
     def _sent(self, delivered: bool) -> None:
         node = self.node
@@ -960,6 +942,6 @@ class _StagedHop:
         if node.integrity is not None and link.tamper is not None:
             hold = link.tamper.apply(node, packet, self.receiver)
             if hold > 0.0:
-                self._sleep(hold)
+                node.engine.schedule(hold, self._next)
                 return
         self._next()

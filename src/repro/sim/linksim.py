@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from repro.sim.engine import Engine
@@ -169,9 +170,8 @@ class LinkChannel:
         The outcome is ``True`` when the bytes crossed the wire and
         ``False`` when the link was down at submission or failed before
         the transfer completed (the packet is lost).  It is passed to
-        ``then(outcome)``, called straight from the completion callback;
-        a caller that wants to resume in the deferred slot re-enters
-        through ``engine._defer`` itself.
+        ``then(outcome)``, called straight from the completion callback
+        (one step later on an arbitrated link, see :meth:`LinkArbiter.submit`).
 
         ``tag`` identifies the submitting query to the per-link
         :class:`LinkArbiter` when one is installed; untagged transfers
@@ -301,6 +301,9 @@ class LinkArbiter:
         """Queue one tagged transfer; ``then(outcome)`` runs at completion."""
         channel = self.channel
         engine = channel.engine
+        # The owner resumes one step after completion: it resubmits only
+        # once every link has re-arbitrated at that boundary.
+        then = partial(engine.schedule, 0.0, then)
         if not channel.up:
             # Dead port: fail fast after the launch latency, exactly
             # like the arbiter-free path.

@@ -11,7 +11,6 @@ round-trip latency) when its local view reaches zero slots.
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
 from typing import Callable
 
 from repro.sim.engine import Engine, SimulationError
@@ -108,15 +107,9 @@ class RoutingBuffer:
             self._occupied += 1
             then(True)
             return
-        engine = self._engine
-        engine.schedule(
-            self._sync_latency, engine._defer,
-            partial(self._synced, deadline, then), None,
-        )
+        self._engine.schedule(self._sync_latency, self._synced, deadline, then)
 
-    def _synced(
-        self, deadline: float | None, then: Callable[[bool], None], _: None
-    ) -> None:
+    def _synced(self, deadline: float | None, then: Callable[[bool], None]) -> None:
         self.sync_count += 1
         if self.dead:
             then(False)
@@ -132,7 +125,7 @@ class RoutingBuffer:
             if remaining <= 0:
                 then(False)
                 return
-            engine.schedule(remaining, engine._defer, waiter.settle, None)
+            engine.schedule(remaining, waiter.expire)
         self._waiters.append(waiter)
 
     def _resumed(self, waiter: "_Waiter") -> None:
@@ -161,14 +154,15 @@ class RoutingBuffer:
 class _Waiter:
     """One :meth:`RoutingBuffer.acquire` blocked on a full buffer.
 
-    A release (or ``mark_dead``) pops the waiter, sets ``woken`` at once
-    and re-enters through ``engine._defer``.  Without a deadline that
-    hop resumes the acquire.  With one, the release and the deadline
-    timer race: each takes a deferred hop to :meth:`settle`, the first
-    to arrive settles the wait, and the resume is one more deferred hop.
-    The resumed acquire then reads ``woken``, not which side settled,
-    so a release that lands in the deadline's instant after the timer
-    settled the wait still claims the slot.
+    A release (or ``mark_dead``) pops the waiter and wakes it: ``woken``
+    is set and the wait settles at once.  The deadline timer settles it
+    only one step after it fires (:meth:`expire`), and whichever side
+    settles first schedules the one :meth:`resume` step.  The resumed
+    acquire reads ``woken``, not which side settled.  Those two steps
+    after the timer are the ones the release/deadline race needs: a
+    release that lands in the deadline's own instant, even one queued a
+    step behind the timer, still reaches the waiter before it resumes
+    and claims the slot (``tests/sim/test_acquire_race.py``).
     """
 
     __slots__ = ("buffer", "deadline", "then", "woken", "settled")
@@ -187,13 +181,15 @@ class _Waiter:
 
     def wake(self) -> None:
         self.woken = True
-        step = self.resume if self.deadline is None else self.settle
-        self.buffer._engine._defer(step, None)
+        self.settle()
 
-    def settle(self, _: None) -> None:
+    def expire(self) -> None:
+        self.buffer._engine.schedule(0.0, self.settle)
+
+    def settle(self) -> None:
         if not self.settled:
             self.settled = True
-            self.buffer._engine._defer(self.resume, None)
+            self.buffer._engine.schedule(0.0, self.resume)
 
-    def resume(self, _: None) -> None:
+    def resume(self) -> None:
         self.buffer._resumed(self)

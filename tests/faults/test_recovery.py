@@ -54,10 +54,10 @@ class TestAcquireTimeout:
         def claimed(ok):
             outcome.append((engine.now, ok) if name is None else (name, engine.now, ok))
 
-        def step(_):
+        def step():
             buffer.acquire(timeout, claimed)
 
-        engine.schedule(delay, engine._defer, step, None)
+        engine.schedule(delay, engine.schedule, 0.0, step)
 
     def test_timeout_returns_false_at_deadline(self):
         engine = Engine()

@@ -6,7 +6,7 @@ the outcome is whether a release reached the waiter by the time it
 resumes, not which of the two wake-ups ran first: a release landing in
 the deadline's own instant, after the timer popped, still claims the
 slot.  Each case also pins the kernel counters, so the number of
-deferred hops on either side of the race cannot drift.
+same-instant steps on either side of the race cannot drift.
 
 Every case holds the buffer's one slot, then starts a waiter with a
 1 s timeout at t=0.  It syncs credits at 0.25 s, finds the buffer full
@@ -51,7 +51,7 @@ def test_release_before_the_deadline_claims_the_slot(fast):
     assert not buffer._waiters
     if fast:
         # The stale deadline timer still pops at 1.0 and does nothing.
-        assert kernel_counters(engine) == (7, 4, 3)
+        assert kernel_counters(engine) == (5, 2, 3)
 
 
 @pytest.mark.parametrize("fast", [True, False])
@@ -65,7 +65,7 @@ def test_release_in_the_deadline_instant_still_claims_the_slot(fast, hop):
         # Scheduled after the timer was armed: pops right after it.
         engine.schedule(0.5, engine.schedule, 0.5, buffer.release)
     else:
-        # Queued behind the deadline's first deferred hop.
+        # Queued behind the step the fired deadline timer takes.
         engine.schedule(0.5, engine.schedule, 0.5, engine.schedule, 0.0,
                         buffer.release)
     engine.run()
@@ -73,7 +73,7 @@ def test_release_in_the_deadline_instant_still_claims_the_slot(fast, hop):
     assert buffer.occupied == 1
     assert not buffer._waiters
     if fast:
-        expected = (8, 4, 4) if hop == "timer-popped" else (9, 5, 4)
+        expected = (6, 2, 4) if hop == "timer-popped" else (7, 3, 4)
         assert kernel_counters(engine) == expected
 
 
@@ -85,7 +85,7 @@ def test_mark_dead_fails_a_timed_wait_before_its_deadline(fast):
     assert outcomes == [(0.5, False)]
     assert not buffer._waiters
     if fast:
-        assert kernel_counters(engine) == (7, 4, 3)
+        assert kernel_counters(engine) == (5, 2, 3)
 
 
 @pytest.mark.parametrize("fast", [True, False])
@@ -98,4 +98,4 @@ def test_timed_out_waiter_leaves_no_entry(fast):
     assert not buffer._waiters
     assert buffer.occupied == 0
     if fast:
-        assert kernel_counters(engine) == (6, 3, 3)
+        assert kernel_counters(engine) == (5, 2, 3)

@@ -1,9 +1,9 @@
-"""The discrete-event kernel: schedules, deferred steps, continuations.
+"""The discrete-event kernel: schedules, same-instant steps, continuations.
 
 A component that waits is a chain of callbacks: a sleep is
-``engine.schedule(delay, engine._defer, step, None)`` and a wake-up by
-another component is ``engine._defer(step, None)``.  :class:`Sleeper`
-below is built that way, as every waiting piece of the simulator is.
+``engine.schedule(delay, step)`` and a wake-up by another component is
+``engine.schedule(0.0, step)``.  :class:`Sleeper` below is built that
+way, as every waiting piece of the simulator is.
 """
 
 import pytest
@@ -13,8 +13,8 @@ from repro.sim import Engine, SimulationError
 
 class Sleeper:
     """Sleeps through ``delays`` in turn, calling ``woke(index)`` after
-    each, then sets ``value`` to ``result``; it starts one deferred hop
-    after it is made."""
+    each, then sets ``value`` to ``result``; it starts one step after it
+    is made."""
 
     def __init__(self, engine, delays, woke, result=None):
         self.engine = engine
@@ -23,19 +23,18 @@ class Sleeper:
         self.result = result
         self.index = 0
         self.value = None
-        engine._defer(self.step, None)
+        engine.schedule(0.0, self.step)
 
-    def step(self, _):
+    def step(self):
         if self.index == len(self.delays):
             self.value = self.result
             return
-        engine = self.engine
-        engine.schedule(self.delays[self.index], engine._defer, self.resume, None)
+        self.engine.schedule(self.delays[self.index], self.resume)
 
-    def resume(self, _):
+    def resume(self):
         self.woke(self.index)
         self.index += 1
-        self.step(None)
+        self.step()
 
 
 def test_clock_starts_at_zero():
@@ -86,18 +85,18 @@ def test_process_waits_on_timeouts():
 def test_timeout_value_passed_to_process():
     engine = Engine()
     received = []
-    engine.schedule(1.0, engine._defer, received.append, "payload")
+    engine.schedule(1.0, engine.schedule, 0.0, received.append, "payload")
     engine.run()
     assert received == ["payload"]
 
 
 def test_process_waiting_on_manual_event():
     """A parked continuation runs in the instant another component
-    wakes it, one deferred hop later."""
+    wakes it, one step later."""
     engine = Engine()
     log = []
     parked = [lambda value: log.append((engine.now, value))]
-    engine.schedule(4.0, lambda: engine._defer(parked.pop(), 42))
+    engine.schedule(4.0, lambda: engine.schedule(0.0, parked.pop(), 42))
     engine.run()
     assert log == [(4.0, 42)]
 
@@ -124,15 +123,15 @@ def test_processes_interleave():
 
 @pytest.mark.parametrize("fast", [True, False])
 def test_succeed_and_zero_delay_schedules_interleave_fifo(fast):
-    """Deferred steps are zero-delay schedules: the two kinds must
-    interleave in strict registration (sequence) order, in both the
-    deque fast path and the all-heap reference mode."""
+    """Zero-delay schedules with and without arguments must interleave
+    in strict registration (sequence) order, in both the deque fast
+    path and the all-heap reference mode."""
     engine = Engine(fast=fast)
     seen = []
     engine.schedule(0.0, lambda: seen.append("s1"))
-    engine._defer(seen.append, "d1")
+    engine.schedule(0.0, seen.append, "d1")
     engine.schedule(0.0, lambda: seen.append("s2"))
-    engine._defer(seen.append, "d2")
+    engine.schedule(0.0, seen.append, "d2")
     engine.schedule(0.0, lambda: seen.append("s3"))
     engine.run()
     assert seen == ["s1", "d1", "s2", "d2", "s3"]
@@ -172,7 +171,7 @@ def test_fast_and_reference_mode_execute_identically():
 
         Sleeper(engine, [0.5] * 4, lambda i: woke("a", i))
         Sleeper(engine, [1.0] * 3, lambda i: woke("b", i))
-        engine.schedule(1.0, engine._defer, trace.append, ("gate", "open"))
+        engine.schedule(1.0, engine.schedule, 0.0, trace.append, ("gate", "open"))
         engine.run()
         return trace
 

@@ -17,9 +17,9 @@ class Sender:
         self.name = name
         self.timeout = timeout
         self.acquired = []
-        engine._defer(self.step, None)
+        engine.schedule(0.0, self.step)
 
-    def step(self, _=None):
+    def step(self):
         if self.left:
             self.left -= 1
             self.buffer.acquire(self.timeout, self.claimed)
