@@ -61,6 +61,8 @@ class Engine:
         self._now = 0.0
         self._heap: list[tuple[float, int, Callable, Any]] = []
         self._ready: deque[tuple[int, Callable, Any]] = deque()
+        #: Sequence numbers of cancelled timers still on the heap.
+        self._cancelled: set[int] = set()
         self._sequence = itertools.count()
         self._running = False
         self._fast = fast
@@ -85,9 +87,9 @@ class Engine:
         Periodic observers (e.g. the link-timeline probe) use this to
         stop rescheduling themselves once they are the only thing left
         on the heap, so sampling never keeps a finished simulation
-        alive.
+        alive.  Cancelled timers do not count.
         """
-        return len(self._heap) + len(self._ready)
+        return len(self._heap) + len(self._ready) - len(self._cancelled)
 
     @property
     def stats(self) -> dict[str, int]:
@@ -102,17 +104,30 @@ class Engine:
             "heap_dispatches": self._heap_dispatches,
         }
 
-    def schedule(self, delay: float, callback: Callable, *args: Any) -> None:
-        """Run ``callback(*args)`` after ``delay`` simulated seconds."""
+    def schedule(self, delay: float, callback: Callable, *args: Any) -> int:
+        """Run ``callback(*args)`` after ``delay`` simulated seconds.
+
+        Returns the entry's sequence number, the token :meth:`cancel`
+        takes.
+        """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._events_scheduled += 1
+        sequence = next(self._sequence)
         if delay == 0.0 and self._fast:
-            self._ready.append((next(self._sequence), callback, args))
+            self._ready.append((sequence, callback, args))
         else:
-            heapq.heappush(
-                self._heap, (self._now + delay, next(self._sequence), callback, args)
-            )
+            heapq.heappush(self._heap, (self._now + delay, sequence, callback, args))
+        return sequence
+
+    def cancel(self, token: int) -> None:
+        """Drop a timer that has not fired yet, by its :meth:`schedule` token.
+
+        The timer must have been scheduled with a positive delay.  Its
+        heap entry stays as a tombstone that :meth:`run` discards
+        without dispatching it or advancing the clock to it.
+        """
+        self._cancelled.add(token)
 
     def every(self, interval: float, callback: Callable[[], None]) -> None:
         """Run ``callback()`` every ``interval`` seconds while real work remains.
@@ -160,11 +175,15 @@ class Engine:
         self._running = True
         ready = self._ready
         heap = self._heap
+        cancelled = self._cancelled
         try:
             while True:
                 if ready:
                     if heap and heap[0][0] <= self._now and heap[0][1] < ready[0][0]:
-                        time, _, callback, args = heapq.heappop(heap)
+                        time, sequence, callback, args = heapq.heappop(heap)
+                        if cancelled and sequence in cancelled:
+                            cancelled.remove(sequence)
+                            continue
                         self._now = time
                         self._heap_dispatches += 1
                     else:
@@ -178,7 +197,10 @@ class Engine:
                 if until is not None and time > until:
                     self._now = until
                     return self._now
-                _, _, callback, args = heapq.heappop(heap)
+                _, sequence, callback, args = heapq.heappop(heap)
+                if cancelled and sequence in cancelled:
+                    cancelled.remove(sequence)
+                    continue
                 if time < self._now - 1e-12:
                     raise SimulationError("event heap went backwards in time")
                 self._now = time

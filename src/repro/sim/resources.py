@@ -125,7 +125,7 @@ class RoutingBuffer:
             if remaining <= 0:
                 then(False)
                 return
-            engine.schedule(remaining, waiter.expire)
+            waiter.timer = engine.schedule(remaining, waiter.expire)
         self._waiters.append(waiter)
 
     def _resumed(self, waiter: "_Waiter") -> None:
@@ -162,10 +162,12 @@ class _Waiter:
     after the timer are the ones the release/deadline race needs: a
     release that lands in the deadline's own instant, even one queued a
     step behind the timer, still reaches the waiter before it resumes
-    and claims the slot (``tests/sim/test_acquire_race.py``).
+    and claims the slot (``tests/sim/test_acquire_race.py``).  A wake
+    strictly before the deadline cancels the timer, so a satisfied wait
+    leaves nothing on the clock.
     """
 
-    __slots__ = ("buffer", "deadline", "then", "woken", "settled")
+    __slots__ = ("buffer", "deadline", "then", "woken", "settled", "timer")
 
     def __init__(
         self,
@@ -178,9 +180,14 @@ class _Waiter:
         self.then = then
         self.woken = False
         self.settled = False
+        #: The deadline timer's :meth:`Engine.schedule` token, if any.
+        self.timer: int | None = None
 
     def wake(self) -> None:
         self.woken = True
+        engine = self.buffer._engine
+        if self.timer is not None and engine.now < self.deadline:
+            engine.cancel(self.timer)
         self.settle()
 
     def expire(self) -> None:

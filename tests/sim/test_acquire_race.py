@@ -45,13 +45,13 @@ def held_buffer_with_waiter(fast=True):
 def test_release_before_the_deadline_claims_the_slot(fast):
     engine, buffer, outcomes = held_buffer_with_waiter(fast)
     engine.schedule(0.5, buffer.release)
-    engine.run()
+    # The release cancels the deadline timer: nothing runs the clock to 1.0.
+    assert engine.run() == 0.5
     assert outcomes == [(0.5, True)]
     assert buffer.occupied == 1
     assert not buffer._waiters
     if fast:
-        # The stale deadline timer still pops at 1.0 and does nothing.
-        assert kernel_counters(engine) == (5, 2, 3)
+        assert kernel_counters(engine) == (4, 1, 2)
 
 
 @pytest.mark.parametrize("fast", [True, False])
@@ -81,11 +81,11 @@ def test_release_in_the_deadline_instant_still_claims_the_slot(fast, hop):
 def test_mark_dead_fails_a_timed_wait_before_its_deadline(fast):
     engine, buffer, outcomes = held_buffer_with_waiter(fast)
     engine.schedule(0.5, buffer.mark_dead)
-    engine.run()
+    assert engine.run() == 0.5
     assert outcomes == [(0.5, False)]
     assert not buffer._waiters
     if fast:
-        assert kernel_counters(engine) == (5, 2, 3)
+        assert kernel_counters(engine) == (4, 1, 2)
 
 
 @pytest.mark.parametrize("fast", [True, False])

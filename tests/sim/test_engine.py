@@ -178,6 +178,20 @@ def test_fast_and_reference_mode_execute_identically():
     assert trace_for(True) == trace_for(False)
 
 
+@pytest.mark.parametrize("fast", [True, False])
+def test_cancelled_timer_neither_runs_nor_holds_the_clock(fast):
+    engine = Engine(fast=fast)
+    seen = []
+    token = engine.schedule(5.0, seen.append, "stale")
+    engine.schedule(1.0, seen.append, "work")
+    engine.schedule(0.5, engine.cancel, token)
+    assert engine.pending == 3
+    assert engine.run() == 1.0
+    assert seen == ["work"]
+    assert engine.pending == 0
+    assert engine.stats["heap_dispatches"] == 2
+
+
 def test_engine_stats_count_dispatch_paths():
     engine = Engine()
     engine.schedule(0.0, lambda: None)
@@ -223,6 +237,14 @@ class TestEvery:
         # other as pending work and the run would never terminate.
         assert engine.run() == pytest.approx(3.0)
         assert counts == [3, 3]
+
+    def test_cancelled_timer_is_not_real_work(self):
+        engine = Engine()
+        ticks = []
+        engine.every(1.0, lambda: ticks.append(engine.now))
+        engine.cancel(engine.schedule(10.0, lambda: None))
+        assert engine.run() == pytest.approx(1.0)
+        assert ticks == [pytest.approx(1.0)]
 
     def test_rejects_non_positive_interval(self):
         with pytest.raises(SimulationError):

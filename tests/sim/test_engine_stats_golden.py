@@ -168,7 +168,7 @@ GOLDEN = {
     adaptive_skewed: (stats(990, 367, 623), 0.0013671982500000003),
     multinode_nic: (stats(4022, 849, 3173), 0.008716608104999989),
     credit_bound: (stats(834, 308, 526), 0.023197102079999997),
-    crash_credit_timeout: (stats(818, 311, 507), 0.02219046944),
+    crash_credit_timeout: (stats(734, 227, 423), 0.02219046944),
     packet_reorder: (stats(546, 122, 424), 0.0026204076250000014),
     staged_tamper: (stats(234, 30, 204), 0.003618250625),
     served_fair: (
