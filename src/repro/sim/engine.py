@@ -25,7 +25,8 @@ Fast path
 ---------
 
 By default the engine runs with ``fast=True``: work scheduled for the
-*current* instant (zero-delay schedules) goes onto a FIFO ready deque instead of round-tripping through the time heap.
+*current* instant (zero-delay schedules) goes onto a FIFO ready deque
+instead of round-tripping through the time heap.
 Ready entries and heap entries share one global sequence counter, and
 the run loop always dispatches the lowest sequence number among the
 work runnable *now* — so the execution order is provably identical to
