@@ -62,6 +62,33 @@ def serve_healthy_batch(machine):
     ).run()
 
 
+#: Blacks out the gpu2<->gpu3 NVLinks from 5 to 10 us, while the
+#: arbiters on them still have requests waiting and owners still
+#: submit: a link arbiter loses a request both at submission on the
+#: dead port and when its turn comes with the link down.
+BLACKOUT_2_3 = FaultPlan(
+    name="blackout-2-3",
+    seed=0,
+    events=(
+        FaultEvent(
+            kind=FaultKind.LINK_BLACKOUT, at=5e-6, src=2, dst=3, duration=5e-6
+        ),
+    ),
+)
+
+
+def serve_blackout_batch(machine):
+    """4 fair-arbitrated 4-GPU 1 Ki-tuple queries under a link blackout."""
+    return QueryScheduler(
+        machine,
+        synthetic_requests(4, gpus=4, tuples=1024),
+        policy_factory=AdaptiveArmPolicy,
+        max_in_flight=4,
+        arbitration="fair",
+        faults=BLACKOUT_2_3,
+    ).run()
+
+
 def serve_crash_batch(machine):
     """The CI ``chaos --serve --preset gpu-crash --gpus 4
     --real-tuples 4K --queries 12`` batch (CLI seed 42)."""
@@ -122,12 +149,14 @@ def serve_digest(report) -> str:
 GOLDEN = {
     "healthy-12q": "150a078223c55e1fcd54299ff2b21642c8698238dc7bbfa90d49b01fa71189ee",
     "gpu-crash-12q": "013577f2bec2549d75b95bd7e38e476eb17b72d9be681446a49ae7490597e625",
+    "fair-blackout-4q": "e5af5f61ba0324092edb19c9a0feab01be75bd09100ccc2436f4cf9d71eafbcf",
     "late-duplicates": "bda443db0a5ccecf7d36eaea763f91ea73a647c0ee922d6e1f49b7abeaa8f3d8",
 }
 
 BATCHES = {
     "healthy-12q": serve_healthy_batch,
     "gpu-crash-12q": serve_crash_batch,
+    "fair-blackout-4q": serve_blackout_batch,
     "late-duplicates": serve_late_duplicates,
 }
 
