@@ -779,6 +779,11 @@ def test_shuffle_rejects_an_infinite_size(capsys):
             "--hot-gpu applies to --mode shuffle only",
         ),
         (
+            ["analyze", "--gpus", "2", "--tuples-per-gpu", "64K",
+             "--real-tuples", "4K", "--bytes-per-flow", "16M"],
+            "--bytes-per-flow applies to --mode shuffle only",
+        ),
+        (
             ["analyze", "--gpus", "1", "--tuples-per-gpu", "64K",
              "--real-tuples", "4K", "--chaos", "gpu-crash"],
             "analyze --chaos needs a workload that shuffles data",
@@ -787,7 +792,7 @@ def test_shuffle_rejects_an_infinite_size(capsys):
     ids=[
         "gpus", "chaos-scenario", "fuzz-no-shuffle", "serve-no-input",
         "serve-two-inputs", "sweep", "bench-figures", "figure", "hot-gpu",
-        "join-hot-gpu", "analyze-chaos-no-shuffle",
+        "join-hot-gpu", "join-bytes-per-flow", "analyze-chaos-no-shuffle",
     ],
 )
 def test_bad_input_exits_2(argv, message, capsys, tmp_path):

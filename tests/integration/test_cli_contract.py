@@ -15,8 +15,11 @@ import json
 
 from repro.cli import build_parser
 
+#: Last re-recorded when ``repro analyze --bytes-per-flow`` lost its
+#: parser default (``None``; shuffle mode resolves it to 64M), so that
+#: join mode can refuse the flag instead of ignoring it.
 CONTRACT_SHA256 = (
-    "3818d7b2d29bb3ecc313c7625d8e00619f8dc748862e41d12411c2ffcf15acc2"
+    "13a692ab7f03ff7816b064bfdc3bea95c9a3332a5235584ce6f413c9f14f3eaf"
 )
 
 
