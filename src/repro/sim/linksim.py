@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from repro.sim.engine import Engine
@@ -124,12 +123,11 @@ class LinkChannel:
         fault penalty of a degraded or down link — the owning GPU knows
         its own ports' health immediately.
 
-        The clamp is ``max(0.0, free_at - now)`` as a conditional on
-        the engine's ``_now`` slot: the same value, signed zeros
-        included, without a builtin call or a property read on a path
-        every route evaluation and timeline probe tick takes.
+        The clamp is ``max(0.0, free_at - now)`` as a conditional: the
+        same value, signed zeros included, without a builtin call on a
+        path every route evaluation and timeline probe tick takes.
         """
-        backlog = self._free_at - self.engine._now
+        backlog = self._free_at - self.engine.now
         backlog = (backlog if backlog > 0.0 else 0.0) + self.committed_load
         if self.arbiter is not None:
             backlog += self.arbiter.queued_service
@@ -286,7 +284,8 @@ class LinkArbiter:
     queued_service: float = 0.0
     _waiting: dict = field(default_factory=dict)
     _rotation: list = field(default_factory=list)
-    _inflight: bool = False
+    #: The continuation of the transfer on the wire; ``None`` = idle.
+    _owner: "Callable[[bool], None] | None" = None
 
     def __post_init__(self) -> None:
         if self.mode not in ARBITRATION_MODES:
@@ -298,22 +297,18 @@ class LinkArbiter:
     def submit(
         self, nbytes: int, tag: object, then: "Callable[[bool], None]"
     ) -> None:
-        """Queue one tagged transfer; ``then(outcome)`` runs at completion."""
+        """Queue one tagged transfer; ``then(outcome)`` runs one step after
+        completion, once every link has re-arbitrated at that boundary."""
         channel = self.channel
-        engine = channel.engine
-        # The owner resumes one step after completion: it resubmits only
-        # once every link has re-arbitrated at that boundary.
-        then = partial(engine.schedule, 0.0, then)
         if not channel.up:
             # Dead port: fail fast after the launch latency, exactly
             # like the arbiter-free path.
-            channel.transfers_lost += 1
-            engine.schedule(channel.spec.latency, then, False)
+            self._lose(then)
             return
         queue = self._waiting.get(tag)
         if queue is None:
             queue = self._waiting[tag] = deque()
-            if self._inflight and self._rotation:
+            if self._owner is not None and self._rotation:
                 # The tag now on the wire already rotated to the back;
                 # a newly arriving tag slots in just ahead of it so it
                 # waits one packet, not the whole in-flight backlog.
@@ -323,32 +318,38 @@ class LinkArbiter:
         service = channel.service_time(nbytes)
         queue.append((nbytes, service, then))
         self.queued_service += service
-        if not self._inflight:
+        if self._owner is None:
             self._dispatch_next()
 
-    def _dispatch_next(self) -> None:
+    def _lose(self, then: "Callable[[bool], None]") -> None:
         channel = self.channel
+        channel.transfers_lost += 1
         engine = channel.engine
+        engine.schedule(channel.spec.latency, engine.schedule, 0.0, then, False)
+
+    def _dispatch_next(self) -> None:
         while True:
             tag = self._pick_tag()
             if tag is None:
-                self._inflight = False
+                self._owner = None
                 return
             nbytes, service, then = self._waiting[tag].popleft()
             self.queued_service -= service
-            if not channel.up:
+            if not self.channel.up:
                 # The link died while this request waited its turn; the
                 # loss surfaces at the packet's own retry machinery.
-                channel.transfers_lost += 1
-                engine.schedule(channel.spec.latency, then, False)
+                self._lose(then)
                 continue
-            channel._book(nbytes, service, then)
-            self._inflight = True
-            # Re-arbitrate at the completion boundary whether or not
-            # the wire delivered (an outage mid-flight must not stall
-            # the other queries' waiting requests).
-            engine.schedule(channel._free_at - engine.now, self._dispatch_next)
+            self._owner = then
+            self.channel._book(nbytes, service, self._finish)
             return
+
+    def _finish(self, delivered: bool) -> None:
+        # Re-arbitrate at the completion boundary whether or not the
+        # wire delivered (an outage mid-flight must not stall the other
+        # queries' waiting requests), right behind the owner's resume.
+        self.channel.engine.schedule(0.0, self._owner, delivered)
+        self._dispatch_next()
 
     def _pick_tag(self) -> "object | None":
         # The first waiting tag in rotation order among the top rank;
